@@ -5,9 +5,12 @@ The raising/lowering operators of a solvable spectrum act on eigenstates as
     a- |psi_n> = sqrt(E_n)     e^{+i alpha (E_n - E_{n-1})} |psi_{n-1}>
     a+ |psi_n> = sqrt(E_{n+1}) e^{-i alpha (E_{n+1} - E_n)} |psi_{n+1}>
 
-so a+ a- = diag(E_n) and [a-, a+] acts as E_{n+1} - E_n. Matrices here are
-dense despite the bidiagonal structure: truncation orders stay in the
-hundreds and clarity wins; `apply` exploits nothing either, it is a matvec.
+so a+ a- = diag(E_n) and [a-, a+] acts as E_{n+1} - E_n. Both ladders are
+bidiagonal, carried by the one diagonal m_n = sqrt(E_n) e^{i alpha (E_n -
+E_{n-1})} of a-. `build_ladder` spreads it into dense matrices for the
+identity checks (`apply` is a plain matvec on those); the displacement
+oracle never forms a matrix and acts with the two diagonals of its
+tridiagonal generator, O(N) work per Taylor term.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, require_finite
 from .spectrum import Spectrum
 
 __all__ = ["LadderRep", "FockState", "build_ladder", "displace_ground", "apply",
@@ -119,6 +122,19 @@ class FockState:
         return cls.from_json_dict(json.loads(text))
 
 
+def _energies(spec: Spectrum, dim: int) -> np.ndarray:
+    return np.array([spec.energy(n) for n in range(dim)])
+
+
+def _lowering_diagonal(energies: np.ndarray, alpha: float) -> np.ndarray:
+    """m_n = sqrt(E_n) e^{i alpha (E_n - E_{n-1})} for n = 1..len(energies)-1.
+
+    m_n is the entry a-[n-1, n]; a+ carries conj(m_n) at [n, n-1]. Every
+    ladder representation reads its signs and phases from here.
+    """
+    return np.sqrt(energies[1:]) * np.exp(1j * alpha * np.diff(energies))
+
+
 def build_ladder(spec: Spectrum, alpha: float, N: int) -> LadderRep:
     """Ladder matrices on levels 0..N; requires N >= 2.
 
@@ -129,12 +145,10 @@ def build_ladder(spec: Spectrum, alpha: float, N: int) -> LadderRep:
     if N < 2:
         raise DomainError(f"build_ladder needs N >= 2, got {N}")
     dim = N + 1
-    energies = np.array([spec.energy(n) for n in range(dim)])
+    energies = _energies(spec, dim)
     a_minus = np.zeros((dim, dim), dtype=complex)
-    for n in range(1, dim):
-        a_minus[n - 1, n] = math.sqrt(energies[n]) * np.exp(
-            1j * alpha * (energies[n] - energies[n - 1])
-        )
+    n = np.arange(1, dim)
+    a_minus[n - 1, n] = _lowering_diagonal(energies, alpha)
     a_plus = a_minus.conj().T.copy()
     a_zero = np.zeros((dim, dim), dtype=complex)
     diffs = np.diff(energies)
@@ -166,35 +180,44 @@ def apply(op: np.ndarray, state: FockState) -> FockState:
 def _taylor_displace(spec, Z, alpha, N, max_steps=4000):
     """Truncated Taylor action of exp(Z a+ - conj(Z) a-) on |psi_0>.
 
-    The generator is split into substeps of spectral norm <= ~5 and each
-    substep is applied as a plain Taylor series on the evolving vector, so
-    no partial sum ever grows past ~e^5 and the alternating-series
-    cancellation stays harmless (still vector-only: no matrix exponential,
+    The generator is tridiagonal with zero diagonal and is kept as its two
+    off-diagonals, Z conj(m_n) below and -conj(Z) m_n above, so each Taylor
+    term is O(N) vector work. The generator is split into substeps of
+    spectral norm <= ~5 and each substep is applied as a plain Taylor series
+    on the evolving vector, so no partial sum ever grows past ~e^5 and the
+    alternating-series cancellation stays harmless (no matrix exponential,
     no squaring). Returns (vector, tail estimate); tail is +inf when a
     series exhausted its term budget, went non-finite, or the step count
     needed exceeds max_steps.
     """
-    rep = build_ladder(spec, alpha, N)
-    gen = Z * rep.a_plus - np.conj(Z) * rep.a_minus
-    gen_norm = 2.0 * np.max(np.abs(gen))
+    m = _lowering_diagonal(_energies(spec, N + 1), alpha)
+    sub = Z * np.conj(m)          # gen[n, n-1], from Z a+
+    sup = -(np.conj(Z) * m)       # gen[n-1, n], from -conj(Z) a-
+    gen_norm = 2.0 * np.max(np.abs(sub))  # |sub| == |sup| entrywise, to the bit
     steps = max(1, math.ceil(gen_norm / 5.0))
     if steps > max_steps:
         return np.zeros(N + 1, dtype=complex), math.inf
-    step_gen = gen / steps
+    sub /= steps
+    sup /= steps
     v = np.zeros(N + 1, dtype=complex)
     v[0] = 1.0
     for _ in range(steps):
-        term = v.copy()
+        term = v
         acc = v.copy()
         small = 0
         done = False
         for j in range(1, 120):
-            term = step_gen @ term / j
-            acc = acc + term
-            tn = np.linalg.norm(term)
+            nxt = np.empty_like(term)
+            np.multiply(sup, term[1:], out=nxt[:-1])
+            nxt[-1] = 0.0
+            nxt[1:] += sub * term[:-1]
+            nxt /= j
+            term = nxt
+            acc += term
+            tn = math.sqrt(np.vdot(term, term).real)
             if not math.isfinite(tn):
                 return acc, math.inf
-            if tn < 1e-16 * np.linalg.norm(acc):
+            if tn < 1e-16 * math.sqrt(np.vdot(acc, acc).real):
                 small += 1
                 if small >= 5:
                     done = True
@@ -221,9 +244,10 @@ def displace_ground(spec: Spectrum, Z: complex, alpha: float = 0.0,
     hits the cap; the best attempt is returned and its tail_bound tells the
     truth either way (callers decide whether missing the budget is fatal).
     """
+    Z = complex(Z)
+    require_finite(Z=Z, alpha=alpha)
     cap = cap or max_truncation()
     N = max(8, N)
-    Z = complex(Z)
     best_v, best_tail = None, math.inf
     while True:
         v, tail = _taylor_displace(spec, Z, alpha, N)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, require_finite
 from .fockspace import FockState, max_truncation
 from .spectrum import PoschlTellerSpectrum, Spectrum
 from .specfun import (
@@ -65,6 +65,7 @@ class GKLabel:
         if self.k < 0:
             raise DomainError(f"photon number k must be nonnegative, got {self.k}")
         object.__setattr__(self, "z", complex(self.z))
+        require_finite(z=self.z, alpha=self.alpha)
 
 
 @dataclass(frozen=True)
@@ -86,6 +87,7 @@ class KPLabel:
             object.__setattr__(self, "xi", complex(self.xi))
         if self.Z is not None:
             object.__setattr__(self, "Z", complex(self.Z))
+        require_finite(xi=self.xi, Z=self.Z, alpha=self.alpha)
 
     @property
     def as_xi(self) -> complex:
@@ -470,6 +472,7 @@ def kp_state_general(spec: Spectrum, Z: complex, alpha: float = 0.0, k: int = 0,
     if k < 0:
         raise DomainError(f"photon number k must be nonnegative, got {k}")
     Z = complex(Z)
+    require_finite(Z=Z, alpha=alpha)
     if Z == 0:
         return KPGeneralResult(FockState(k, np.array([1.0 + 0.0j]), alpha, 0.0),
                                True, 0.0)

@@ -77,6 +77,19 @@ class TestStateCommand:
         assert code == EXIT_DOMAIN
         assert "domain error" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("gk", "--z", "nan"),
+        ("gk", "--z", "0.5", "--alpha", "inf"),
+        ("kp", "--xi", "nan"),
+        ("kp", "--Z", "0.3+1e400i"),
+        ("kp", "--Z", "nan", "--nested"),
+    ])
+    def test_non_finite_label_exit_code(self, capsys, argv):
+        code, out, err = run_cli(capsys, "state", *argv, "--lambda", "4")
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert "domain error" in err
+
     def test_convergence_exit_code(self, capsys):
         # nested-sum route far outside its validity region
         code, _, err = run_cli(capsys, "state", "kp", "--Z", "2.5",

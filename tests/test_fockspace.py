@@ -1,8 +1,10 @@
+import cmath
 import json
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from scipy.special import gammaln
 
 from solvstate import (
@@ -22,6 +24,16 @@ class TestBuildLadder:
         expected = np.zeros((7, 7), dtype=complex)
         for n in range(1, 7):
             expected[n - 1, n] = math.sqrt(n)
+        assert np.array_equal(lad.a_minus, expected)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    def test_lowering_entries_match_per_level_formula(self, alpha):
+        spec = PoschlTellerSpectrum(0.6, 1.3)
+        lad = build_ladder(spec, alpha, 20)
+        expected = np.zeros((21, 21), dtype=complex)
+        for n in range(1, 21):
+            expected[n - 1, n] = math.sqrt(spec.energy(n)) * np.exp(
+                1j * alpha * (spec.energy(n) - spec.energy(n - 1)))
         assert np.array_equal(lad.a_minus, expected)
 
     def test_number_operator_diagonal(self):
@@ -156,6 +168,35 @@ class TestDisplaceGround:
         state = displace_ground(PoschlTellerSpectrum(2.0, 2.0), 80.0)
         assert state.tail_bound > 1e-6
         assert np.all(np.isfinite(state.coefficients))
+
+    @pytest.mark.parametrize("Z, alpha", [
+        (float("nan"), 0.0),
+        (float("inf"), 0.0),
+        (complex(1.0, float("nan")), 0.0),
+        (0.5, float("nan")),
+        (0.5, float("-inf")),
+    ])
+    def test_non_finite_input_rejected(self, Z, alpha):
+        with pytest.raises(DomainError):
+            displace_ground(HarmonicSpectrum(), Z, alpha)
+
+    @pytest.mark.parametrize("spec", [PoschlTellerSpectrum(0.5, 0.5),
+                                      PoschlTellerSpectrum(2.0, 2.0),
+                                      HarmonicSpectrum()],
+                             ids=["pt_lam1", "pt_lam4", "harmonic"])
+    @pytest.mark.parametrize("modulus", [0.4, 1.5])
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    def test_single_attempt_matches_dense_expm(self, spec, modulus, alpha):
+        # cap = N allows exactly one attempt; the reference is the exact
+        # exponential of the same truncated generator, built from the dense
+        # ladder, so signs and alpha phases of both representations must agree
+        Z = modulus * cmath.exp(0.4j)
+        state = displace_ground(spec, Z, alpha, N=64, cap=64)
+        lad = build_ladder(spec, alpha, 64)
+        column = expm(Z * lad.a_plus - np.conj(Z) * lad.a_minus)[:, 0]
+        column /= np.linalg.norm(column)
+        assert state.size == 65
+        assert np.max(np.abs(state.coefficients - column)) < 1e-13
 
     def test_norm_deviation_bounded_by_tail(self):
         for spec in (HarmonicSpectrum(), PoschlTellerSpectrum(0.5, 0.5)):

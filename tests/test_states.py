@@ -56,6 +56,28 @@ class TestLabels:
         assert np.angle(xi) == pytest.approx(0.7, rel=1e-12)
         assert KPLabel(Z=0.0).as_xi == 0.0
 
+    @pytest.mark.parametrize("z, alpha", [
+        (float("nan"), 0.0),
+        (complex(0.5, float("inf")), 0.0),
+        (0.5, float("nan")),
+        (0.5, float("inf")),
+    ])
+    def test_gk_label_rejects_non_finite(self, z, alpha):
+        with pytest.raises(DomainError):
+            GKLabel(z, alpha, 0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"xi": float("nan")},
+        {"xi": complex(0.3, float("-inf"))},
+        {"Z": float("inf")},
+        {"Z": complex(1.0, float("nan"))},
+        {"xi": 0.3, "alpha": float("nan")},
+        {"Z": 0.3, "alpha": float("inf")},
+    ])
+    def test_kp_label_rejects_non_finite(self, kwargs):
+        with pytest.raises(DomainError):
+            KPLabel(**kwargs)
+
 
 # ---------------------------------------------------------------------------
 # Gazeau-Klauder states
@@ -362,6 +384,13 @@ class TestKPGeneral:
         res = kp_state_general(SPEC, 2.5, k=0, n_max=24, j_max=60)
         assert not res.j_converged
         assert res.worst_term_ratio > 1e-12
+
+    @pytest.mark.parametrize("Z, alpha", [(float("nan"), 0.0),
+                                          (complex(0.2, float("inf")), 0.0),
+                                          (0.2, float("nan"))])
+    def test_non_finite_input_rejected(self, Z, alpha):
+        with pytest.raises(DomainError):
+            kp_state_general(SPEC, Z, alpha)
 
 
 # ---------------------------------------------------------------------------
