@@ -24,7 +24,6 @@ from . import states as st
 from .errors import ConvergenceError, DomainError
 from .fockspace import FockState
 from .spectrum import PoschlTellerSpectrum, Spectrum, spectrum_from_json
-from .specfun import hyper_pfq, log_gamma, log_pochhammer
 from .verify import run_suite
 
 EXIT_OK = 0
@@ -198,14 +197,7 @@ def cmd_overlap(args) -> int:
         series = st.gk_overlap(spec, l1, l2)
         closed = None
         if isinstance(spec, PoschlTellerSpectrum) and args.alpha1 == args.alpha2:
-            lam, k = spec.lam, args.k
-            w = np.conj(l1.z) * l2.z
-            f = hyper_pfq([k + 1.0, lam + k + 1.0], [1.0, lam + 1.0, lam + 1.0], w)
-            log_num = log_gamma(k + 1.0) + log_pochhammer(lam + 1.0, k)
-            la1 = st.gk_norm_constant(spec, abs(l1.z) ** 2, k)
-            la2 = st.gk_norm_constant(spec, abs(l2.z) ** 2, k)
-            closed = complex(f.phase * math.exp(
-                f.log_abs + log_num - 0.5 * (la1 + la2)))
+            closed = st.gk_overlap_compact(spec, l1, l2)
     else:
         if args.xi1 is None or args.xi2 is None:
             raise DomainError("kp overlap needs --xi1 and --xi2")

@@ -122,10 +122,6 @@ class FockState:
         return cls.from_json_dict(json.loads(text))
 
 
-def _energies(spec: Spectrum, dim: int) -> np.ndarray:
-    return np.array([spec.energy(n) for n in range(dim)])
-
-
 def _lowering_diagonal(energies: np.ndarray, alpha: float) -> np.ndarray:
     """m_n = sqrt(E_n) e^{i alpha (E_n - E_{n-1})} for n = 1..len(energies)-1.
 
@@ -145,7 +141,7 @@ def build_ladder(spec: Spectrum, alpha: float, N: int) -> LadderRep:
     if N < 2:
         raise DomainError(f"build_ladder needs N >= 2, got {N}")
     dim = N + 1
-    energies = _energies(spec, dim)
+    energies = spec.levels(0, dim)[0]
     a_minus = np.zeros((dim, dim), dtype=complex)
     n = np.arange(1, dim)
     a_minus[n - 1, n] = _lowering_diagonal(energies, alpha)
@@ -190,7 +186,7 @@ def _taylor_displace(spec, Z, alpha, N, max_steps=4000):
     series exhausted its term budget, went non-finite, or the step count
     needed exceeds max_steps.
     """
-    m = _lowering_diagonal(_energies(spec, N + 1), alpha)
+    m = _lowering_diagonal(spec.levels(0, N + 1)[0], alpha)
     sub = Z * np.conj(m)          # gen[n, n-1], from Z a+
     sup = -(np.conj(Z) * m)       # gen[n-1, n], from -conj(Z) a-
     gen_norm = 2.0 * np.max(np.abs(sub))  # |sub| == |sup| entrywise, to the bit
@@ -246,6 +242,8 @@ def displace_ground(spec: Spectrum, Z: complex, alpha: float = 0.0,
     """
     Z = complex(Z)
     require_finite(Z=Z, alpha=alpha)
+    if not tail_eps >= 0.0:
+        raise DomainError(f"tail_eps must be a nonnegative number, got {tail_eps}")
     cap = cap or max_truncation()
     N = max(8, N)
     best_v, best_tail = None, math.inf

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import digamma
 
-from .errors import DomainError
+from .errors import DomainError, require_finite
 from .spectrum import PoschlTellerSpectrum, Spectrum
 from .specfun import (
     QuadratureRule,
@@ -82,6 +82,7 @@ class WeightCandidate:
 
 def kp_weight_k0(lam: float, scale: float = 1.0) -> WeightCandidate:
     """Published k=0 unit-disk weight h(r) = (1-r)^(lam-1) / Gamma(lam+1)."""
+    require_finite(lam=lam)
     log_norm = log_gamma(lam + 1.0)
 
     def h(r):
@@ -116,6 +117,7 @@ def kp_weight_unit_disk(lam: float, k: int, reading: str = "a_b_b",
                          (logarithmically singular at r -> 0 for k > 0, no
                          elementary moments).
     """
+    require_finite(lam=lam)
     log_norm = log_gamma(lam + 2.0 * k + 1.0)
 
     if reading == "a_b_b":
@@ -329,6 +331,7 @@ def mellin_gamma_check_pt(lam: float, k: int, n_max: int,
                           tolerance: float = 1e-12) -> MomentReport:
     """Verify, in log-Gamma arithmetic, that the Meijer-G weight's Mellin
     transform reproduces the required GK radial moments for n <= n_max."""
+    require_finite(lam=lam)
     if lam <= 0.0:
         raise DomainError(f"lam must be positive, got {lam}")
     report = MomentReport(

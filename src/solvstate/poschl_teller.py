@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_finite
 from .spectrum import PoschlTellerSpectrum
 from .specfun import (
     beta,
@@ -53,6 +53,7 @@ class PTParams:
     a: float = 1.0
 
     def __post_init__(self):
+        require_finite(kappa=self.kappa, kappa_prime=self.kappa_prime, a=self.a)
         if self.kappa <= 0.5 or self.kappa_prime <= 0.5:
             raise DomainError(
                 f"kappa and kappa' must exceed 1/2, got "

@@ -14,7 +14,7 @@ import math
 import threading
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, require_finite
 
 __all__ = [
     "Spectrum",
@@ -65,6 +65,7 @@ class Spectrum:
             while len(self._energies) <= n:
                 m = len(self._energies)
                 e = float(self._energy(m))
+                require_finite(**{f"E_{m}": e})
                 prev = self._energies[-1]
                 if e <= prev:
                     raise DomainError(
@@ -82,6 +83,15 @@ class Spectrum:
             return 0.0
         self._ensure(n)
         return self._energies[n]
+
+    def levels(self, lo: int, hi: int):
+        """(E_n, log E_0(n)) for n = lo..hi-1 as two float arrays."""
+        import numpy as np  # local, so this module's imports stay stdlib-only
+
+        if lo < 0:
+            raise DomainError(f"level index must be nonnegative, got {lo}")
+        self._ensure(hi - 1)
+        return np.array(self._energies[lo:hi]), np.array(self._log_e0[lo:hi])
 
     def check_increasing(self, n_max: int) -> None:
         """Validate strict increase up to n_max (raises DomainError if not)."""
@@ -162,6 +172,7 @@ class PoschlTellerSpectrum(Spectrum):
     """E_n = n (n + lambda) with lambda = kappa + kappa' > 0."""
 
     def __init__(self, kappa: float, kappa_prime: float):
+        require_finite(kappa=kappa, kappa_prime=kappa_prime)
         lam = kappa + kappa_prime
         if lam <= 0.0:
             raise DomainError(f"kappa + kappa' must be positive, got {lam}")

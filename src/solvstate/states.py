@@ -9,6 +9,16 @@ raising operator k times and renormalizing:
        spectrum-generic nested-sum expansion or, for the Poschl-Teller
        spectrum, in closed form on the unit disk |xi| < 1.
 
+Both photon-added families are one series sum_n x^n w(n) on levels n+k, with
+w(n) = 1/E_k(n) (GK) or (n+k)! Gamma(n+k+lam+1) / (n!^2 Gamma(lam+1)) (KP),
+held by a private family record. One loop builds every state from x^n
+sqrt(w(n)) and energy phases; one loop sums the squared norm (x = |z|^2) and
+the overlap kernel (x = conj(z1) z2, phases e^{-i (alpha2 - alpha1) E_{n+k}}).
+A state stops on a geometric bound of its remaining mass, trusted once the
+squared coefficient ratio is below 0.9 for GK, whose ratios fall to 0 on
+unbounded spectra, or 0.95 for KP, whose ratios only fall to |xi|^2: the
+looser gate lets states near the disk edge stop before the cap.
+
 States are always normalized by the directly summed coefficient series; the
 hypergeometric closed forms are treated as cross-checks, never as the source
 of truth (they differ from the direct series by a benign n-independent
@@ -28,7 +38,6 @@ from .spectrum import PoschlTellerSpectrum, Spectrum
 from .specfun import (
     DEFAULT_SERIES_CONTROL,
     SeriesControl,
-    _ScaledSum,
     hyper_pfq,
     log_gamma,
     log_pochhammer,
@@ -101,6 +110,158 @@ class KPLabel:
 
 
 # ---------------------------------------------------------------------------
+# The series engine
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Family:
+    """terms(lo, hi) gives (log w(n), E_{n+k}) for n = lo..hi-1; last is the
+    last index n of a finite table (else +inf); ratio_bound gates the tail
+    estimate (see the module docstring)."""
+
+    k: int
+    terms: callable
+    last: float
+    ratio_bound: float
+
+    def block_end(self, lo: int, limit: int) -> int:
+        """End of the next block of indices; blocks double from 32."""
+        return max(lo + 1, min(2 * lo or 32, limit, self.last + 1))
+
+
+def _lgamma(x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.lgamma, x.tolist()), float, len(x))
+
+
+def _gk_family(spec: Spectrum, k: int) -> _Family:
+    """w(n) = 1 / E_k(n) = E_0(n+k) / E_0(n)^2."""
+
+    def terms(lo, hi):
+        energies, log_e0 = spec.levels(lo, hi + k)
+        return log_e0[k:] - 2.0 * log_e0[:hi - lo], energies[k:]
+
+    return _Family(k, terms, spec.max_level - k, 0.9)
+
+
+def _kp_family(lam: float, k: int, lam_w: float) -> _Family:
+    """w(n) = (n+k)! Gamma(n+k+lam_w+1) / (n!^2 Gamma(lam_w+1)) on the
+    energies E_n = n(n+lam); lam_w = lam except in errata mode."""
+    require_finite(lam=lam)
+    if lam <= 0.0:
+        raise DomainError(f"lam must be positive, got {lam}")
+    log_norm = math.lgamma(lam_w + 1.0)
+
+    def terms(lo, hi):
+        n = np.arange(lo, hi)
+        log_w = (_lgamma(n + k + 1.0) + _lgamma(n + k + lam_w + 1.0)
+                 - 2.0 * _lgamma(n + 1.0) - log_norm)
+        return log_w, (n + k) * (n + k + lam)
+
+    return _Family(k, terms, math.inf, 0.95)
+
+
+def _state(fam: _Family, x: complex, alpha: float, tail_eps: float,
+           cap: int | None) -> FockState:
+    """sum_n x^n sqrt(w(n)) e^{-i alpha E_{n+k}} |psi_{n+k}>, normalized and
+    grown until the tail estimate meets tail_eps, a finite table ends, or
+    the cap is reached."""
+    if not tail_eps >= 0.0:
+        raise DomainError(f"tail_eps must be a nonnegative number, got {tail_eps}")
+    cap = cap or max_truncation()
+    if x == 0:
+        return FockState(fam.k, np.array([1.0 + 0.0j]), alpha, 0.0)
+    log_r = math.log(abs(x))
+    logs, energies = [], []  # log|c_n| unnormalized; E_{n+k} per block
+    shift = -math.inf
+    total = 0.0  # sum of |c_n|^2 scaled by exp(-2*shift)
+    tail_rel = math.inf
+    n = 0
+    while True:
+        if n == len(logs):
+            hi = fam.block_end(n, cap)
+            log_w, e = fam.terms(n, hi)
+            logs += (np.arange(n, hi) * log_r + 0.5 * log_w).tolist()
+            energies.append(e)
+        ln = logs[n]
+        if ln > shift:
+            total = total * math.exp(2.0 * (shift - ln)) + 1.0
+            shift = ln
+        else:
+            total += math.exp(2.0 * (ln - shift))
+        if n >= 4:
+            ratio = math.exp(2.0 * (ln - logs[n - 1]))
+            if ratio < fam.ratio_bound:  # geometric bound on the rest
+                tail_rel = math.exp(2.0 * (ln - shift)) * ratio / (1.0 - ratio) / total
+                if tail_rel <= tail_eps:
+                    break
+        if n >= fam.last:
+            tail_rel = 0.0  # finite table: the sum over the whole space is exact
+            break
+        if n + 1 >= cap:
+            break
+        n += 1
+    size = n + 1
+    c = np.exp(np.array(logs[:size]) - shift) * (
+        np.exp(1j * np.arange(size) * np.angle(x))
+        * np.exp(-1j * alpha * np.concatenate(energies)[:size]))
+    c /= np.linalg.norm(c)
+    return FockState(fam.k, c, alpha, min(tail_rel, 1.0))
+
+
+def _sum(fam: _Family, x: complex, d_alpha: float,
+         ctl: SeriesControl) -> tuple[float, complex, bool]:
+    """S = sum_n x^n w(n) e^{-i d_alpha E_{n+k}} as (log|S|, S/|S|, converged).
+
+    Stops at the end of the first run of ctl.consecutive_small terms below
+    ctl.rel_tol times the larger of |partial sum| and the largest term so far
+    (the latter guards against cancellation), or exactly at a table's end.
+    """
+    log_r = math.log(abs(x)) if x != 0 else 0.0  # x = 0 keeps the n = 0 term only
+    arg = math.atan2(x.imag, x.real)
+    run = ctl.consecutive_small
+    log_t = theta = np.empty(0)
+    while True:
+        lo = len(log_t)
+        hi = 1 if x == 0 else fam.block_end(lo, ctl.max_terms)
+        n = np.arange(lo, hi)
+        log_w, e = fam.terms(lo, hi)
+        log_t = np.concatenate([log_t, n * log_r + log_w])
+        theta = np.concatenate([theta, n * arg - e * d_alpha])
+        mags = np.exp(log_t - log_t.max())
+        partial = np.cumsum(mags * np.exp(1j * theta) if arg or d_alpha else mags)
+        small = mags < ctl.rel_tol * np.maximum(np.abs(partial), np.maximum.accumulate(mags))
+        ends = (np.convolve(small, np.ones(run), "valid") == run).nonzero()[0] + run - 1
+        converged = ends.size > 0 or x == 0 or hi > fam.last
+        if converged or hi >= ctl.max_terms:
+            break
+    total = partial[ends[0] if ends.size else -1]
+    if total == 0:
+        return -math.inf, 0j, converged
+    return float(log_t.max() + np.log(abs(total))), complex(total / abs(total)), converged
+
+
+def _log_norm(fam: _Family, u: float, ctl: SeriesControl,
+              what: str = "normalization series", log_pref: float = 0.0) -> float:
+    """log_pref + log sum_n u^n w(n); a ConvergenceError carries that partial."""
+    log_s, _, ok = _sum(fam, u, 0.0, ctl)
+    if not ok:
+        raise ConvergenceError(f"{what} did not converge in {ctl.max_terms} terms",
+                               partial=log_pref + log_s)
+    return log_pref + log_s
+
+
+def _kernel(fam: _Family, x1: complex, x2: complex, d_alpha: float,
+            ctl: SeriesControl, what: str) -> complex:
+    """S(conj(x1) x2, alpha2 - alpha1) over the square roots of both norms."""
+    log_s, phase, ok = _sum(fam, np.conj(x1) * x2, d_alpha, ctl)
+    if not ok:
+        raise ConvergenceError(f"{what} series did not converge",
+                               partial=phase * math.exp(log_s))
+    log_n = _log_norm(fam, abs(x1) ** 2, ctl) + _log_norm(fam, abs(x2) ** 2, ctl)
+    return complex(phase * math.exp(log_s - 0.5 * log_n))
+
+
+# ---------------------------------------------------------------------------
 # Gazeau-Klauder family
 # ---------------------------------------------------------------------------
 
@@ -124,48 +285,7 @@ def gk_state(spec: Spectrum, label: GKLabel, tail_eps: float = 1e-12,
     way).
     """
     _check_gk_radius(spec, label)
-    z, alpha, k = label.z, label.alpha, label.k
-    cap = cap or max_truncation()
-
-    if z == 0:
-        return FockState(k, np.array([1.0 + 0.0j]), alpha, 0.0)
-
-    log_az = math.log(abs(z))
-    logs = []  # log-magnitudes of unnormalized coefficients
-    shift = -math.inf
-    total = 0.0  # sum of |c_n|^2 scaled by exp(-2*shift)
-    tail_rel = math.inf
-    n = 0
-    while True:
-        ln = n * log_az - 0.5 * spec.log_ek(k, n)
-        logs.append(ln)
-        if ln > shift:
-            total = total * math.exp(2.0 * (shift - ln)) + 1.0
-            shift = ln
-        else:
-            total += math.exp(2.0 * (ln - shift))
-        if n >= 4:
-            ratio = math.exp(2.0 * (logs[-1] - logs[-2]))
-            if ratio < 0.9:
-                tail_rel = math.exp(2.0 * (logs[-1] - shift)) * ratio / (1.0 - ratio) / total
-                if tail_rel <= tail_eps:
-                    break
-        if n + k + 1 > spec.max_level:
-            # finite table: the sum over the whole space is exact
-            tail_rel = 0.0
-            break
-        if n + 1 >= cap:
-            break
-        n += 1
-
-    n_arr = np.arange(len(logs))
-    mags = np.exp(np.array(logs) - shift)
-    phases = np.exp(1j * n_arr * np.angle(z)) * np.exp(
-        -1j * alpha * np.array([spec.energy(m + k) for m in n_arr])
-    )
-    c = mags * phases
-    c /= np.linalg.norm(c)
-    return FockState(k, c, alpha, min(tail_rel, 1.0))
+    return _state(_gk_family(spec, label.k), label.z, label.alpha, tail_eps, cap)
 
 
 def gk_norm_constant(spec: Spectrum, z_abs2: float, k: int,
@@ -180,26 +300,7 @@ def gk_norm_constant(spec: Spectrum, z_abs2: float, k: int,
     hint = spec.radius_hint(k)
     if math.isfinite(hint) and z_abs2 >= hint * hint:
         raise DomainError(f"|z|^2 = {z_abs2:.6g} is outside the radius {hint:.6g}")
-    ctl = ctl or DEFAULT_SERIES_CONTROL
-
-    log_u = math.log(z_abs2) if z_abs2 > 0 else -math.inf
-    total = -math.inf
-    small = 0
-    for n in range(ctl.max_terms):
-        lt = n * log_u - spec.log_ek(k, n) if n > 0 else -spec.log_ek(k, 0)
-        total = np.logaddexp(total, lt)
-        if lt < math.log(ctl.rel_tol) + total:
-            small += 1
-            if small >= ctl.consecutive_small:
-                return float(total)
-        else:
-            small = 0
-        if z_abs2 == 0 or n + k + 1 > spec.max_level:
-            return float(total)  # finite table: the sum is exact
-    raise ConvergenceError(
-        f"normalization series did not converge in {ctl.max_terms} terms",
-        partial=float(total),
-    )
+    return _log_norm(_gk_family(spec, k), z_abs2, ctl or DEFAULT_SERIES_CONTROL)
 
 
 def gk_norm_constant_pt_closed(lam: float, z_abs2: float, k: int,
@@ -235,47 +336,29 @@ def gk_overlap(spec: Spectrum, label1: GKLabel, label2: GKLabel,
         raise DomainError("overlap requires a shared photon number k")
     _check_gk_radius(spec, label1)
     _check_gk_radius(spec, label2)
-    ctl = ctl or DEFAULT_SERIES_CONTROL
-    k = label1.k
-    w = np.conj(label1.z) * label2.z
-    d_alpha = label2.alpha - label1.alpha
+    return _kernel(_gk_family(spec, label1.k), label1.z, label2.z,
+                   label2.alpha - label1.alpha, ctl or DEFAULT_SERIES_CONTROL, "overlap")
 
-    acc = _ScaledSum()
-    log_aw = math.log(abs(w)) if w != 0 else -math.inf
-    arg_w = np.angle(w)
-    max_lt = -math.inf
-    small = 0
-    for n in range(ctl.max_terms):
-        lt = n * log_aw - spec.log_ek(k, n) if n > 0 else -spec.log_ek(k, 0)
-        phase = np.exp(1j * (n * arg_w - spec.energy(n + k) * d_alpha))
-        acc.add(lt, phase)
-        max_lt = max(max_lt, lt)
-        if lt < math.log(ctl.rel_tol) + max(acc.log_abs, max_lt):
-            small += 1
-            if small >= ctl.consecutive_small:
-                break
-        else:
-            small = 0
-        if w == 0 or n + k + 1 > spec.max_level:
-            break  # finite table: the sum is exact
-    else:
-        raise ConvergenceError("overlap series did not converge",
-                               partial=acc.value())
 
-    la1 = gk_norm_constant(spec, abs(label1.z) ** 2, k, ctl)
-    la2 = gk_norm_constant(spec, abs(label2.z) ** 2, k, ctl)
-    return complex(acc.phase * math.exp(acc.log_abs - 0.5 * (la1 + la2)))
+def gk_overlap_compact(spec: PoschlTellerSpectrum, label1: GKLabel,
+                       label2: GKLabel) -> complex:
+    """Equal-alpha `gk_overlap` on the Poschl-Teller spectrum from the compact
+    kernel Gamma(k+1) (lam+1)_k 2F3(k+1, lam+k+1; 1, lam+1, lam+1; conj(z1) z2)
+    over the two series normalizations, as a cross-check."""
+    if label1.k != label2.k or label1.alpha != label2.alpha:
+        raise DomainError("the compact kernel needs a shared k and equal alpha")
+    lam, k = spec.lam, label1.k
+    f = hyper_pfq([k + 1.0, lam + k + 1.0], [1.0, lam + 1.0, lam + 1.0],
+                  np.conj(label1.z) * label2.z)
+    log_num = log_gamma(k + 1.0) + log_pochhammer(lam + 1.0, k)
+    la1 = gk_norm_constant(spec, abs(label1.z) ** 2, k)
+    la2 = gk_norm_constant(spec, abs(label2.z) ** 2, k)
+    return complex(f.phase * math.exp(f.log_abs + log_num - 0.5 * (la1 + la2)))
 
 
 # ---------------------------------------------------------------------------
 # Klauder-Perelomov family, Poschl-Teller closed form (unit disk)
 # ---------------------------------------------------------------------------
-
-def _kp_log_term(lam: float, k: int, n: int) -> float:
-    """log of (n+k)! Gamma(n+k+lam+1) / (n!^2 Gamma(lam+1))."""
-    return (log_gamma(n + k + 1.0) + log_gamma(n + k + lam + 1.0)
-            - 2.0 * log_gamma(n + 1.0) - log_gamma(lam + 1.0))
-
 
 def kp_state_pt(lam: float, label: KPLabel, tail_eps: float = 1e-12,
                 cap: int | None = None, exponent: str = "lambda") -> FockState:
@@ -290,48 +373,10 @@ def kp_state_pt(lam: float, label: KPLabel, tail_eps: float = 1e-12,
     if exponent not in ("lambda", "two_lambda"):
         raise DomainError(f"unknown exponent convention {exponent!r}")
     lam_w = lam if exponent == "lambda" else 2.0 * lam
-    xi, alpha, k = label.as_xi, label.alpha, label.k
+    xi = label.as_xi
     if abs(xi) >= 1.0:
         raise DomainError(f"|xi| must be below 1, got {abs(xi):.6g}")
-    cap = cap or max_truncation()
-    spec = PoschlTellerSpectrum(lam / 2.0, lam / 2.0)  # only E_n = n(n+lam) is used
-
-    if xi == 0:
-        return FockState(k, np.array([1.0 + 0.0j]), alpha, 0.0)
-
-    log_axi = math.log(abs(xi))
-    logs = []
-    shift = -math.inf
-    total = 0.0
-    tail_rel = math.inf
-    n = 0
-    while True:
-        ln = (n * log_axi + 0.5 * (log_gamma(n + k + 1.0) + log_gamma(n + k + lam_w + 1.0))
-              - log_gamma(n + 1.0))
-        logs.append(ln)
-        if ln > shift:
-            total = total * math.exp(2.0 * (shift - ln)) + 1.0
-            shift = ln
-        else:
-            total += math.exp(2.0 * (ln - shift))
-        if n >= 4:
-            ratio = math.exp(2.0 * (logs[-1] - logs[-2]))
-            if ratio < 0.95:
-                tail_rel = math.exp(2.0 * (logs[-1] - shift)) * ratio / (1.0 - ratio) / total
-                if tail_rel <= tail_eps:
-                    break
-        if n + 1 >= cap:
-            break
-        n += 1
-
-    n_arr = np.arange(len(logs))
-    mags = np.exp(np.array(logs) - shift)
-    phases = np.exp(1j * n_arr * np.angle(xi)) * np.exp(
-        -1j * alpha * np.array([spec.energy(m + k) for m in n_arr])
-    )
-    c = mags * phases
-    c /= np.linalg.norm(c)
-    return FockState(k, c, alpha, min(tail_rel, 1.0))
+    return _state(_kp_family(lam, label.k, lam_w), xi, label.alpha, tail_eps, cap)
 
 
 def kp_norm_constant_pt(lam: float, xi_abs2: float, k: int,
@@ -346,6 +391,7 @@ def kp_norm_constant_pt(lam: float, xi_abs2: float, k: int,
     (n!^2 Gamma(lam+1)) directly; the two agree, and both are exactly 1 at
     k = 0.
     """
+    require_finite(lam=lam)
     if not 0.0 <= xi_abs2 < 1.0:
         raise DomainError(f"|xi|^2 must lie in [0, 1), got {xi_abs2}")
     ctl = ctl or DEFAULT_SERIES_CONTROL
@@ -358,24 +404,8 @@ def kp_norm_constant_pt(lam: float, xi_abs2: float, k: int,
         return (log_pref + log_gamma(k + 1.0) + log_gamma(lam + 1.0 + k)
                 - log_gamma(lam + 1.0) + res.log_abs)
     if method == "series":
-        log_u = math.log(xi_abs2) if xi_abs2 > 0 else -math.inf
-        total = -math.inf
-        small = 0
-        for n in range(ctl.max_terms):
-            lt = (n * log_u if n > 0 else 0.0) + _kp_log_term(lam, k, n)
-            total = np.logaddexp(total, lt)
-            if lt < math.log(ctl.rel_tol) + total:
-                small += 1
-                if small >= ctl.consecutive_small:
-                    return float(log_pref + total)
-            else:
-                small = 0
-            if xi_abs2 == 0:
-                return float(log_pref + total)
-        raise ConvergenceError(
-            f"KP normalization series did not converge in {ctl.max_terms} terms",
-            partial=float(log_pref + total),
-        )
+        return _log_norm(_kp_family(lam, k, lam), xi_abs2, ctl,
+                         "KP normalization series", log_pref)
     raise DomainError(f"unknown method {method!r}")
 
 
@@ -388,43 +418,12 @@ def kp_overlap_pt(lam: float, label1: KPLabel, label2: KPLabel,
     """
     if label1.k != label2.k:
         raise DomainError("kernel requires a shared photon number k")
-    ctl = ctl or DEFAULT_SERIES_CONTROL
-    k = label1.k
     xi1, xi2 = label1.as_xi, label2.as_xi
     for xi in (xi1, xi2):
         if abs(xi) >= 1.0:
             raise DomainError(f"|xi| must be below 1, got {abs(xi):.6g}")
-    w = np.conj(xi1) * xi2
-    d_alpha = label2.alpha - label1.alpha
-    spec = PoschlTellerSpectrum(lam / 2.0, lam / 2.0)
-
-    acc = _ScaledSum()
-    log_aw = math.log(abs(w)) if w != 0 else -math.inf
-    arg_w = np.angle(w)
-    max_lt = -math.inf
-    small = 0
-    for n in range(ctl.max_terms):
-        lt = (n * log_aw if n > 0 else 0.0) + _kp_log_term(lam, k, n)
-        phase = np.exp(1j * (n * arg_w - spec.energy(n + k) * d_alpha))
-        acc.add(lt, phase)
-        max_lt = max(max_lt, lt)
-        if lt < math.log(ctl.rel_tol) + max(acc.log_abs, max_lt):
-            small += 1
-            if small >= ctl.consecutive_small:
-                break
-        else:
-            small = 0
-        if w == 0:
-            break
-    else:
-        raise ConvergenceError("kernel series did not converge", partial=acc.value())
-
-    # prefactors (1-u)^{(lam+1)/2} cancel against the series normalizations
-    ls1 = kp_norm_constant_pt(lam, abs(xi1) ** 2, k, ctl, method="series") \
-        - (lam + 1.0) * math.log1p(-abs(xi1) ** 2)
-    ls2 = kp_norm_constant_pt(lam, abs(xi2) ** 2, k, ctl, method="series") \
-        - (lam + 1.0) * math.log1p(-abs(xi2) ** 2)
-    return complex(acc.phase * math.exp(acc.log_abs - 0.5 * (ls1 + ls2)))
+    return _kernel(_kp_family(lam, label1.k, lam), xi1, xi2,
+                   label2.alpha - label1.alpha, ctl or DEFAULT_SERIES_CONTROL, "kernel")
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +446,7 @@ def _nested_log_sums(spec: Spectrum, n_max: int, j_max: int) -> np.ndarray:
     (each level consumes one index of headroom, hence the oversized grid).
     """
     m_big = n_max + j_max + 2
-    log_e = np.array([-math.inf] + [math.log(spec.energy(i)) for i in range(1, m_big + 2)])
+    log_e = np.concatenate([[-math.inf], np.log(spec.levels(1, m_big + 2)[0])])
     out = np.full((j_max + 1, n_max + 1), -math.inf)
     out[0, :] = 0.0
     log_g = np.zeros(m_big + 2)  # g_0(m) = 1, index m = 0..m_big+1
@@ -490,33 +489,22 @@ def kp_state_general(spec: Spectrum, Z: complex, alpha: float = 0.0, k: int = 0,
     log_u = math.log(u)
     log_s = _nested_log_sums(spec, n_max, j_max)
 
-    log_b = np.empty(n_max + 1)
-    sign_b = np.empty(n_max + 1)
-    worst = 0.0
-    converged = True
-    for n in range(n_max + 1):
-        j = np.arange(j_max + 1)
-        log_terms = j * log_u + log_s[:, n] - np.array(
-            [log_gamma(n + 2 * jj + 1.0) for jj in j]
-        )
-        signs = np.where(j % 2 == 0, 1.0, -1.0)
-        lb, sb = signed_log_sum(log_terms, signs)
-        log_b[n] = lb
-        sign_b[n] = sb if sb != 0.0 else 1.0
-        last_ratio = math.exp(log_terms[-1] - lb) if lb != -math.inf else math.inf
-        worst = max(worst, last_ratio)
-        if last_ratio > rel_tol:
-            converged = False
+    lg = _lgamma(np.arange(n_max + 2 * j_max + 1) + 1.0)  # lg[m] = log m!
+    j = np.arange(j_max + 1)
+    signs = np.where(j % 2 == 0, 1.0, -1.0)
+    j = j[:, None]
+    log_terms = j * log_u + log_s - lg[np.arange(n_max + 1) + 2 * j]  # [j, n]
+    log_b, sign_b = np.array([signed_log_sum(col, signs) for col in log_terms.T]).T
+    sign_b[sign_b == 0.0] = 1.0
+    worst = float(np.max(np.exp(log_terms[-1] - log_b)))  # last term / sum, per level
+    converged = worst <= rel_tol
 
     n_arr = np.arange(n_max + 1)
-    log_c = n_arr * math.log(abs(Z)) + 0.5 * np.array(
-        [spec.log_e0(n + k) for n in n_arr]
-    ) + log_b
+    energies, log_e0 = spec.levels(k, n_max + k + 1)
+    log_c = n_arr * math.log(abs(Z)) + 0.5 * log_e0 + log_b
     shift = log_c.max()
     mags = np.exp(log_c - shift) * sign_b
-    phases = np.exp(1j * n_arr * np.angle(Z)) * np.exp(
-        -1j * alpha * np.array([spec.energy(n + k) for n in n_arr])
-    )
+    phases = np.exp(1j * n_arr * np.angle(Z)) * np.exp(-1j * alpha * energies)
     c = mags * phases
     nrm = np.linalg.norm(c)
     c /= nrm
@@ -535,9 +523,7 @@ def evolve(state: FockState, spec: Spectrum, t: float) -> FockState:
     alpha is advanced accordingly so the identity is visible on the result.
     """
     k = state.offset
-    phases = np.exp(-1j * t * np.array(
-        [spec.energy(n + k) for n in range(state.size)]
-    ))
+    phases = np.exp(-1j * t * spec.levels(k, k + state.size)[0])
     return FockState(k, state.coefficients * phases, state.alpha + t,
                      state.tail_bound)
 
@@ -554,6 +540,6 @@ def photon_statistics(state: FockState, spec: Spectrum) -> PhotonStatistics:
     """Occupation distribution P(n+k) = |c_n|^2 and its first moments."""
     p = np.abs(state.coefficients) ** 2
     levels = np.arange(state.offset, state.offset + state.size)
-    energies = np.array([spec.energy(int(m)) for m in levels])
+    energies = spec.levels(state.offset, state.offset + state.size)[0]
     return PhotonStatistics(levels, p, float(np.dot(levels, p)),
                             float(np.dot(energies, p)))

@@ -90,6 +90,33 @@ class TestStateCommand:
         assert out == ""
         assert "domain error" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("state", "gk", "--z", "0.5", "--lambda", "nan"),
+        ("state", "kp", "--xi", "0.3", "--lambda", "nan"),
+        ("state", "gk", "--z", "0.5", "--spectrum",
+         '{"kind":"custom","energies":[0,1,NaN,6]}'),
+        ("state", "gk", "--z", "0.5", "--spectrum",
+         '{"kind":"poschl_teller","kappa":Infinity,"kappa_prime":2}'),
+        ("pt", "--u-block", "2", "2", "--kappa", "nan"),
+        ("moments", "--check", "mellin", "--lambda", "nan"),
+        ("moments", "--check", "kp-weights", "--lambda", "nan"),
+        ("moments", "--check", "gk-diag", "--lambda", "inf"),
+    ])
+    def test_non_finite_parameter_exit_code(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert "must be finite" in err
+
+    @pytest.mark.parametrize("family, label", [("gk", "--z"), ("kp", "--xi")])
+    @pytest.mark.parametrize("eps", ["nan", "-1e-12"])
+    def test_bad_tail_budget_exit_code(self, capsys, family, label, eps):
+        code, out, err = run_cli(capsys, "state", family, label, "0.5",
+                                 "--lambda", "4", f"--tail-eps={eps}")
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert "tail_eps" in err
+
     def test_convergence_exit_code(self, capsys):
         # nested-sum route far outside its validity region
         code, _, err = run_cli(capsys, "state", "kp", "--Z", "2.5",

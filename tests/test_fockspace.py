@@ -180,6 +180,11 @@ class TestDisplaceGround:
         with pytest.raises(DomainError):
             displace_ground(HarmonicSpectrum(), Z, alpha)
 
+    @pytest.mark.parametrize("eps", [float("nan"), -1e-12])
+    def test_bad_tail_budget_rejected(self, eps):
+        with pytest.raises(DomainError, match="tail_eps"):
+            displace_ground(HarmonicSpectrum(), 0.5, tail_eps=eps)
+
     @pytest.mark.parametrize("spec", [PoschlTellerSpectrum(0.5, 0.5),
                                       PoschlTellerSpectrum(2.0, 2.0),
                                       HarmonicSpectrum()],

@@ -187,6 +187,19 @@ class TestKPWeights:
         r2 = kp_moment_residuals(LAM, 1, kp_weight_unit_disk(LAM, 1), n_max=5)
         assert r1.to_dict() == r2.to_dict()
 
+    @pytest.mark.parametrize("build", [
+        lambda lam: kp_weight_k0(lam),
+        lambda lam: kp_weight_unit_disk(lam, 1),
+        lambda lam: kp_weight_unit_disk(lam, 1, reading="a_b_lam2k"),
+        lambda lam: mellin_gamma_check_pt(lam, 1, 5),
+        lambda lam: gk_measure_selfconsistency(lam, 1, 5),
+    ])
+    def test_non_finite_lambda_rejected(self, build):
+        from solvstate.errors import DomainError
+        for lam in (float("nan"), float("inf")):
+            with pytest.raises(DomainError, match="must be finite"):
+                build(lam)
+
 
 class TestSelfConsistency:
     def test_diagonal_is_unity(self):

@@ -38,6 +38,12 @@ class TestParams:
         with pytest.raises(DomainError):
             PTParams(2.0, 2.0, a=0.0)
 
+    @pytest.mark.parametrize("args", [(float("nan"), 2.0), (2.0, float("inf")),
+                                      (2.0, 2.0, float("nan"))])
+    def test_rejects_non_finite(self, args):
+        with pytest.raises(DomainError, match="must be finite"):
+            PTParams(*args)
+
     def test_energy_scaling_with_box(self):
         p = PTParams(2.0, 2.0, a=2.0)
         assert p.energy(1) == pytest.approx(5.0 / 4.0)

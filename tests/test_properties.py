@@ -1,0 +1,169 @@
+"""Property tests of the GK/KP identities beyond the verify suites' grids,
+plus 30-digit references for the normalization series.
+
+Labels are drawn on the ranges the label_sweep workload uses: lambda in
+[1, 7], k in 0..3, |z| in [0.2, 1.5], |xi| in [0.2, 0.7], alpha in [0, 1].
+Tolerances are the verify suites' own, except evolve-vs-rebuild at 2e-13:
+with alpha + t up to 2 the rounding of (alpha + t) E_n alone moves a
+coefficient by a few 1e-14.
+"""
+
+import cmath
+import math
+
+import mpmath
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+
+from solvstate import (
+    GKLabel,
+    HarmonicSpectrum,
+    KPLabel,
+    PoschlTellerSpectrum,
+    evolve,
+    gk_norm_constant,
+    gk_norm_constant_pt_closed,
+    gk_overlap,
+    gk_state,
+    kp_norm_constant_pt,
+    kp_overlap_pt,
+    kp_state_pt,
+)
+
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
+
+lams = hs.floats(1.0, 7.0)
+ks = hs.integers(0, 3)
+alphas = hs.floats(0.0, 1.0)
+phases = hs.floats(0.0, 2.0 * math.pi)
+
+
+def _label_values(r_lo, r_hi):
+    return hs.builds(lambda r, phi: cmath.rect(r, phi), hs.floats(r_lo, r_hi), phases)
+
+
+zs = _label_values(0.2, 1.5)
+xis = _label_values(0.2, 0.7)
+# None picks the harmonic spectrum, a float the Poschl-Teller lambda
+spectra = hs.one_of(hs.none(), lams)
+
+
+def _spectrum(lam):
+    return HarmonicSpectrum() if lam is None else PoschlTellerSpectrum(lam / 2.0, lam / 2.0)
+
+
+def _max_dev(s1, s2):
+    return float(np.max(np.abs(s1.coefficients - s2.coefficients)))
+
+
+@SETTINGS
+@given(spectra, ks, zs, zs, alphas, alphas)
+def test_gk_overlap_identities(lam, k, z1, z2, a1, a2):
+    spec = _spectrum(lam)
+    l1, l2 = GKLabel(z1, a1, k), GKLabel(z2, a2, k)
+    o12 = gk_overlap(spec, l1, l2)
+    assert abs(gk_overlap(spec, l1, l1) - 1.0) <= 1e-12
+    assert abs(o12 - gk_overlap(spec, l2, l1).conjugate()) <= 1e-12
+    assert abs(o12) <= 1.0 + 1e-12
+    s1 = gk_state(spec, l1, tail_eps=1e-24)
+    s2 = gk_state(spec, l2, tail_eps=1e-24)
+    assert abs(o12 - s1.inner(s2)) <= 1e-10
+
+
+@SETTINGS
+@given(lams, ks, xis, xis, alphas, alphas)
+def test_kp_overlap_identities(lam, k, xi1, xi2, a1, a2):
+    l1, l2 = KPLabel(xi=xi1, alpha=a1, k=k), KPLabel(xi=xi2, alpha=a2, k=k)
+    o12 = kp_overlap_pt(lam, l1, l2)
+    assert abs(kp_overlap_pt(lam, l1, l1) - 1.0) <= 1e-12
+    assert abs(o12 - kp_overlap_pt(lam, l2, l1).conjugate()) <= 1e-12
+    assert abs(o12) <= 1.0 + 1e-12
+    s1 = kp_state_pt(lam, l1, tail_eps=1e-24)
+    s2 = kp_state_pt(lam, l2, tail_eps=1e-24)
+    assert abs(o12 - s1.inner(s2)) <= 1e-10
+
+
+@SETTINGS
+@given(lams, ks, hs.floats(0.2, 1.5))
+def test_gk_series_norm_matches_2f3(lam, k, r):
+    spec = _spectrum(lam)
+    series = gk_norm_constant(spec, r * r, k)
+    closed = gk_norm_constant_pt_closed(lam, r * r, k)
+    assert abs(math.expm1(series - closed)) <= 1e-10
+
+
+@SETTINGS
+@given(lams, ks, hs.floats(0.2, 0.7))
+def test_kp_closed_norm_matches_series(lam, k, r):
+    closed = kp_norm_constant_pt(lam, r * r, k, method="closed")
+    series = kp_norm_constant_pt(lam, r * r, k, method="series")
+    assert abs(math.expm1(closed - series)) <= 1e-10
+
+
+@SETTINGS
+@given(spectra, ks, zs, alphas, alphas)
+def test_gk_evolve_is_alpha_shift(lam, k, z, alpha, t):
+    spec = _spectrum(lam)
+    s0 = gk_state(spec, GKLabel(z, alpha, k), tail_eps=1e-24)
+    rebuilt = gk_state(spec, GKLabel(z, alpha + t, k), tail_eps=1e-24)
+    assert _max_dev(evolve(s0, spec, t), rebuilt) <= 2e-13
+
+
+@SETTINGS
+@given(lams, ks, xis, alphas, alphas)
+def test_kp_evolve_is_alpha_shift(lam, k, xi, alpha, t):
+    spec = _spectrum(lam)
+    s0 = kp_state_pt(lam, KPLabel(xi=xi, alpha=alpha, k=k), tail_eps=1e-24)
+    rebuilt = kp_state_pt(lam, KPLabel(xi=xi, alpha=alpha + t, k=k), tail_eps=1e-24)
+    assert _max_dev(evolve(s0, spec, t), rebuilt) <= 2e-13
+
+
+# ---------------------------------------------------------------------------
+# 30-digit references
+# ---------------------------------------------------------------------------
+
+def _mp_log_series(log_term):
+    """log sum_n exp(log_term(n)) at 30 digits, summed past 1e-40 relative."""
+    with mpmath.workdps(30):
+        total = mpmath.mpf(0)
+        n = 0
+        while True:
+            t = mpmath.exp(log_term(n))
+            total += t
+            if n > 5 and t < mpmath.mpf("1e-40") * total:
+                return float(mpmath.log(total))
+            n += 1
+
+
+def _mp_gk_log_norm(lam, u, k):
+    # 1/E_k(n) = E_0(n+k) / E_0(n)^2 with E_0(n) = n! (lam+1)_n
+    def log_e0(n):
+        return mpmath.loggamma(n + 1) + mpmath.loggamma(lam + 1 + n) - mpmath.loggamma(lam + 1)
+    return _mp_log_series(lambda n: n * mpmath.log(u) + log_e0(n + k) - 2 * log_e0(n))
+
+
+def _mp_kp_log_norm(lam, u, k):
+    pref = (lam + 1) * mpmath.log(1 - mpmath.mpf(u))
+    return float(pref) + _mp_log_series(
+        lambda n: (n * mpmath.log(u) + mpmath.loggamma(n + k + 1)
+                   + mpmath.loggamma(n + k + lam + 1) - 2 * mpmath.loggamma(n + 1)
+                   - mpmath.loggamma(lam + 1)))
+
+
+def test_gk_norm_constant_against_30_digits():
+    for lam in (1.0, 4.0, 7.0):
+        spec = _spectrum(lam)
+        for k in (0, 2, 3):
+            for u in (0.04, 0.5, 2.25):
+                ref = _mp_gk_log_norm(mpmath.mpf(lam), mpmath.mpf(u), k)
+                assert abs(gk_norm_constant(spec, u, k) - ref) <= 1e-14 * max(1.0, abs(ref))
+
+
+def test_kp_series_norm_against_30_digits():
+    for lam in (1.0, 4.0, 7.0):
+        for k in (0, 2, 3):
+            for u in (0.04, 0.25, 0.49):
+                ref = _mp_kp_log_norm(mpmath.mpf(lam), mpmath.mpf(u), k)
+                got = kp_norm_constant_pt(lam, u, k, method="series")
+                assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref))

@@ -104,6 +104,40 @@ def test_custom_table_out_of_range():
         spec.energy(3)
 
 
+@pytest.mark.parametrize("kappa, kappa_prime", [
+    (float("nan"), 2.0), (2.0, float("inf")), (float("-inf"), float("inf")),
+])
+def test_pt_rejects_non_finite_parameters(kappa, kappa_prime):
+    with pytest.raises(DomainError, match="must be finite"):
+        PoschlTellerSpectrum(kappa, kappa_prime)
+
+
+@pytest.mark.parametrize("spec", [
+    CustomSpectrum(energies=[0.0, 1.0, float("nan"), 6.0]),
+    CustomSpectrum(rule=lambda n: float("inf") if n == 2 else float(n)),
+])
+def test_non_finite_level_rejected(spec):
+    assert spec.energy(1) == 1.0
+    with pytest.raises(DomainError, match="E_2 must be finite"):
+        spec.energy(2)
+
+
+@pytest.mark.parametrize("spec", [PoschlTellerSpectrum(1.5, 0.5), HarmonicSpectrum(),
+                                  CustomSpectrum(energies=[0.0, 1.0, 2.5, 4.5])])
+def test_levels_match_scalar_accessors(spec):
+    energies, log_e0 = spec.levels(1, 4)
+    assert energies.tolist() == [spec.energy(n) for n in range(1, 4)]
+    assert log_e0.tolist() == [spec.log_e0(n) for n in range(1, 4)]
+    assert spec.levels(0, 1)[0].tolist() == [0.0]
+
+
+def test_levels_validation():
+    with pytest.raises(DomainError):
+        HarmonicSpectrum().levels(-1, 3)
+    with pytest.raises(DomainError):
+        CustomSpectrum(energies=[0.0, 1.0, 2.5]).levels(0, 4)
+
+
 def test_custom_needs_exactly_one_source():
     with pytest.raises(DomainError):
         CustomSpectrum()

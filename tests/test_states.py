@@ -196,6 +196,12 @@ class TestGKNormConstant:
             gk_norm_constant(SPEC, 3.0, 0, ctl)
         assert err.value.partial is not None
 
+    def test_nonconvergence_carries_partial_log_sum(self):
+        with pytest.raises(ConvergenceError) as err:
+            gk_norm_constant(SPEC, 3.0, 1, SeriesControl(max_terms=4))
+        expected = math.log(sum(3.0 ** n / SPEC.ek(1, n) for n in range(4)))
+        assert err.value.partial == pytest.approx(expected, rel=1e-13)
+
 
 class TestGKOverlap:
     def test_normalization(self):
@@ -236,6 +242,16 @@ class TestGKOverlap:
     def test_requires_shared_k(self):
         with pytest.raises(DomainError):
             gk_overlap(SPEC, GKLabel(0.5, 0.0, 0), GKLabel(0.5, 0.0, 1))
+
+    @pytest.mark.parametrize("z1, z2, k", [(0.5, 0.8, 1), (0.3 + 0.4j, 1.1 - 0.2j, 2),
+                                           (-0.6j, 0.9, 0)])
+    def test_compact_kernel_function(self, z1, z2, k):
+        from solvstate.states import gk_overlap_compact
+        l1, l2 = GKLabel(z1, 0.3, k), GKLabel(z2, 0.3, k)
+        o = gk_overlap(SPEC, l1, l2)
+        assert abs(gk_overlap_compact(SPEC, l1, l2) - o) < 1e-10 * abs(o)
+        with pytest.raises(DomainError):
+            gk_overlap_compact(SPEC, l1, GKLabel(z2, 0.4, k))
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +296,26 @@ class TestKPStatePT:
         with pytest.raises(DomainError):
             kp_state_pt(LAM, KPLabel(xi=1.0, alpha=0.0, k=0))
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_bad_lambda_rejected(self, lam):
+        label = KPLabel(xi=0.3, alpha=0.0, k=1)
+        with pytest.raises(DomainError):
+            kp_state_pt(lam, label)
+        with pytest.raises(DomainError):
+            kp_norm_constant_pt(lam, 0.09, 1, method="series")
+        if not math.isfinite(lam):
+            with pytest.raises(DomainError):
+                kp_norm_constant_pt(lam, 0.09, 1, method="closed")
+        with pytest.raises(DomainError):
+            kp_overlap_pt(lam, label, label)
+
+    @pytest.mark.parametrize("eps", [float("nan"), -1e-12])
+    def test_bad_tail_budget_rejected(self, eps):
+        with pytest.raises(DomainError, match="tail_eps"):
+            kp_state_pt(LAM, KPLabel(xi=0.3, alpha=0.0, k=1), tail_eps=eps)
+        with pytest.raises(DomainError, match="tail_eps"):
+            gk_state(SPEC, GKLabel(0.5, 0.0, 1), tail_eps=eps)
+
     def test_two_lambda_errata_mode_differs(self):
         label = KPLabel(xi=0.4, alpha=0.0, k=1)
         standard = kp_state_pt(LAM, label)
@@ -318,6 +354,17 @@ class TestKPNormConstant:
         ctl = SeriesControl(max_terms=10, rel_tol=1e-15)
         with pytest.raises(ConvergenceError):
             kp_norm_constant_pt(LAM, 0.999, 2, ctl, method="series")
+
+    def test_nonconvergence_carries_partial_log_sum(self):
+        # the partial is the prefactor plus the log of the first max_terms terms
+        u, k = 0.999, 2
+        with pytest.raises(ConvergenceError) as err:
+            kp_norm_constant_pt(LAM, u, k, SeriesControl(max_terms=10), method="series")
+        n = np.arange(10)
+        terms = n * math.log(u) + (gammaln(n + k + 1) + gammaln(n + k + LAM + 1)
+                                   - 2 * gammaln(n + 1) - gammaln(LAM + 1))
+        expected = (LAM + 1) * math.log1p(-u) + math.log(np.sum(np.exp(terms)))
+        assert err.value.partial == pytest.approx(expected, rel=1e-13)
 
 
 class TestKPOverlap:
