@@ -218,7 +218,6 @@ def _sum(fam: _Family, x: complex, d_alpha: float,
     """
     log_r = math.log(abs(x)) if x != 0 else 0.0  # x = 0 keeps the n = 0 term only
     arg = math.atan2(x.imag, x.real)
-    run = ctl.consecutive_small
     log_t = theta = np.empty(0)
     while True:
         lo = len(log_t)
@@ -226,15 +225,22 @@ def _sum(fam: _Family, x: complex, d_alpha: float,
         n = np.arange(lo, hi)
         log_w, e = fam.terms(lo, hi)
         log_t = np.concatenate([log_t, n * log_r + log_w])
-        theta = np.concatenate([theta, n * arg - e * d_alpha])
         mags = np.exp(log_t - log_t.max())
-        partial = np.cumsum(mags * np.exp(1j * theta) if arg or d_alpha else mags)
+        if arg or d_alpha:  # a norm (x >= 0, no alpha shift) has no phases
+            theta = np.concatenate([theta, n * arg - e * d_alpha])
+            partial = np.cumsum(mags * np.exp(1j * theta))
+        else:
+            partial = np.cumsum(mags)
         small = mags < ctl.rel_tol * np.maximum(np.abs(partial), np.maximum.accumulate(mags))
-        ends = (np.convolve(small, np.ones(run), "valid") == run).nonzero()[0] + run - 1
-        converged = ends.size > 0 or x == 0 or hi > fam.last
+        count = 0
+        for end, flag in enumerate(small.tolist()):
+            count = count + 1 if flag else 0
+            if count == ctl.consecutive_small:
+                break
+        converged = count == ctl.consecutive_small or x == 0 or hi > fam.last
         if converged or hi >= ctl.max_terms:
             break
-    total = partial[ends[0] if ends.size else -1]
+    total = partial[end]
     if total == 0:
         return -math.inf, 0j, converged
     return float(log_t.max() + np.log(abs(total))), complex(total / abs(total)), converged
