@@ -83,17 +83,22 @@ def _meta(args, command: str) -> dict:
             "parameters": params}
 
 
+def _lam(args) -> float:
+    """--lambda, defaulting to 4 (kappa = kappa' = 2)."""
+    return 4.0 if args.lam is None else args.lam
+
+
 def _resolve_spectrum(args) -> Spectrum:
-    if getattr(args, "spectrum", None):
+    if args.spectrum:
         return spectrum_from_json(args.spectrum)
-    lam = getattr(args, "lam", None) or 4.0
+    lam = _lam(args)
     return PoschlTellerSpectrum(lam / 2.0, lam / 2.0)
 
 
 def _lam_of(args, spec) -> float:
     if isinstance(spec, PoschlTellerSpectrum):
         return spec.lam
-    if getattr(args, "lam", None):
+    if args.lam is not None:
         return args.lam
     raise DomainError("this operation needs a Poschl-Teller spectrum "
                       "(--lambda or --spectrum with kind poschl_teller)")
@@ -260,15 +265,8 @@ def cmd_evolve(args) -> int:
     rows = []
     for t in times:
         ev = st.evolve(state0, spec, t)
-        if args.family == "gk":
-            rebuilt = st.gk_state(spec, st.GKLabel(args.z, args.alpha + t, args.k),
-                                  tail_eps=args.tail_eps)
-        else:
-            lam = _lam_of(args, spec)
-            xi = args.xi if args.xi is not None else st.KPLabel(
-                Z=args.Z, alpha=0.0, k=0).as_xi
-            rebuilt = st.kp_state_pt(lam, st.KPLabel(
-                xi=xi, alpha=args.alpha + t, k=args.k), tail_eps=args.tail_eps)
+        shifted = argparse.Namespace(**{**vars(args), "alpha": args.alpha + t})
+        rebuilt = _build_state(shifted, spec)
         deviation = float(np.max(np.abs(ev.coefficients - rebuilt.coefficients)))
         stats = st.photon_statistics(ev, spec)
         rows.append({"t": t, "norm": ev.norm(),
@@ -303,7 +301,7 @@ def cmd_evolve(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_moments(args) -> int:
-    lam = args.lam or 4.0
+    lam = _lam(args)
     k = args.k
     reports = []
     if args.check in ("mellin", "all"):
@@ -380,15 +378,12 @@ def cmd_pt(args) -> int:
 
 def cmd_verify(args) -> int:
     kwargs = {}
-    if args.suite == "ladder" and args.lam:
+    if args.lam is not None and args.suite in ("ladder", "measures"):
         kwargs["lam"] = args.lam
-    if args.suite in ("gk", "kp") and args.lam:
+    if args.lam is not None and args.suite in ("gk", "kp"):
         kwargs["lams"] = (args.lam,)
-    if args.suite == "measures":
-        if args.lam:
-            kwargs["lam"] = args.lam
-        if args.k is not None:
-            kwargs["k"] = args.k
+    if args.suite == "measures" and args.k is not None:
+        kwargs["k"] = args.k
     reports = run_suite(args.suite, **kwargs)
     all_pass = all(r.passed for r in reports)
     payload = {

@@ -7,10 +7,11 @@ The raising/lowering operators of a solvable spectrum act on eigenstates as
 
 so a+ a- = diag(E_n) and [a-, a+] acts as E_{n+1} - E_n. Both ladders are
 bidiagonal, carried by the one diagonal m_n = sqrt(E_n) e^{i alpha (E_n -
-E_{n-1})} of a-. `build_ladder` spreads it into dense matrices for the
-identity checks (`apply` is a plain matvec on those); the displacement
-oracle never forms a matrix and acts with the two diagonals of its
-tridiagonal generator, O(N) work per Taylor term.
+E_{n-1})} of a-; this is the only place the ladder signs and phases are
+written, for every spectrum, Poschl-Teller included. `build_ladder` spreads
+it into dense a- and a+ for the identity checks (`apply` is a plain matvec
+on those); the displacement oracle never forms a matrix and acts with the
+two diagonals of its tridiagonal generator, O(N) work per Taylor term.
 """
 
 from __future__ import annotations
@@ -42,13 +43,12 @@ def max_truncation(default: int = 2048) -> int:
 
 @dataclass(frozen=True)
 class LadderRep:
-    """Dense matrices of a-, a+ and a0 on levels 0..N (shape (N+1, N+1))."""
+    """Dense matrices of a- and a+ on levels 0..N (shape (N+1, N+1))."""
 
     N: int
     alpha: float
     a_minus: np.ndarray
     a_plus: np.ndarray
-    a_zero: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -141,21 +141,10 @@ def build_ladder(spec: Spectrum, alpha: float, N: int) -> LadderRep:
     if N < 2:
         raise DomainError(f"build_ladder needs N >= 2, got {N}")
     dim = N + 1
-    energies = spec.levels(0, dim)[0]
     a_minus = np.zeros((dim, dim), dtype=complex)
     n = np.arange(1, dim)
-    a_minus[n - 1, n] = _lowering_diagonal(energies, alpha)
-    a_plus = a_minus.conj().T.copy()
-    a_zero = np.zeros((dim, dim), dtype=complex)
-    diffs = np.diff(energies)
-    a_zero[np.arange(dim - 1), np.arange(dim - 1)] = diffs
-    # the top diagonal entry needs E_{N+1}; a finite table may not have it,
-    # and that entry is truncation edge anyway
-    try:
-        a_zero[dim - 1, dim - 1] = spec.energy(dim) - energies[-1]
-    except DomainError:
-        a_zero[dim - 1, dim - 1] = diffs[-1]
-    return LadderRep(N, float(alpha), a_minus, a_plus, a_zero)
+    a_minus[n - 1, n] = _lowering_diagonal(spec.levels(0, dim)[0], alpha)
+    return LadderRep(N, float(alpha), a_minus, a_minus.conj().T.copy())
 
 
 def apply(op: np.ndarray, state: FockState) -> FockState:

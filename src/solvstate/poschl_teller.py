@@ -3,10 +3,17 @@ and the basis-change matrix between them.
 
 The Hamiltonian -d^2/dx^2 + V factorizes as A+ A- with A+- = -+ d/dx + W;
 consistency of V with that factorization (W^2 - W' = V) fixes the sign of
-the cos^-2 barrier term, and the Jacobi polynomials of both eigenfunction
-families take cos(x/a) as their argument. Both choices are enforced by the
-orthonormality, Schrodinger-residual and intertwining checks in the test
-suite; the alternatives fail those checks structurally, not numerically.
+the cos^-2 barrier term, and the Jacobi polynomials take cos(x/a) as their
+argument. Both choices are enforced by the orthonormality,
+Schrodinger-residual and intertwining checks in the test suite; the
+alternatives fail those checks structurally, not numerically.
+
+The well is shape-invariant: the partner Hamiltonian A- A+ = -d^2/dx^2 +
+W^2 + W' is the same well with kappa+1 and kappa'+1, shifted up by E_1.
+`PTParams.partner` is the one place that convention is written down; the
+partner eigenfunctions and norm constants are those of the partner well.
+The ladder phases of the spectrum n(n+lam) come from the generic
+`fockspace.build_ladder`, like those of any other spectrum.
 """
 
 from __future__ import annotations
@@ -19,7 +26,6 @@ import numpy as np
 from .errors import DomainError, require_finite
 from .spectrum import PoschlTellerSpectrum
 from .specfun import (
-    beta,
     jacobi_poly,
     jacobi_poly_deriv,
     log_gamma,
@@ -28,7 +34,6 @@ from .specfun import (
 
 __all__ = [
     "PTParams",
-    "LadderAction",
     "UMatrixEntry",
     "potential",
     "superpotential",
@@ -39,7 +44,6 @@ __all__ = [
     "apply_lowering",
     "u_matrix_element",
     "u_matrix",
-    "ladder_action_pt",
 ]
 
 
@@ -78,6 +82,11 @@ class PTParams:
         """Dimensionless spectrum E_n = n(n+lam) used by the state builders."""
         return PoschlTellerSpectrum(self.kappa, self.kappa_prime)
 
+    def partner(self) -> "PTParams":
+        """The SUSY partner well: W^2 + W' equals the potential of
+        PTParams(kappa+1, kappa'+1, a) plus E_1 (shape invariance)."""
+        return PTParams(self.kappa + 1.0, self.kappa_prime + 1.0, self.a)
+
 
 def _check_open_interval(p: PTParams, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
@@ -109,11 +118,10 @@ def superpotential(p: PTParams, x):
     return w if w.ndim else float(w)
 
 
-def norm_constant_log(p: PTParams, n: int, partner: bool = False) -> float:
-    """log of the squared-norm constant of the n-th (partner) eigenfunction:
+def norm_constant_log(p: PTParams, n: int) -> float:
+    """log of the squared-norm constant of the n-th eigenfunction:
     a Gamma(n+k+1/2) Gamma(n+k'+1/2) / (n! Gamma(n+k+k') (2n+k+k'))."""
-    k = p.kappa + (1.0 if partner else 0.0)
-    kp = p.kappa_prime + (1.0 if partner else 0.0)
+    k, kp = p.kappa, p.kappa_prime
     return (math.log(p.a) + log_gamma(n + k + 0.5) + log_gamma(n + kp + 0.5)
             - log_gamma(n + 1.0) - log_gamma(n + k + kp)
             - math.log(2.0 * n + k + kp))
@@ -135,18 +143,9 @@ def eigenfunction(p: PTParams, n: int, x):
 
 
 def partner_eigenfunction(p: PTParams, n: int, x):
-    """Normalized eigenfunction of the upper partner: indices shifted by one,
-    polynomial P_n^{(k+1/2, k'+1/2)} evaluated at cos(x/a)."""
-    if n < 0:
-        raise DomainError(f"level index must be nonnegative, got {n}")
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0) or np.any(x > p.box):
-        raise DomainError(f"x must lie in [0, {p.box:.6g}]")
-    u = x / (2.0 * p.a)
-    pref = math.exp(-0.5 * norm_constant_log(p, n, partner=True))
-    val = pref * np.cos(u) ** (p.kappa_prime + 1.0) * np.sin(u) ** (p.kappa + 1.0) \
-        * jacobi_poly(n, p.kappa + 0.5, p.kappa_prime + 0.5, np.cos(x / p.a))
-    return val if np.ndim(val) else float(val)
+    """Normalized eigenfunction of the upper partner, the n-th eigenfunction
+    of the partner well."""
+    return eigenfunction(p.partner(), n, x)
 
 
 def eigenfunction_deriv(p: PTParams, n: int, x):
@@ -227,7 +226,7 @@ def u_matrix_element(p: PTParams, n: int, m: int,
             signs.append(1.0 if (n + m - q - qq) % 2 == 0 else -1.0)
     log_sum, sign = signed_log_sum(log_mags, signs)
     log_pref = (math.log(p.a) - 0.5 * (norm_constant_log(p, n)
-                                       + norm_constant_log(p, m, partner=True)))
+                                       + norm_constant_log(p.partner(), m)))
     max_term = max(log_mags)
     if log_sum == -math.inf:
         return UMatrixEntry(n, m, 0.0, math.inf, True)
@@ -241,28 +240,3 @@ def u_matrix(p: PTParams, n_max: int, m_max: int) -> list:
     """All entries for n <= n_max, m <= m_max (row-major list of lists)."""
     return [[u_matrix_element(p, n, m) for m in range(m_max + 1)]
             for n in range(n_max + 1)]
-
-
-@dataclass(frozen=True)
-class LadderAction:
-    """Magnitude and unit phase of one ladder step on level n."""
-
-    magnitude: float
-    phase: complex
-
-
-def ladder_action_pt(lam: float, n: int, alpha: float = 0.0):
-    """(raising, lowering) actions on level n for the spectrum n(n+lam):
-    raising carries sqrt((n+1)(n+lam+1)) e^{-i alpha (2n+lam+1)}, lowering
-    sqrt(n(n+lam)) e^{+i alpha (2n+lam-1)} (zero magnitude at n = 0)."""
-    if n < 0:
-        raise DomainError(f"level index must be nonnegative, got {n}")
-    up = LadderAction(
-        math.sqrt((n + 1.0) * (n + lam + 1.0)),
-        complex(np.exp(-1j * alpha * (2.0 * n + lam + 1.0))),
-    )
-    down = LadderAction(
-        math.sqrt(n * (n + lam)) if n > 0 else 0.0,
-        complex(np.exp(1j * alpha * (2.0 * n + lam - 1.0))) if n > 0 else 1.0 + 0.0j,
-    )
-    return up, down

@@ -93,10 +93,6 @@ class Spectrum:
         self._ensure(hi - 1)
         return np.array(self._energies[lo:hi]), np.array(self._log_e0[lo:hi])
 
-    def check_increasing(self, n_max: int) -> None:
-        """Validate strict increase up to n_max (raises DomainError if not)."""
-        self._ensure(n_max)
-
     def log_e0(self, n: int) -> float:
         """log of E_0(n) = E_n E_{n-1} ... E_1, with E_0(0) = 1."""
         if n < 0:

@@ -412,21 +412,16 @@ def suite_measures(lam: float = 4.0, k: int = 2) -> SuiteReport:
 # pt suite (position space)
 # ---------------------------------------------------------------------------
 
-def _orthonormality_error(p: pt.PTParams, n_max: int, partner: bool,
-                          pairs=None) -> float:
-    fn = pt.partner_eigenfunction if partner else pt.eigenfunction
-    rule = QuadratureRule(
-        nodes=32, panels=6, rel_tol=1e-12, abs_tol=1e-13,
-        left_exponent=2.0 * (p.kappa + (1.0 if partner else 0.0)),
-        right_exponent=2.0 * (p.kappa_prime + (1.0 if partner else 0.0)),
-    )
+def _orthonormality_error(p: pt.PTParams, n_max: int) -> float:
+    rule = QuadratureRule(nodes=32, panels=6, rel_tol=1e-12, abs_tol=1e-13,
+                          left_exponent=2.0 * p.kappa,
+                          right_exponent=2.0 * p.kappa_prime)
     worst = 0.0
-    pair_list = pairs or [(n, m) for n in range(n_max + 1)
-                          for m in range(n, n_max + 1)]
-    for n, m in pair_list:
-        val = integrate(lambda x: fn(p, n, x) * fn(p, m, x), 0.0, p.box, rule)
-        target = 1.0 if n == m else 0.0
-        worst = max(worst, abs(val.value - target))
+    for n in range(n_max + 1):
+        for m in range(n, n_max + 1):
+            val = integrate(lambda x: pt.eigenfunction(p, n, x)
+                            * pt.eigenfunction(p, m, x), 0.0, p.box, rule)
+            worst = max(worst, abs(val.value - (1.0 if n == m else 0.0)))
     return worst
 
 
@@ -448,10 +443,10 @@ def suite_pt(settings=None) -> SuiteReport:
                 1e-9, "W^2 - W' reproduces the potential pointwise")
 
         rep.add(f"orthonormality[{tag}]",
-                _orthonormality_error(p, 8, partner=False), 1e-8,
+                _orthonormality_error(p, 8), 1e-8,
                 "levels 0..8 of the lower partner")
         rep.add(f"partner_orthonormality[{tag}]",
-                _orthonormality_error(p, 6, partner=True), 1e-8,
+                _orthonormality_error(p.partner(), 6), 1e-8,
                 "levels 0..6 of the upper partner")
 
         # Schrodinger residual with a 6th-order finite-difference stencil
@@ -470,10 +465,12 @@ def suite_pt(settings=None) -> SuiteReport:
         rep.add(f"schrodinger_residual[{tag}]", worst, 1e-6,
                 "levels 0..4 on the interior grid")
 
-        # intertwining: A- maps level n+1 onto sqrt(E_{n+1}) x partner level n
+        # lower x partner products: the intertwining and the u overlaps
         rule = QuadratureRule(nodes=32, panels=6, rel_tol=1e-12,
                               left_exponent=2.0 * p.kappa + 1.0,
                               right_exponent=2.0 * p.kappa_prime + 1.0)
+
+        # intertwining: A- maps level n+1 onto sqrt(E_{n+1}) x partner level n
         worst = 0.0
         for n in range(5):
             val = integrate(
@@ -486,9 +483,6 @@ def suite_pt(settings=None) -> SuiteReport:
                 "|<psi_n^+, A- psi_{n+1}^->| / sqrt(E_{n+1}) = 1")
 
         # closed-form overlaps vs quadrature
-        rule = QuadratureRule(nodes=32, panels=6, rel_tol=1e-12,
-                              left_exponent=2.0 * p.kappa + 1.0,
-                              right_exponent=2.0 * p.kappa_prime + 1.0)
         worst = 0.0
         n_flagged = 0
         for n in range(7):
@@ -552,14 +546,16 @@ def suite_pt(settings=None) -> SuiteReport:
         rep.add(f"fd_isospectrality[{label}]", worst, 1e-3,
                 f"lowest 4 FD levels vs exact ladder ({m_nodes} nodes)")
 
+    # the generic ladder of the spectrum n(n+lam) against its closed form
     lam = settings[0].lam
-    up, down = pt.ladder_action_pt(lam, 3, 0.25)
+    lad = build_ladder(settings[0].spectrum(), 0.25, 4)
+    up = lad.a_plus[4, 3]
     expected_up = math.sqrt(4.0 * (3.0 + lam + 1.0))
-    rep.add("ladder_action_magnitude", abs(up.magnitude - expected_up), 1e-13)
+    rep.add("ladder_action_magnitude", abs(abs(up) - expected_up), 1e-13)
     rep.add("ladder_action_phase",
-            abs(up.phase - np.exp(-1j * 0.25 * (2 * 3 + lam + 1))), 1e-13,
+            abs(up / abs(up) - np.exp(-1j * 0.25 * (2 * 3 + lam + 1))), 1e-13,
             "phase exponent is E_{n+1}-E_n = 2n+lam+1")
-    rep.add("ladder_action_ground", pt.ladder_action_pt(lam, 0)[1].magnitude,
+    rep.add("ladder_action_ground", float(np.max(np.abs(lad.a_minus[:, 0]))),
             0.0, "lowering annihilates the ground level")
     rep.runtime_s = time.perf_counter() - t0
     return rep

@@ -108,6 +108,18 @@ class TestStateCommand:
         assert out == ""
         assert "must be finite" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("state", "gk", "--z", "0.5"),
+        ("moments", "--check", "mellin"),
+        ("verify", "--suite", "gk"),
+    ])
+    def test_zero_lambda_exit_code(self, capsys, argv):
+        # lambda = 0 is rejected, not replaced by the default 4
+        code, out, err = run_cli(capsys, *argv, "--lambda", "0")
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert "must be positive" in err
+
     @pytest.mark.parametrize("family, label", [("gk", "--z"), ("kp", "--xi")])
     @pytest.mark.parametrize("eps", ["nan", "-1e-12"])
     def test_bad_tail_budget_exit_code(self, capsys, family, label, eps):
@@ -240,6 +252,20 @@ class TestEvolveCommand:
         rows = out.strip().splitlines()[1:]
         for row in rows:
             assert float(row.split(",")[2]) <= 1e-14
+
+    @pytest.mark.parametrize("argv", [
+        ("--xi", "0.3", "--k", "1", "--lambda", "4", "--paper-literal"),
+        ("--Z", "0.3", "--lambda", "4", "--nested"),
+        ("--Z", "0.3", "--spectrum", '{"kind":"harmonic"}'),
+    ])
+    def test_kp_rebuild_takes_the_state_route(self, capsys, argv):
+        # the alpha + t rebuild uses the construction of the evolved state
+        code, out, _ = run_cli(capsys, "evolve", "kp", *argv,
+                               "--format", "json")
+        assert code == EXIT_OK
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 5
+        assert max(r["alpha_shift_deviation"] for r in rows) <= 2e-13
 
     def test_bad_time_grid(self, capsys):
         code, _, err = run_cli(capsys, "evolve", "gk", "--z", "0.5",

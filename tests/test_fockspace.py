@@ -61,13 +61,6 @@ class TestBuildLadder:
             off = comm - np.diag(np.diag(comm))
             assert np.max(np.abs(off[:N, :N])) < 1e-14
 
-    def test_a_zero_diagonal(self):
-        spec = PoschlTellerSpectrum(2.0, 2.0)
-        lad = build_ladder(spec, 0.0, 8)
-        for n in range(9):
-            assert lad.a_zero[n, n].real == pytest.approx(
-                spec.energy(n + 1) - spec.energy(n), rel=1e-14)
-
     def test_moduli_independent_of_alpha(self):
         spec = PoschlTellerSpectrum(2.0, 2.0)
         m0 = np.abs(build_ladder(spec, 0.0, 16).a_minus)

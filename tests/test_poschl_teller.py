@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from solvstate import DomainError
+from solvstate import DomainError, build_ladder
 from solvstate.poschl_teller import (
     PTParams,
     apply_lowering,
     eigenfunction,
     eigenfunction_deriv,
-    ladder_action_pt,
     norm_constant_log,
     partner_eigenfunction,
     potential,
@@ -96,6 +95,18 @@ class TestSuperpotential:
         lhs = superpotential(p, x) ** 2 - w_prime
         assert np.max(np.abs(lhs - potential(p, x))) < 1e-7
 
+    @pytest.mark.parametrize("p", [P_SYM, P_ASYM, PTParams(1.7, 0.8, 1.6)])
+    def test_shape_invariance(self, p):
+        # H+ = A- A+ carries W^2 + W', the partner well shifted up by E_1;
+        # W' here analytic, from differentiating the superpotential
+        x = np.linspace(0.05 * p.box, 0.95 * p.box, 201)
+        u = x / (2.0 * p.a)
+        w_prime = (p.kappa / np.sin(u) ** 2 + p.kappa_prime / np.cos(u) ** 2) \
+            / (4.0 * p.a ** 2)
+        upper = superpotential(p, x) ** 2 + w_prime
+        shifted = potential(p.partner(), x) + p.energy(1)
+        assert np.max(np.abs(upper - shifted) / np.abs(upper)) < 1e-12
+
     def test_ground_state_is_annihilated(self):
         x = np.linspace(0.3, math.pi - 0.3, 31)
         assert np.max(np.abs(apply_lowering(P_SYM, 0, x))) < 1e-12
@@ -177,7 +188,7 @@ class TestUMatrix:
         for p in (P_SYM, P_ASYM):
             expected = p.a * math.exp(
                 -0.5 * (norm_constant_log(p, 0)
-                        + norm_constant_log(p, 0, partner=True))) \
+                        + norm_constant_log(p.partner(), 0))) \
                 * beta(p.kappa + 1.0, p.kappa_prime + 1.0)
             entry = u_matrix_element(p, 0, 0)
             assert entry.value == pytest.approx(expected, rel=1e-12)
@@ -239,30 +250,32 @@ class TestUMatrix:
 
 
 class TestLadderAction:
+    # the generic ladder of PTParams.spectrum() against the closed form on
+    # the spectrum n(n+lam): a+ and a- are read off as matrix entries
     def test_lowering_annihilates_ground(self):
-        up, down = ladder_action_pt(4.0, 0)
-        assert down.magnitude == 0.0
+        lad = build_ladder(P_SYM.spectrum(), 0.0, 4)
+        assert np.max(np.abs(lad.a_minus[:, 0])) == 0.0
 
     def test_magnitudes_match_energy_ladder(self):
         lam = 4.0
-        spec_e = lambda n: n * (n + lam)
+        lad = build_ladder(P_SYM.spectrum(), 0.0, 6)
         for n in (0, 1, 5):
-            up, down = ladder_action_pt(lam, n)
-            assert up.magnitude == pytest.approx(math.sqrt(spec_e(n + 1)),
-                                                 rel=1e-14)
+            assert abs(lad.a_plus[n + 1, n]) == pytest.approx(
+                math.sqrt((n + 1) * (n + lam + 1)), rel=1e-14)
             if n > 0:
-                assert down.magnitude == pytest.approx(math.sqrt(spec_e(n)),
-                                                       rel=1e-14)
+                assert abs(lad.a_minus[n - 1, n]) == pytest.approx(
+                    math.sqrt(n * (n + lam)), rel=1e-14)
 
     def test_phase_exponents(self):
         lam, n, alpha = 4.0, 3, 0.25
-        up, down = ladder_action_pt(lam, n, alpha)
+        lad = build_ladder(P_SYM.spectrum(), alpha, 5)
+        up, down = lad.a_plus[n + 1, n], lad.a_minus[n - 1, n]
         # E_{n+1} - E_n = 2n + lam + 1; E_n - E_{n-1} = 2n + lam - 1
-        assert up.phase == pytest.approx(
+        assert up / abs(up) == pytest.approx(
             complex(np.exp(-1j * alpha * (2 * n + lam + 1))), abs=1e-14)
-        assert down.phase == pytest.approx(
+        assert down / abs(down) == pytest.approx(
             complex(np.exp(1j * alpha * (2 * n + lam - 1))), abs=1e-14)
 
     def test_negative_level_rejected(self):
         with pytest.raises(DomainError):
-            ladder_action_pt(4.0, -1)
+            build_ladder(P_SYM.spectrum(), 0.0, -1)
