@@ -95,11 +95,12 @@ def _resolve_spectrum(args) -> Spectrum:
     return PoschlTellerSpectrum(lam / 2.0, lam / 2.0)
 
 
-def _lam_of(args, spec) -> float:
+def _lam_of(spec) -> float:
+    """lambda of a Poschl-Teller spectrum; the unit-disk KP states exist only
+    there, so any other --spectrum is rejected rather than paired with
+    --lambda."""
     if isinstance(spec, PoschlTellerSpectrum):
         return spec.lam
-    if args.lam is not None:
-        return args.lam
     raise DomainError("this operation needs a Poschl-Teller spectrum "
                       "(--lambda or --spectrum with kind poschl_teller)")
 
@@ -117,7 +118,7 @@ def _build_state(args, spec) -> FockState:
         return st.gk_state(spec, label, tail_eps=args.tail_eps, cap=cap)
     # kp family
     if args.xi is not None:
-        lam = _lam_of(args, spec)
+        lam = _lam_of(spec)
         label = st.KPLabel(xi=args.xi, alpha=args.alpha, k=args.k)
         exponent = "two_lambda" if args.paper_literal else "lambda"
         return st.kp_state_pt(lam, label, tail_eps=args.tail_eps, cap=cap,
@@ -206,7 +207,7 @@ def cmd_overlap(args) -> int:
     else:
         if args.xi1 is None or args.xi2 is None:
             raise DomainError("kp overlap needs --xi1 and --xi2")
-        lam = _lam_of(args, spec)
+        lam = _lam_of(spec)
         l1 = st.KPLabel(xi=args.xi1, alpha=args.alpha1, k=args.k)
         l2 = st.KPLabel(xi=args.xi2, alpha=args.alpha2, k=args.k)
         series = st.kp_overlap_pt(lam, l1, l2)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_finite
 
 __all__ = [
     "SeriesControl",
@@ -332,25 +332,63 @@ class IntegralResult:
         return self.value
 
 
-def _panel_gl(f, lo, hi, n, counter):
+# Most abscissae the integrand receives in one call. A refinement level with
+# more active panels is evaluated in several calls, so an integrand that never
+# converges cannot double the batch with every level.
+_MAX_ABSCISSAE = 1 << 14
+
+
+def _gl_panels(f, lo, hi, n, counter):
+    """n-node Gauss-Legendre estimates over the panels [lo[i], hi[i]]; f is
+    called on the nodes of many panels at once."""
     t, w = _gl_nodes(n)
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    x = mid + half * t
-    counter[0] += x.size
-    return half * float(np.dot(w, f(x)))
+    out = np.empty(lo.size)
+    per_call = max(1, _MAX_ABSCISSAE // n)
+    for s in range(0, lo.size, per_call):
+        x = mid[s:s + per_call, None] + half[s:s + per_call, None] * t
+        fx = np.asarray(f(x.ravel())).reshape(x.shape)
+        out[s:s + per_call] = half[s:s + per_call] * (fx @ w)
+    counter[0] += lo.size * n
+    return out
 
 
-def _adaptive(f, lo, hi, tol, rule, depth, counter):
-    coarse = _panel_gl(f, lo, hi, rule.nodes, counter)
-    mid = 0.5 * (lo + hi)
-    fine = _panel_gl(f, lo, mid, rule.nodes, counter) + _panel_gl(f, mid, hi, rule.nodes, counter)
-    err = abs(fine - coarse)
-    if err <= tol or depth >= rule.max_depth:
-        return fine, err, err <= tol
-    lv, le, lc = _adaptive(f, lo, mid, tol / 2.0, rule, depth + 1, counter)
-    rv, re, rc = _adaptive(f, mid, hi, tol / 2.0, rule, depth + 1, counter)
-    return lv + rv, le + re, lc and rc
+def _refine(g, lo, hi, coarse, tol, rule, counter):
+    """Breadth-first refinement of the panels [lo[i], hi[i]] whose one-panel
+    estimates are `coarse`; returns per-panel (value, error, converged).
+
+    Each level evaluates both halves of every active panel in one batch. A
+    panel is accepted when |fine - coarse| <= tol (its share, halved per
+    level), at `max_depth`, or when an estimate is not finite; otherwise its
+    halves become the next level's panels with the half estimates as their
+    coarse values. A split panel's value is then left + right, summed back
+    up level by level as a recursive bisection would.
+    """
+    levels = []
+    depth = 0
+    while lo.size:
+        mid = 0.5 * (lo + hi)
+        lo2 = np.column_stack((lo, mid)).ravel()
+        hi2 = np.column_stack((mid, hi)).ravel()
+        halves = _gl_panels(g, lo2, hi2, rule.nodes, counter)
+        fine = halves[0::2] + halves[1::2]
+        err = np.abs(fine - coarse)
+        ok = err <= tol
+        split = (~ok & np.isfinite(fine) & np.isfinite(coarse)
+                 & (depth < rule.max_depth))
+        levels.append((fine, err, ok, split))
+        keep = np.repeat(split, 2)
+        lo, hi, coarse = lo2[keep], hi2[keep], halves[keep]
+        tol /= 2.0
+        depth += 1
+    value, error, conv = np.empty(0), np.empty(0), np.empty(0, dtype=bool)
+    for fine, err, ok, split in reversed(levels):
+        fine[split] = value[0::2] + value[1::2]
+        err[split] = error[0::2] + error[1::2]
+        ok[split] = conv[0::2] & conv[1::2]
+        value, error, conv = fine, err, ok
+    return value, error, conv
 
 
 def _power_substitution(f, a, b, gamma, side, power=None):
@@ -391,14 +429,20 @@ def _power_substitution(f, a, b, gamma, side, power=None):
 def integrate(f, a: float, b: float, rule: QuadratureRule | None = None) -> IntegralResult:
     """Adaptive panel-refined Gauss-Legendre integral of f over (a, b).
 
-    f must accept an ndarray of abscissae. Gauss nodes never touch the
+    f receives a 1-D ndarray holding the nodes of many panels at once (up to
+    `_MAX_ABSCISSAE` per call) and must act elementwise, returning an array of
+    the same length. Panels are refined breadth first: one call evaluates all
+    top panels of a piece, then one call per level the two halves of every
+    panel still above its tolerance share. Gauss nodes never touch the
     endpoints, so integrable endpoint singularities are sampled but not
     evaluated at the boundary; declaring them via the rule exponents
     additionally substitutes them away. The reported error is the sum of
     last-refinement differences (a conservative Richardson-style estimate);
     `converged` is False when some panel hit the depth limit without meeting
-    its tolerance share.
+    its tolerance share or produced a non-finite estimate (such a panel stops
+    refining at once). `evaluations` counts the abscissae evaluated.
     """
+    require_finite(a=a, b=b)
     if not a < b:
         raise DomainError(f"integrate requires a < b, got ({a}, {b})")
     rule = rule or DEFAULT_RULE
@@ -423,22 +467,27 @@ def integrate(f, a: float, b: float, rule: QuadratureRule | None = None) -> Inte
         pieces.append((f, a, b))
 
     counter = [0]
-    # first pass sets the absolute tolerance from the rough magnitude
+    # every top panel is evaluated once: the sum sets the absolute tolerance,
+    # and each value is its panel's coarse estimate
+    tops = []
     rough = offset
     for g, lo, hi in pieces:
         step = (hi - lo) / rule.panels
-        for i in range(rule.panels):
-            rough += _panel_gl(g, lo + i * step, lo + (i + 1) * step, rule.nodes, counter)
+        i = np.arange(rule.panels)
+        edges = (lo + i * step, lo + (i + 1) * step)
+        coarse = _gl_panels(g, *edges, rule.nodes, counter)
+        for v in coarse:
+            rough += float(v)
+        tops.append((g, edges, coarse))
     tol = max(rule.abs_tol, rule.rel_tol * abs(rough))
 
     total, err_total, ok = offset, 0.0, True
     n_panels = len(pieces) * rule.panels
-    for g, lo, hi in pieces:
-        step = (hi - lo) / rule.panels
-        for i in range(rule.panels):
-            v, e, c = _adaptive(g, lo + i * step, lo + (i + 1) * step,
-                                tol / n_panels, rule, 0, counter)
-            total += v
-            err_total += e
-            ok = ok and c
+    for g, edges, coarse in tops:
+        values, errors, conv = _refine(g, *edges, coarse, tol / n_panels,
+                                       rule, counter)
+        for v, e in zip(values, errors):
+            total += float(v)
+            err_total += float(e)
+        ok = ok and bool(conv.all())
     return IntegralResult(total, err_total, ok, counter[0])

@@ -129,6 +129,19 @@ class TestStateCommand:
         assert out == ""
         assert "tail_eps" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("state", "kp", "--xi", "0.3"),
+        ("evolve", "kp", "--xi", "0.3", "--times", "0,0.5"),
+        ("overlap", "kp", "--xi1", "0.3", "--xi2", "0.2"),
+    ])
+    def test_unit_disk_kp_needs_poschl_teller_spectrum(self, capsys, argv):
+        # --lambda does not stand in for a spectrum that is not Poschl-Teller
+        code, out, err = run_cli(capsys, *argv, "--lambda", "4", "--spectrum",
+                                 '{"kind":"harmonic"}')
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert "Poschl-Teller spectrum" in err
+
     def test_convergence_exit_code(self, capsys):
         # nested-sum route far outside its validity region
         code, _, err = run_cli(capsys, "state", "kp", "--Z", "2.5",

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_jacobi
 
-from solvstate import DomainError
+from solvstate import DomainError, specfun
 from solvstate.specfun import (
     IntegralResult,
     QuadratureRule,
@@ -290,6 +290,165 @@ class TestIntegrate:
             QuadratureRule(left_exponent=-1.5)
         with pytest.raises(DomainError):
             QuadratureRule(nodes=1)
+
+
+def _reference_integrate(f, a, b, rule):
+    """Depth-first adaptive Gauss-Legendre with the panel layout, tolerance
+    shares and power substitution of `integrate`: every panel is its own
+    integrand call and every panel re-evaluates its coarse estimate.
+
+    Returns (value, converged, panels refined, levels used per piece).
+    """
+    t, w = np.polynomial.legendre.leggauss(rule.nodes)
+
+    def panel(g, lo, hi):
+        half = 0.5 * (hi - lo)
+        return half * float(np.dot(w, g(0.5 * (lo + hi) + half * t)))
+
+    refined = [0]
+
+    def adaptive(g, lo, hi, tol, depth, deepest):
+        refined[0] += 1
+        deepest[0] = max(deepest[0], depth)
+        coarse = panel(g, lo, hi)
+        mid = 0.5 * (lo + hi)
+        fine = panel(g, lo, mid) + panel(g, mid, hi)
+        err = abs(fine - coarse)
+        if (err <= tol or depth >= rule.max_depth
+                or not (math.isfinite(fine) and math.isfinite(coarse))):
+            return fine, err <= tol
+        lv, lc = adaptive(g, lo, mid, tol / 2.0, depth + 1, deepest)
+        rv, rc = adaptive(g, mid, hi, tol / 2.0, depth + 1, deepest)
+        return lv + rv, lc and rc
+
+    offset = 0.0
+    if rule.left_exponent is None and rule.right_exponent is None:
+        pieces = [(f, a, b)]
+    else:
+        mid = 0.5 * (a + b)
+        pieces = []
+        for side, lo, hi, gamma in (("left", a, mid, rule.left_exponent),
+                                    ("right", mid, b, rule.right_exponent)):
+            if gamma is None:
+                pieces.append((f, lo, hi))
+            else:
+                g, t_wall, tail = specfun._power_substitution(f, lo, hi, gamma,
+                                                              side)
+                pieces.append((g, t_wall, 1.0))
+                offset += tail
+
+    def tops(lo, hi):
+        step = (hi - lo) / rule.panels
+        return [(lo + i * step, lo + (i + 1) * step) for i in range(rule.panels)]
+
+    rough = offset
+    for g, lo, hi in pieces:
+        for p_lo, p_hi in tops(lo, hi):
+            rough += panel(g, p_lo, p_hi)
+    share = (max(rule.abs_tol, rule.rel_tol * abs(rough))
+             / (len(pieces) * rule.panels))
+    total, ok, levels = offset, True, []
+    for g, lo, hi in pieces:
+        deepest = [0]
+        for p_lo, p_hi in tops(lo, hi):
+            v, c = adaptive(g, p_lo, p_hi, share, 0, deepest)
+            total += v
+            ok = ok and c
+        levels.append(deepest[0] + 1)
+    return total, ok, refined[0], levels
+
+
+def _counted(f):
+    """f that records the number of abscissae of every call."""
+    sizes = []
+
+    def wrapped(x):
+        sizes.append(np.asarray(x).size)
+        return f(x)
+    return wrapped, sizes
+
+
+# Integrals of the size of their integrands: panel sums are formed in a
+# different order than the reference's (matrix-vector product vs per-panel
+# dot), and a cancelling integral would magnify that last-bit rounding.
+_REFERENCE_CASES = {
+    "smooth": (lambda x: np.exp(x) * (2.0 + np.cos(3.0 * x)), 0.0, 2.0,
+               QuadratureRule()),
+    "both_endpoints": (lambda x: x ** -0.4 * (1.0 - x) ** 0.7
+                       / (1e-3 + (x - 0.35) ** 2), 0.0, 1.0,
+                       QuadratureRule(left_exponent=-0.4, right_exponent=0.7)),
+    "left_endpoint": (lambda x: np.sqrt(x) * np.exp(-x) * np.sin(20.0 * x) ** 2,
+                      0.0, 3.0,
+                      QuadratureRule(nodes=16, panels=2, rel_tol=1e-12,
+                                     left_exponent=0.5)),
+    "right_endpoint": (lambda x: (2.0 - x) ** 1.3 / (1e-4 + (x - 1.7) ** 2),
+                       0.0, 2.0,
+                       QuadratureRule(right_exponent=1.3)),
+    "peaked": (lambda x: np.exp(-1e4 * (x - 0.3) ** 2)
+               + 1.0 / (1e-6 + (x - 0.71) ** 2), 0.0, 1.0, QuadratureRule()),
+    "peaked_unconverged": (lambda x: np.exp(-1e5 * (x - 0.123) ** 2), 0.0, 1.0,
+                           QuadratureRule(nodes=8, panels=2, max_depth=3)),
+}
+
+
+class TestBreadthFirstQuadrature:
+    @pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
+    def test_matches_depth_first_reference(self, case):
+        f, a, b, rule = _REFERENCE_CASES[case]
+        value, converged, refined, _ = _reference_integrate(f, a, b, rule)
+        res = integrate(f, a, b, rule)
+        assert res.converged == converged
+        assert converged == (case != "peaked_unconverged")
+        assert res.value == pytest.approx(value, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
+    def test_each_panel_evaluated_once(self, case):
+        # every top panel once, then both halves of every refined panel
+        f, a, b, rule = _REFERENCE_CASES[case]
+        _, _, refined, levels = _reference_integrate(f, a, b, rule)
+        res = integrate(f, a, b, rule)
+        assert res.evaluations == rule.nodes * (len(levels) * rule.panels
+                                                + 2 * refined)
+
+    @pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
+    def test_one_integrand_call_per_level(self, case):
+        # one call for the top panels and one per refinement level, per
+        # piece; a substituted piece also samples f once for its tail
+        f, a, b, rule = _REFERENCE_CASES[case]
+        _, _, _, levels = _reference_integrate(f, a, b, rule)
+        counted, sizes = _counted(f)
+        integrate(counted, a, b, rule)
+        tails = sum(g is not None
+                    for g in (rule.left_exponent, rule.right_exponent))
+        assert len(sizes) == sum(1 + n for n in levels) + tails
+
+    def test_batch_bounded_for_a_never_converging_integrand(self):
+        rng = np.random.default_rng(7)
+        rule = QuadratureRule(nodes=24, panels=4, max_depth=8)
+        noise, sizes = _counted(lambda x: rng.standard_normal(np.shape(x)))
+        res = integrate(noise, 0.0, 1.0, rule)
+        assert not res.converged
+        # every panel splits down to max_depth
+        assert res.evaluations == 24 * (4 + 2 * 4 * (2 ** 9 - 1))
+        assert max(sizes) <= specfun._MAX_ABSCISSAE
+        assert len(sizes) > 1 + 9  # the deep levels took several calls
+        assert sum(sizes) == res.evaluations
+
+    @pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 1.0),
+                                      (math.nan, 1.0), (0.0, math.nan)])
+    def test_non_finite_limits_rejected(self, a, b):
+        with pytest.raises(DomainError, match="must be finite"):
+            integrate(lambda x: x, a, b)
+
+    def test_non_finite_panel_stops_refining(self):
+        # NaN on (0.3, 1]: the three panels that reach it stop after their
+        # first halves instead of refining down to max_depth
+        counted, sizes = _counted(lambda x: np.where(x > 0.3, np.nan, x))
+        res = integrate(counted, 0.0, 1.0, QuadratureRule(max_depth=12))
+        assert math.isnan(res.value)
+        assert not res.converged
+        assert len(sizes) == 2
+        assert res.evaluations == 24 * (4 + 2 * 4)
 
 
 class TestSignedLogSum:
