@@ -24,7 +24,6 @@ from . import states as st
 from .errors import ConvergenceError, DomainError
 from .fockspace import FockState
 from .spectrum import PoschlTellerSpectrum, Spectrum, spectrum_from_json
-from .verify import run_suite
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -378,6 +377,8 @@ def cmd_pt(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
+    from .verify import run_suite
+
     kwargs = {}
     if args.lam is not None and args.suite in ("ladder", "measures"):
         kwargs["lam"] = args.lam

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import digamma
 
 from .errors import DomainError, require_finite
 from .spectrum import PoschlTellerSpectrum, Spectrum
@@ -145,36 +144,42 @@ def kp_weight_unit_disk(lam: float, k: int, reading: str = "a_b_b",
 
     if reading == "a_b_lam2k":
         series_ctl = ctl or SeriesControl(max_terms=20000, rel_tol=1e-13)
+        a, b = float(k), lam + k
+        if k > 0:  # digamma table of the connection expansion, at most 200 terms
+            from scipy.special import digamma
 
-        def gauss_2f1(ri):
-            # 2F1(k, lam+k; lam+2k; 1-r): the lower parameter equals the sum
-            # of the upper ones, so the function is log-singular at r -> 0
-            # and the direct series is useless there; switch to the standard
-            # connection expansion in powers of r for small r.
-            if k == 0:
-                return 1.0
-            x = 1.0 - ri
-            if ri >= 0.25:
-                return hyper_pfq([float(k), lam + k], [lam + 2.0 * k], x,
-                                 series_ctl).value.real
-            a, b = float(k), lam + k
+            s = np.arange(200.0)
+            psi = 2.0 * digamma(s + 1.0) - digamma(a + s) - digamma(b + s)
+            ratio = (a + s) * (b + s) / ((s + 1.0) ** 2)
             pref = math.exp(log_gamma(a + b) - log_gamma(a) - log_gamma(b))
-            log_r = math.log(ri)
-            total = 0.0
-            term = 1.0  # (a)_s (b)_s / (s!)^2 * r^s
-            for s in range(200):
-                bracket = (2.0 * digamma(s + 1.0) - digamma(a + s)
-                           - digamma(b + s) - log_r)
-                total += term * bracket
-                term *= (a + s) * (b + s) / ((s + 1.0) ** 2) * ri
-                if abs(term) * (abs(log_r) + 10.0) < 1e-16 * abs(total):
-                    break
-            return pref * total
+
+        def gauss_2f1(r):
+            # 2F1(k, lam+k; lam+2k; 1-r), NaN where a sum missed its stop rule.
+            # The lower parameter equals the sum of the upper ones, so the
+            # function is log-singular at r -> 0 and the series in 1-r is
+            # useless there: r >= 0.25 is one hyper_pfq call on the batch,
+            # r < 0.25 the connection expansion in powers of r (DLMF 15.8.10),
+            # each point stopping after the term whose successor, times
+            # (|ln r| + 10), is below 1e-16 of the partial sum.
+            out, far = np.ones_like(r), r >= 0.25
+            if k == 0:
+                return out
+            if far.any():
+                res = hyper_pfq([a, b], [lam + 2.0 * k], 1.0 - r[far], series_ctl)
+                out[far] = res.value.real if res.converged else np.nan
+            if not far.all():
+                near = r[~far, None]
+                term = np.cumprod(np.hstack([np.ones_like(near), ratio * near]), axis=1)
+                partial = np.cumsum(term[:, :-1] * (psi - np.log(near)), axis=1)
+                small = (np.abs(term[:, 1:]) * (np.abs(np.log(near)) + 10.0)
+                         < 1e-16 * np.abs(partial))
+                end = partial[np.arange(near.size), small.argmax(axis=1)]
+                out[~far] = pref * np.where(small.any(axis=1), end, np.nan)
+            return out
 
         def h(r):
             r = np.atleast_1d(np.asarray(r, dtype=float))
-            out = np.array([gauss_2f1(ri) for ri in r])
-            return out * np.exp((lam + 2.0 * k - 1.0) * np.log1p(-r) - log_norm)
+            return gauss_2f1(r) * np.exp((lam + 2.0 * k - 1.0) * np.log1p(-r) - log_norm)
 
         return WeightCandidate(
             id=f"kp_eq_weight[{reading}]",

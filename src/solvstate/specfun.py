@@ -1,9 +1,11 @@
 """Special-function kernel: log-Gamma, Pochhammer, Beta, generalized
 hypergeometric series, Jacobi polynomials, adaptive Gauss-Legendre quadrature.
 
-Everything here is a pure function of its inputs. Series and double sums are
-accumulated as (log magnitude, phase) pairs so that factorially growing terms
-never overflow before they are combined.
+Everything here is a pure function of its inputs. Every power series
+sum_n x^n w(n) -- pFq and the photon-added norms and kernels of `states` --
+is summed by one log-domain engine, `series_sum`, over an array of x at
+once, so that factorially growing terms never overflow before they are
+combined and a whole quadrature batch is one call.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ __all__ = [
     "log_pochhammer",
     "beta",
     "hyper_pfq",
+    "series_sum",
     "jacobi_poly",
     "jacobi_poly_deriv",
     "integrate",
@@ -61,48 +64,6 @@ def beta(mu: float, nu: float) -> float:
 # ---------------------------------------------------------------------------
 # Signed/log-scaled accumulation helpers
 # ---------------------------------------------------------------------------
-
-class _ScaledSum:
-    """Running sum held as value * exp(log_scale) to survive huge terms.
-
-    Terms are supplied as (log_magnitude, unit_phase); the accumulator
-    rescales itself whenever its mantissa drifts out of a safe range.
-    """
-
-    def __init__(self):
-        self.mantissa = 0.0 + 0.0j
-        self.log_scale = 0.0
-
-    def add(self, log_mag: float, phase: complex) -> None:
-        if log_mag == -math.inf:
-            return
-        if log_mag - self.log_scale > 700.0:
-            # incoming term dwarfs the current sum; rebase the scale on it
-            self.mantissa *= math.exp(self.log_scale - log_mag)
-            self.log_scale = log_mag
-        self.mantissa += phase * math.exp(log_mag - self.log_scale)
-        m = abs(self.mantissa)
-        if m > 1e120 or (m != 0.0 and m < 1e-120):
-            self.log_scale += math.log(m)
-            self.mantissa /= m
-
-    @property
-    def log_abs(self) -> float:
-        m = abs(self.mantissa)
-        if m == 0.0:
-            return -math.inf
-        return self.log_scale + math.log(m)
-
-    @property
-    def phase(self) -> complex:
-        m = abs(self.mantissa)
-        return self.mantissa / m if m != 0.0 else 0.0 + 0.0j
-
-    def value(self) -> complex:
-        if abs(self.mantissa) == 0.0:
-            return 0.0 + 0.0j
-        return self.mantissa * math.exp(self.log_scale)
-
 
 def signed_log_sum(log_mags, signs) -> tuple[float, float]:
     """Combine terms sign_i * exp(log_mag_i) into (log|sum|, sign of sum).
@@ -164,6 +125,133 @@ class SeriesControl:
 DEFAULT_SERIES_CONTROL = SeriesControl()
 
 
+def block_end(lo: int, limit: int, last: float = math.inf) -> int:
+    """End of the series block from lo: blocks double from 32, stop at
+    `limit` terms and at the last index of a finite table."""
+    return int(max(lo + 1, min(2 * lo or 32, limit, last + 1)))
+
+
+@dataclass
+class SeriesSum:
+    """`series_sum` per point: the sum is total * exp(top); last and peak are
+    its last and largest |term| in those units, end its last index."""
+
+    top: np.ndarray
+    total: np.ndarray
+    last: np.ndarray
+    peak: np.ndarray
+    end: np.ndarray
+    stopped: np.ndarray  # the run of small terms was met
+    exact: np.ndarray    # x = 0, or a finite table summed to its end
+
+    def polar(self):
+        """(|total|, log|S|, S/|S|): |total| by hypot as for a scalar complex,
+        S/|S| exactly +-1 for a real S and 0 for S = 0."""
+        total = self.total
+        if total.dtype.kind != "c":
+            size = np.abs(total)
+            with np.errstate(divide="ignore"):
+                return size, self.top + np.log(size), np.sign(total)
+        size = np.hypot(total.real, total.imag)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            unit = np.where(total.imag == 0, np.sign(total.real), total / size)
+            return size, self.top + np.log(size), unit
+
+
+def series_sum(block, x, ctl: SeriesControl, limit: int,
+               last: float = math.inf, t=None) -> SeriesSum:
+    """S = sum_n x^n w(n) e^{i t theta(n)} at every (x, t) of the sequences
+    x and t (default t = 1).
+
+    block(lo, hi) gives log|w(n)|, the sign of w(n) (None if all positive)
+    and theta(n) (or None) for n = lo..hi-1, for all points at once, in
+    blocks that double from 32. Each block re-sums a point's terms from n = 0
+    as exp(log|term| - top), top the largest. A point stops at the end of its
+    first run of ctl.consecutive_small terms below ctl.rel_tol times the
+    larger of |partial sum| and the largest term, or after `limit` terms, and
+    leaves the batch; x = 0 (the n = 0 term) and a table with last index
+    `last` are summed exactly. Each result depends only on its own (x, t).
+    """
+    pts = x.tolist() if isinstance(x, np.ndarray) else list(x)
+    t = [1.0] * len(pts) if t is None else t
+    live = [i for i, v in enumerate(pts) if v]
+    w, sign, theta = block(0, block_end(0, limit, last) if live else 1)
+    real = theta is None and not any(v.imag for v in pts)
+    run, parts = ctl.consecutive_small, []  # (points, *SeriesSum fields)
+    if len(live) < len(pts):
+        zero = np.array([i for i, v in enumerate(pts) if not v])
+        one = np.ones(zero.size)
+        u0 = one * (1.0 if sign is None else sign[0])
+        if theta is not None:
+            u0 = u0 * np.exp(1j * (np.array(t)[zero] * theta[0]))
+        parts.append((zero, w[0] * one, u0, one, one, 0 * zero, one < 0, one > 0))
+    idx = np.array(live, dtype=int)
+    # per point through math as a scalar sum would; the negative real axis
+    # alternates in sign exactly
+    log_r = np.array([[math.log(abs(pts[i]))] for i in live])
+    neg = [[not pts[i].imag and pts[i].real < 0] for i in live]
+    flip = np.array(neg) if [True] in neg else None
+    if not real:
+        arg = np.array([[math.atan2(pts[i].imag, pts[i].real) if pts[i].imag else 0.0]
+                        for i in live])
+        if theta is not None:
+            tl = np.array([[t[i]] for i in live])
+    hi = len(w)
+    while idx.size:
+        n = np.arange(hi, dtype=float)
+        log_t = log_r * n + w
+        top = np.maximum.reduce(log_t, axis=1, keepdims=True)
+        log_t -= top
+        mags = term = np.exp(log_t, out=log_t)
+        if not real:
+            term = mags * np.exp(1j * (arg * n if theta is None else arg * n + tl * theta))
+        if flip is not None:
+            term = np.where(flip & (n % 2 == 1), -term, term)
+        if sign is not None:
+            term = term * sign
+        partial = np.add.accumulate(term, axis=1)
+        peak = np.maximum.accumulate(mags, axis=1)
+        # a sum of positive terms is at least its largest term
+        small = mags < ctl.rel_tol * (partial if term is mags
+                                      else np.maximum(np.abs(partial), peak))
+        hit = small[:, run - 1:]  # hit[:, j]: terms j .. j+run-1 all small
+        for j in range(1, run):
+            hit = hit & small[:, run - 1 - j:hi - j]
+        found = hit.any(axis=1)
+        end = hit.argmax(axis=1) + (run - 1) if hit.size else found + hi
+        done = found
+        if hi > last or hi >= limit:
+            end, done = np.where(found, end, hi - 1), np.ones_like(found)
+        ndone = np.count_nonzero(done)
+        if ndone:
+            every = ndone == idx.size
+            rows = slice(None) if every else np.flatnonzero(done)
+            end, stop = end[rows], found[rows]
+            at = end + hi * np.arange(idx.size)[rows] if idx.size > 1 else end
+            parts.append((idx[rows], top[rows, 0], partial.take(at), mags.take(at),
+                          peak.take(at), end, stop, ~stop & (hi > last)))
+            if every:
+                break
+            idx, log_r = idx[~done], log_r[~done]
+            flip = None if flip is None else flip[~done]
+            if not real:
+                arg = arg[~done]
+                tl = tl[~done] if theta is not None else None
+        lo, hi = hi, block_end(hi, limit, last)
+        wb, sb, tb = block(lo, hi)
+        w = np.concatenate([w, wb])
+        sign = None if sb is None else np.concatenate([sign, sb])
+        theta = None if tb is None else np.concatenate([theta, tb])
+    if len(parts) == 1:
+        return SeriesSum(*parts[0][1:])
+    out = [np.empty(len(pts), d)
+           for d in (float, float if real else complex, float, float, int, bool, bool)]
+    for p in parts:
+        for o, c in zip(out, p[1:]):
+            o[p[0]] = c
+    return SeriesSum(*out)
+
+
 @dataclass
 class PfqResult:
     """Value of a pFq partial sum together with its convergence record."""
@@ -180,18 +268,46 @@ class PfqResult:
         return self.value.real
 
 
+_EPS = float(np.finfo(float).eps)
+
+
 def _is_nonpositive_integer(x: float) -> bool:
     return x <= 0.0 and abs(x - round(x)) < 1e-12
+
+
+def _pfq_block(a: list, b: list):
+    """log|w(n)| and sign of w(n) = prod (a_i)_n / (prod (b_j)_n n!), from
+    the exact term ratio w(n+1)/w(n)."""
+    upper, lower = np.array(a)[:, None], np.array([1.0] + b)[:, None]
+    negative = min(a + b, default=0.0) < 0.0
+
+    def block(lo, hi):
+        m = np.arange(hi - 1, dtype=float)
+        ratio = np.multiply.reduce(upper + m) / np.multiply.reduce(lower + m)
+        log_w = np.zeros(hi)
+        np.add.accumulate(np.log(np.abs(ratio)), out=log_w[1:])
+        if not negative:
+            return log_w[lo:], None, None
+        sign = np.ones(hi)
+        np.multiply.accumulate(np.sign(ratio), out=sign[1:])
+        return log_w[lo:], sign[lo:], None
+
+    return block
 
 
 def hyper_pfq(a_params, b_params, x, ctl: SeriesControl | None = None) -> PfqResult:
     """Generalized hypergeometric sum_n [prod (a_i)_n / prod (b_j)_n] x^n / n!.
 
-    Terms are tracked as (log magnitude, unit phase) via the exact term
-    ratio, so parameters like (n+k)! in the numerator cannot overflow the
-    accumulation. Returns the partial sum and whether the stopping rule was
-    met; a series that terminates (some a_i a nonpositive integer) is summed
-    exactly.
+    Summed by `series_sum`: log w(n) = sum log|(a_i)_n| - sum log|(b_j)_n| -
+    log n! from the exact term ratio, with a sign for negative parameters, so
+    parameters like (n+k)! cannot overflow the accumulation. At most
+    ctl.max_terms + 1 terms. A terminating series (some a_i a nonpositive
+    integer) and x = 0 are summed exactly with achieved_tol 0; otherwise
+    achieved_tol is the larger of |last term| / |sum| and eps * max|term| /
+    |sum| (cancellation), and a sum with eps * max|term| > ctl.rel_tol * |sum|
+    is not converged. For an ndarray x each point stops as its scalar call
+    would; value, log_abs, phase and achieved_tol are arrays shaped like x,
+    terms_used the total and converged true only if every point converged.
     """
     ctl = ctl or DEFAULT_SERIES_CONTROL
     a = [float(v) for v in a_params]
@@ -201,48 +317,31 @@ def hyper_pfq(a_params, b_params, x, ctl: SeriesControl | None = None) -> PfqRes
             raise DomainError(f"lower parameter {bj} is a nonpositive integer")
 
     terminates = any(_is_nonpositive_integer(ai) for ai in a)
-    xc = complex(x)
+    xs = np.asarray(x)
+    xs = xs if xs.dtype.kind in "fc" else xs.astype(float)
+    x_max = max(map(abs, xs.ravel().tolist()), default=0.0)
     if not terminates:
-        if len(a) == len(b) + 1 and abs(xc) >= 1.0:
+        if len(a) == len(b) + 1 and x_max >= 1.0:
             raise DomainError(
-                f"series with p = q+1 requires |x| < 1, got |x| = {abs(xc)}"
+                f"series with p = q+1 requires |x| < 1, got |x| = {x_max}"
             )
-        if len(a) > len(b) + 1 and xc != 0:
+        if len(a) > len(b) + 1 and x_max != 0:
             raise DomainError("series with p > q+1 diverges for x != 0")
 
-    acc = _ScaledSum()
-    log_t = 0.0
-    phase_t = 1.0 + 0.0j
-    acc.add(log_t, phase_t)
-    small_run = 0
-    achieved = math.inf
-    n_used = 1
-
-    for n in range(ctl.max_terms):
-        num = 1.0
-        for ai in a:
-            num *= ai + n
-        den = (n + 1.0)
-        for bj in b:
-            den *= bj + n
-        ratio = num / den * xc
-        if ratio == 0.0:
-            # terminating series (or x = 0): summed exactly
-            return PfqResult(acc.value(), acc.log_abs, acc.phase, n_used, True, 0.0)
-        log_t += math.log(abs(ratio))
-        phase_t *= ratio / abs(ratio)
-        acc.add(log_t, phase_t)
-        n_used = n + 2
-
-        achieved = math.exp(min(log_t - acc.log_abs, 700.0)) if acc.log_abs != -math.inf else math.inf
-        if achieved < ctl.rel_tol:
-            small_run += 1
-            if small_run >= ctl.consecutive_small:
-                return PfqResult(acc.value(), acc.log_abs, acc.phase, n_used, True, achieved)
-        else:
-            small_run = 0
-
-    return PfqResult(acc.value(), acc.log_abs, acc.phase, n_used, False, achieved)
+    last = min((-ai for ai in a if ai <= 0.0 and ai == int(ai)), default=math.inf)
+    s = series_sum(_pfq_block(a, b), xs.ravel(), ctl, ctl.max_terms + 1, last)
+    size, log_abs, phase = s.polar()
+    loss = _EPS * s.peak
+    with np.errstate(divide="ignore", invalid="ignore"):
+        achieved = np.where(s.exact, 0.0, np.maximum(s.last, loss) / size)
+    ok = s.exact | (s.stopped & (loss <= ctl.rel_tol * size))
+    value = s.total * np.exp(s.top)
+    if xs.ndim == 0:
+        return PfqResult(complex(value[0]), float(log_abs[0]), complex(phase[0]),
+                         int(s.end[0]) + 1, bool(ok[0]), float(achieved[0]))
+    return PfqResult(*(v.reshape(xs.shape) for v in (value.astype(complex), log_abs,
+                     phase.astype(complex))), int(s.end.sum()) + xs.size, bool(ok.all()),
+                     achieved.reshape(xs.shape))
 
 
 # ---------------------------------------------------------------------------

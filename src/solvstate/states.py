@@ -38,9 +38,11 @@ from .spectrum import PoschlTellerSpectrum, Spectrum
 from .specfun import (
     DEFAULT_SERIES_CONTROL,
     SeriesControl,
+    block_end,
     hyper_pfq,
     log_gamma,
     log_pochhammer,
+    series_sum,
     signed_log_sum,
 )
 
@@ -124,10 +126,6 @@ class _Family:
     last: float
     ratio_bound: float
 
-    def block_end(self, lo: int, limit: int) -> int:
-        """End of the next block of indices; blocks double from 32."""
-        return max(lo + 1, min(2 * lo or 32, limit, self.last + 1))
-
 
 def _lgamma(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.lgamma, x.tolist()), float, len(x))
@@ -153,8 +151,9 @@ def _kp_family(lam: float, k: int, lam_w: float) -> _Family:
 
     def terms(lo, hi):
         n = np.arange(lo, hi)
-        log_w = (_lgamma(n + k + 1.0) + _lgamma(n + k + lam_w + 1.0)
-                 - 2.0 * _lgamma(n + 1.0) - log_norm)
+        log_fact = _lgamma(np.arange(lo, hi + k) + 1.0)  # log m! for m = lo..hi+k-1
+        log_w = (log_fact[k:] + _lgamma(n + k + lam_w + 1.0)
+                 - 2.0 * log_fact[:hi - lo] - log_norm)
         return log_w, (n + k) * (n + k + lam)
 
     return _Family(k, terms, math.inf, 0.95)
@@ -178,7 +177,7 @@ def _state(fam: _Family, x: complex, alpha: float, tail_eps: float,
     n = 0
     while True:
         if n == len(logs):
-            hi = fam.block_end(n, cap)
+            hi = block_end(n, cap, fam.last)
             log_w, e = fam.terms(n, hi)
             logs += (np.arange(n, hi) * log_r + 0.5 * log_w).tolist()
             energies.append(e)
@@ -208,63 +207,45 @@ def _state(fam: _Family, x: complex, alpha: float, tail_eps: float,
     return FockState(fam.k, c, alpha, min(tail_rel, 1.0))
 
 
-def _sum(fam: _Family, x: complex, d_alpha: float,
-         ctl: SeriesControl) -> tuple[float, complex, bool]:
-    """S = sum_n x^n w(n) e^{-i d_alpha E_{n+k}} as (log|S|, S/|S|, converged).
+def _sum(fam: _Family, xs: list, d_alphas: list, ctl: SeriesControl):
+    """S = sum_n x^n w(n) e^{-i d_alpha E_{n+k}} at every (x, d_alpha), as
+    arrays (log|S|, S/|S|, converged), with at most ctl.max_terms terms."""
 
-    Stops at the end of the first run of ctl.consecutive_small terms below
-    ctl.rel_tol times the larger of |partial sum| and the largest term so far
-    (the latter guards against cancellation), or exactly at a table's end.
-    """
-    log_r = math.log(abs(x)) if x != 0 else 0.0  # x = 0 keeps the n = 0 term only
-    arg = math.atan2(x.imag, x.real)
-    log_t = theta = np.empty(0)
-    while True:
-        lo = len(log_t)
-        hi = 1 if x == 0 else fam.block_end(lo, ctl.max_terms)
-        n = np.arange(lo, hi)
+    def block(lo, hi):
         log_w, e = fam.terms(lo, hi)
-        log_t = np.concatenate([log_t, n * log_r + log_w])
-        mags = np.exp(log_t - log_t.max())
-        if arg or d_alpha:  # a norm (x >= 0, no alpha shift) has no phases
-            theta = np.concatenate([theta, n * arg - e * d_alpha])
-            partial = np.cumsum(mags * np.exp(1j * theta))
-        else:
-            partial = np.cumsum(mags)
-        small = mags < ctl.rel_tol * np.maximum(np.abs(partial), np.maximum.accumulate(mags))
-        count = 0
-        for end, flag in enumerate(small.tolist()):
-            count = count + 1 if flag else 0
-            if count == ctl.consecutive_small:
-                break
-        converged = count == ctl.consecutive_small or x == 0 or hi > fam.last
-        if converged or hi >= ctl.max_terms:
-            break
-    total = partial[end]
-    if total == 0:
-        return -math.inf, 0j, converged
-    return float(log_t.max() + np.log(abs(total))), complex(total / abs(total)), converged
+        return log_w, None, -e if any(d_alphas) else None
+
+    s = series_sum(block, xs, ctl, ctl.max_terms, fam.last, d_alphas)
+    return (*s.polar()[1:], s.stopped | s.exact)
 
 
 def _log_norm(fam: _Family, u: float, ctl: SeriesControl,
               what: str = "normalization series", log_pref: float = 0.0) -> float:
     """log_pref + log sum_n u^n w(n); a ConvergenceError carries that partial."""
-    log_s, _, ok = _sum(fam, u, 0.0, ctl)
-    if not ok:
+    log_s, _, ok = _sum(fam, [u], [0.0], ctl)
+    return _checked(ok, [log_pref + float(log_s[0])], what, ctl)[0]
+
+
+def _checked(ok, partials: list, what: str, ctl: SeriesControl) -> list:
+    """partials, or a ConvergenceError carrying the first whose ok is False."""
+    if not ok.all():
+        partial = partials[ok.tolist().index(False)]
         raise ConvergenceError(f"{what} did not converge in {ctl.max_terms} terms",
-                               partial=log_pref + log_s)
-    return log_pref + log_s
+                               partial=partial)
+    return partials
 
 
 def _kernel(fam: _Family, x1: complex, x2: complex, d_alpha: float,
             ctl: SeriesControl, what: str) -> complex:
-    """S(conj(x1) x2, alpha2 - alpha1) over the square roots of both norms."""
-    log_s, phase, ok = _sum(fam, np.conj(x1) * x2, d_alpha, ctl)
-    if not ok:
-        raise ConvergenceError(f"{what} series did not converge",
-                               partial=phase * math.exp(log_s))
-    log_n = _log_norm(fam, abs(x1) ** 2, ctl) + _log_norm(fam, abs(x2) ** 2, ctl)
-    return complex(phase * math.exp(log_s - 0.5 * log_n))
+    """S(conj(x1) x2, alpha2 - alpha1) over the square roots of both norms,
+    all three summed in one call."""
+    log_s, phase, ok = _sum(fam, [np.conj(x1) * x2, abs(x1) ** 2, abs(x2) ** 2],
+                            [d_alpha, 0.0, 0.0], ctl)
+    log_k, log_n1, log_n2 = log_s.tolist()
+    phase_k = complex(phase[0])
+    _checked(ok[:1], [phase_k * math.exp(log_k)], f"{what} series", ctl)
+    _checked(ok[1:], [log_n1, log_n2], "normalization series", ctl)
+    return complex(phase_k * math.exp(log_k - 0.5 * (log_n1 + log_n2)))
 
 
 # ---------------------------------------------------------------------------

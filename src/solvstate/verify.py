@@ -13,7 +13,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from . import measures as msr
 from . import poschl_teller as pt
@@ -426,6 +425,8 @@ def _orthonormality_error(p: pt.PTParams, n_max: int) -> float:
 
 
 def suite_pt(settings=None) -> SuiteReport:
+    from scipy.linalg import eigvalsh_tridiagonal
+
     rep = SuiteReport("pt")
     t0 = time.perf_counter()
     settings = settings or [pt.PTParams(2.0, 2.0, 1.0),

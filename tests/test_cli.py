@@ -385,3 +385,29 @@ def test_json_payload_uses_15_significant_digits(capsys):
     doc = json.loads(out)
     val = doc["state"]["coefficients"][1][0]
     assert len(repr(val).replace("-", "").replace(".", "").lstrip("0")) <= 16
+
+
+def test_state_command_leaves_scipy_unloaded():
+    # scipy costs about 0.2 s of a cold start; only moments, pt and verify
+    # need it, so importing the CLI and building a state must not load it
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import solvstate
+
+    src = str(Path(solvstate.__file__).resolve().parents[1])
+    code = (
+        "import contextlib, io, sys\n"
+        "import solvstate.cli as cli\n"
+        "assert 'scipy' not in sys.modules, 'import solvstate.cli'\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['state', 'gk', '--z', '0.5']) == 0\n"
+        "assert 'scipy' not in sys.modules, 'state gk --z 0.5'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

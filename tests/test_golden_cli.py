@@ -57,6 +57,8 @@ COMMANDS = [
     ["evolve", "kp", "--xi", "0.45+0.1i", "--alpha", "0.1", "--k", "2",
      "--lambda", "4", "--format", "json"],
     ["verify", "--suite", "gk", "--format", "json"],
+    ["moments", "--check", "kp-weights", "--paper-literal", "--lambda", "4",
+     "--k", "2", "--format", "json"],
 ]
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")

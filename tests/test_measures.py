@@ -233,3 +233,63 @@ def test_kp_target_value():
     # Gamma(n+1)^2 / (Gamma(n+k+1) Gamma(n+lam+k+1)) at n=1, k=0, lam=4
     expected = math.log(1.0 / math.gamma(6.0))
     assert kp_moment_target_log(4.0, 0, 1) == pytest.approx(expected, rel=1e-13)
+
+
+class TestLogReadingArrays:
+    """The a_b_lam2k weight 2F1(k, lam+k; lam+2k; 1-r) on whole batches."""
+
+    # both branches: the connection expansion below r = 0.25, the series in
+    # 1 - r from r = 0.25 on
+    R = [1e-9, 1e-4, 0.01, 0.1, 0.2, 0.24, 0.25, 0.3, 0.5, 0.75, 0.9, 0.999]
+
+    @staticmethod
+    def _worst_error(lam, k, rs):
+        mine = kp_weight_unit_disk(lam, k, reading="a_b_lam2k").evaluate(np.array(rs))
+        worst = 0.0
+        with mp.workdps(30):
+            for r, value in zip(rs, mine.tolist()):
+                x = 1 - mp.mpf(r)
+                ref = (mp.hyp2f1(k, lam + k, lam + 2 * k, x) * x ** (lam + 2 * k - 1)
+                       / mp.gamma(lam + 2 * k + 1))
+                worst = max(worst, float(abs(value - ref) / abs(ref)))
+        return worst
+
+    @pytest.mark.parametrize("lam", [1.0, 2.5, 4.0, 7.0])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_against_30_digit_reference(self, lam, k):
+        assert self._worst_error(lam, k, self.R) <= 1e-12
+
+    # Just below the crossover the connection expansion cancels, more so for
+    # larger k and lam: 1.4e-12 at (lam 7, k 3) and 3.7e-10 at (lam 7, k 5).
+    @pytest.mark.xfail(strict=True, reason="connection expansion cancels near r = 0.25")
+    @pytest.mark.parametrize("lam, k", [(7.0, 3), (4.0, 5), (7.0, 5)])
+    def test_connection_expansion_near_the_crossover(self, lam, k):
+        assert self._worst_error(lam, k, [0.2499]) <= 1e-12
+
+    def test_one_series_call_per_batch(self, monkeypatch):
+        import solvstate.measures as msr
+
+        sizes = []
+        series = msr.hyper_pfq
+
+        def counted(a, b, x, ctl=None):
+            sizes.append(np.size(x))
+            return series(a, b, x, ctl)
+
+        monkeypatch.setattr(msr, "hyper_pfq", counted)
+        r = np.linspace(0.01, 0.99, 99)
+        batch = kp_weight_unit_disk(LAM, 2, reading="a_b_lam2k").evaluate(r)
+        assert sizes == [int(np.sum(r >= 0.25))]
+        pointwise = [kp_weight_unit_disk(LAM, 2, reading="a_b_lam2k").evaluate(v)[0]
+                     for v in r]
+        assert batch.tolist() == pointwise
+
+    def test_unconverged_sum_is_nan_and_moments_indeterminate(self):
+        from solvstate.specfun import SeriesControl
+
+        cand = kp_weight_unit_disk(LAM, 2, "a_b_lam2k", ctl=SeriesControl(max_terms=5))
+        values = cand.evaluate(np.array([0.1, 0.5, 0.9]))
+        assert math.isfinite(values[0])  # the connection expansion does not use ctl
+        assert np.isnan(values[1:]).all()
+        report = kp_moment_residuals(LAM, 2, cand, n_max=2)
+        assert [e.verdict for e in report.entries] == ["indeterminate"] * 4

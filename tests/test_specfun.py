@@ -3,6 +3,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 from scipy.special import eval_jacobi
 
 from solvstate import DomainError, specfun
@@ -471,3 +473,87 @@ def test_series_control_validation():
         SeriesControl(max_terms=0)
     with pytest.raises(DomainError):
         SeriesControl(consecutive_small=1)
+
+
+class TestHyperPfqCancellation:
+    # mpmath: 0F1(;1;-900) = -0.0915, 0F1(;1.5;-400) = 0.0186; the terms
+    # reach about 1e24 and 1e15 first, so double precision keeps no digit
+    @pytest.mark.parametrize("b, x", [(1.0, -900.0), (1.5, -400.0)])
+    def test_cancelled_sum_is_not_converged(self, b, x):
+        res = hyper_pfq([], [b], x)
+        assert not res.converged
+        assert res.achieved_tol > 1e-15
+
+    def test_positive_series_loses_nothing(self):
+        res = hyper_pfq([2.0, 6.0], [1.0, 5.0, 5.0], 2.5)
+        assert res.converged
+        assert res.achieved_tol <= 2.3e-16
+
+    def test_cancellation_is_measured_against_rel_tol(self):
+        # 0F1(;1;-4) = J_0(4): terms up to 4.0 against a sum of -0.397, so
+        # the rounding left is about eps * 10: enough for 1e-13, not 1e-15
+        loose = hyper_pfq([], [1.0], -4.0, SeriesControl(rel_tol=1e-13))
+        assert loose.converged
+        assert 2e-15 < loose.achieved_tol < 1e-13
+        assert loose.value.real == pytest.approx(float(mp.besselj(0, 4.0)), rel=1e-14)
+        assert not hyper_pfq([], [1.0], -4.0).converged
+
+
+def _same(x, y):
+    """Bitwise equality of two floats or complex numbers."""
+    return complex(x) == complex(y)
+
+
+class TestHyperPfqArrays:
+    CASES = [
+        ([2.0, 3.0], [4.0], [0.0, 0.1, -0.35, 0.5, 0.9], None),
+        ([2.0, 6.0], [1.0, 5.0, 5.0], [0.4 + 0.3j, -1.2j, 0.0, 2.5, -3.0], None),
+        ([-7.0, 2.4], [1.7], [0.6, -0.3, 0.0], None),                # terminating
+        ([-2.5, 1.5], [-3.5], [0.3, -0.6, 0.05], None),              # negative parameters
+        ([0.5, 1.5], [1.0], [0.1, 0.999, 0.5], SeriesControl(max_terms=40)),
+    ]
+
+    @pytest.mark.parametrize("a, b, xs, ctl", CASES)
+    def test_each_point_is_its_scalar_call(self, a, b, xs, ctl):
+        batch = hyper_pfq(a, b, np.array(xs), ctl)
+        singles = [hyper_pfq(a, b, x, ctl) for x in xs]
+        for i, one in enumerate(singles):
+            assert _same(batch.value[i], one.value)
+            assert _same(batch.log_abs[i], one.log_abs)
+            assert _same(batch.phase[i], one.phase)
+            assert _same(batch.achieved_tol[i], one.achieved_tol)
+        assert batch.terms_used == sum(s.terms_used for s in singles)
+        assert batch.converged == all(s.converged for s in singles)
+
+    def test_one_unconverged_point_fails_the_batch(self):
+        ctl = SeriesControl(max_terms=40)
+        assert hyper_pfq([0.5, 1.5], [1.0], 0.1, ctl).converged
+        assert not hyper_pfq([0.5, 1.5], [1.0], 0.999, ctl).converged
+        batch = hyper_pfq([0.5, 1.5], [1.0], np.array([0.1, 0.999]), ctl)
+        assert not batch.converged
+        assert batch.terms_used == hyper_pfq([0.5, 1.5], [1.0], 0.1, ctl).terms_used + 41
+
+    def test_fields_keep_the_shape_of_x(self):
+        xs = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
+        res = hyper_pfq([1.0, 2.0], [3.0], xs)
+        for field in (res.value, res.log_abs, res.phase, res.achieved_tol):
+            assert field.shape == xs.shape
+        assert isinstance(res.terms_used, int)
+        assert res.converged is True
+        assert res.value.real[1, 2] == hyper_pfq([1.0, 2.0], [3.0], 0.6).value.real
+
+    def test_domain_checked_over_the_whole_batch(self):
+        with pytest.raises(DomainError):
+            hyper_pfq([0.5, 1.5], [1.0], np.array([0.2, 1.0]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(hs.floats(0.1, 8.0), hs.floats(0.1, 8.0), hs.floats(0.5, 12.0),
+       hs.lists(hs.floats(0.0, 0.75, exclude_min=True), min_size=1, max_size=8))
+def test_array_2f1_against_scipy(a, b, c, xs):
+    from scipy.special import hyp2f1
+
+    res = hyper_pfq([a, b], [c], np.array(xs))
+    assert res.converged
+    np.testing.assert_allclose(res.value.real, hyp2f1(a, b, c, np.array(xs)),
+                               rtol=1e-12, atol=0.0)
