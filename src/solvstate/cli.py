@@ -22,7 +22,7 @@ from . import measures as msr
 from . import poschl_teller as ptm
 from . import states as st
 from .errors import ConvergenceError, DomainError
-from .fockspace import FockState
+from .fockspace import FockState, displace_ground
 from .spectrum import PoschlTellerSpectrum, Spectrum, spectrum_from_json
 
 EXIT_OK = 0
@@ -128,6 +128,10 @@ def _build_state(args, spec) -> FockState:
             exponent = "two_lambda" if args.paper_literal else "lambda"
             return st.kp_state_pt(spec.lam, label, tail_eps=args.tail_eps,
                                   cap=cap, exponent=exponent)
+        if args.k == 0 and not args.nested and math.isfinite(spec.max_level):
+            # a finite table is the whole space: the displacement is exact
+            return displace_ground(spec, args.Z, args.alpha,
+                                   tail_eps=args.tail_eps, cap=cap)
         result = st.kp_state_general(spec, args.Z, args.alpha, args.k)
         if not result.j_converged:
             raise ConvergenceError(
@@ -431,7 +435,10 @@ def _add_label_args(sp):
     sp.add_argument("--max-n", type=int, default=None,
                     help="truncation cap (also settable via SOLVSTATE_MAX_N)")
     sp.add_argument("--nested", action="store_true",
-                    help="force the nested-sum construction for kp --Z")
+                    help="force the nested-sum construction for kp --Z "
+                         "(otherwise Poschl-Teller uses the closed form, a "
+                         "finite table at k = 0 the exact displacement "
+                         "oracle, and anything else nested sums)")
     sp.add_argument("--paper-literal", action="store_true",
                     help="errata mode: use the published alternate readings")
 

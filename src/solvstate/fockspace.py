@@ -11,7 +11,10 @@ E_{n-1})} of a-; this is the only place the ladder signs and phases are
 written, for every spectrum, Poschl-Teller included. `build_ladder` spreads
 it into dense a- and a+ for the identity checks (`apply` is a plain matvec
 on those); the displacement oracle never forms a matrix and acts with the
-two diagonals of its tridiagonal generator, O(N) work per Taylor term.
+two diagonals of its tridiagonal generator, O(N) work per Taylor term. It
+doubles the truncation until the largest mass seen on the top levels over
+all Taylor substeps is below eps^2, and runs once over the whole space of a
+finite energy table.
 """
 
 from __future__ import annotations
@@ -28,6 +31,10 @@ from .spectrum import Spectrum
 
 __all__ = ["LadderRep", "FockState", "build_ladder", "displace_ground", "apply",
            "max_truncation"]
+
+# Edge mass below which truncation moves no coefficient by more than one
+# unit roundoff of the unit-norm vector.
+_EDGE_EPS = np.finfo(float).eps ** 2
 
 
 def max_truncation(default: int = 2048) -> int:
@@ -171,21 +178,27 @@ def _taylor_displace(spec, Z, alpha, N, max_steps=4000):
     spectral norm <= ~5 and each substep is applied as a plain Taylor series
     on the evolving vector, so no partial sum ever grows past ~e^5 and the
     alternating-series cancellation stays harmless (no matrix exponential,
-    no squaring). Returns (vector, tail estimate); tail is +inf when a
-    series exhausted its term budget, went non-finite, or the step count
-    needed exceeds max_steps.
+    no squaring). Returns (vector, rounding, edge): rounding is the norm
+    deficit |1 - |v|^2| of the anti-Hermitian action, edge the largest mass
+    on the top three levels after any substep. After each substep the
+    vector is the displaced state at a smaller |Z| (for Poschl-Teller and
+    the oscillator), so edge also sees a packet that reached the boundary
+    and was reflected back below it. Both are +inf when a series exhausted
+    its term budget, went non-finite, or the step count needed exceeds
+    max_steps.
     """
     m = _lowering_diagonal(spec.levels(0, N + 1)[0], alpha)
     sub = Z * np.conj(m)          # gen[n, n-1], from Z a+
     sup = -(np.conj(Z) * m)       # gen[n-1, n], from -conj(Z) a-
-    gen_norm = 2.0 * np.max(np.abs(sub))  # |sub| == |sup| entrywise, to the bit
+    gen_norm = 2.0 * np.max(np.abs(sub), initial=0.0)  # |sub| == |sup| entrywise
     steps = max(1, math.ceil(gen_norm / 5.0))
     if steps > max_steps:
-        return np.zeros(N + 1, dtype=complex), math.inf
+        return np.zeros(N + 1, dtype=complex), math.inf, math.inf
     sub /= steps
     sup /= steps
     v = np.zeros(N + 1, dtype=complex)
     v[0] = 1.0
+    edge = 0.0
     for _ in range(steps):
         term = v
         acc = v.copy()
@@ -201,7 +214,7 @@ def _taylor_displace(spec, Z, alpha, N, max_steps=4000):
             acc += term
             tn = math.sqrt(np.vdot(term, term).real)
             if not math.isfinite(tn):
-                return acc, math.inf
+                return acc, math.inf, math.inf
             if tn < 1e-16 * math.sqrt(np.vdot(acc, acc).real):
                 small += 1
                 if small >= 5:
@@ -210,11 +223,10 @@ def _taylor_displace(spec, Z, alpha, N, max_steps=4000):
             else:
                 small = 0
         if not done:
-            return acc, math.inf
+            return acc, math.inf, math.inf
         v = acc
-    edge = float(np.sum(np.abs(v[-3:]) ** 2))
-    norm2 = float(np.vdot(v, v).real)
-    return v, abs(1.0 - norm2) + edge
+        edge = max(edge, float(np.sum(np.abs(v[-3:]) ** 2)))
+    return v, abs(1.0 - float(np.vdot(v, v).real)), edge
 
 
 def displace_ground(spec: Spectrum, Z: complex, alpha: float = 0.0,
@@ -222,32 +234,42 @@ def displace_ground(spec: Spectrum, Z: complex, alpha: float = 0.0,
                     cap: int | None = None) -> FockState:
     """exp(Z a+ - conj(Z) a-) |psi_0> by direct Taylor action on the vector.
 
-    The generator is anti-Hermitian, so the exact result is unit norm; the
-    measured norm deficit plus the mass parked in the top rows estimates the
-    truncation tail. N doubles until the estimate drops below `tail_eps`,
-    stops improving (the rounding floor of the alternating Taylor sum), or
-    hits the cap; the best attempt is returned and its tail_bound tells the
-    truth either way (callers decide whether missing the budget is fatal).
+    The generator is anti-Hermitian, so the exact result is unit norm;
+    tail_bound is the measured norm deficit (Taylor rounding) plus the edge
+    mass (what truncation discards). N, clamped to the cap, doubles until
+    the edge mass is at most eps^2 (the boundary amplitude is then below
+    one unit roundoff, so a larger N cannot move a coefficient by more than
+    the rounding it already carries), the tail meets `tail_eps`, the edge
+    mass fails to halve, an attempt fails, or 2N exceeds the cap. The last
+    usable attempt is returned and its tail_bound tells the truth either
+    way (callers decide whether missing the budget is fatal). A finite table
+    of M levels is the whole space: one attempt at N = min(M - 1, cap),
+    whose tail is the rounding alone when the table fits.
     """
     Z = complex(Z)
     require_finite(Z=Z, alpha=alpha)
     if not tail_eps >= 0.0:
         raise DomainError(f"tail_eps must be a nonnegative number, got {tail_eps}")
     cap = cap or max_truncation()
-    N = max(8, N)
-    best_v, best_tail = None, math.inf
+    if cap < 1:
+        raise DomainError(f"truncation cap must be positive, got {cap}")
+    finite = math.isfinite(spec.max_level)
+    N = min(int(spec.max_level), cap) if finite else min(max(8, N), cap)
+    v, prev_edge = None, math.inf
     while True:
-        v, tail = _taylor_displace(spec, Z, alpha, N)
-        improved = tail < 0.5 * best_tail
-        if tail < best_tail or best_v is None:
-            best_v, best_tail = v, min(tail, 1.0)
-        if best_tail <= tail_eps or not improved or 2 * N > cap:
+        w, rounding, edge = _taylor_displace(spec, Z, alpha, N)
+        if v is not None and not math.isfinite(rounding):
             break
+        v, tail = w, min(rounding + (edge if N < spec.max_level else 0.0), 1.0)
+        if (finite or edge <= _EDGE_EPS or tail <= tail_eps
+                or not edge < 0.5 * prev_edge or 2 * N > cap):
+            break
+        prev_edge = edge
         N *= 2
-    nrm = float(np.linalg.norm(best_v))
+    nrm = float(np.linalg.norm(v))
     if not math.isfinite(nrm) or nrm == 0.0:
         raise ConvergenceError(
             f"displacement Taylor sum produced no usable digits for "
             f"|Z| = {abs(Z):.3g}"
         )
-    return FockState(0, best_v / nrm, float(alpha), best_tail)
+    return FockState(0, v / nrm, float(alpha), tail)

@@ -15,6 +15,9 @@ from solvstate.cli import (
 )
 
 
+FINITE_TABLE = '{"kind":"custom","energies":[0,1,2.5,4.5]}'
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -192,6 +195,22 @@ class TestStateCommand:
         exact = np.exp(-0.045 + n * math.log(0.3) - 0.5 * gammaln(n + 1.0))
         assert np.max(np.abs(state.coefficients - exact)) < 1e-10
 
+    def test_kp_displacement_on_finite_table(self, capsys):
+        # four levels are the whole space: the oracle needs no headroom
+        code, out, _ = run_cli(capsys, "state", "kp", "--Z", "0.3",
+                               "--spectrum", FINITE_TABLE)
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert len(doc["state"]["coefficients"]) == 4
+        assert doc["summary"]["tail_bound"] <= 1e-15
+
+    @pytest.mark.parametrize("extra", [("--nested",), ("--k", "1")])
+    def test_nested_route_on_finite_table_keeps_exit_code(self, capsys, extra):
+        code, _, err = run_cli(capsys, "state", "kp", "--Z", "0.3",
+                               "--spectrum", FINITE_TABLE, *extra)
+        assert code == EXIT_DOMAIN
+        assert "level 4 requested" in err
+
     def test_paper_literal_state_differs(self, capsys):
         args = ["state", "kp", "--xi", "0.4", "--k", "1", "--lambda", "4"]
         _, out_std, _ = run_cli(capsys, *args)
@@ -270,6 +289,7 @@ class TestEvolveCommand:
         ("--xi", "0.3", "--k", "1", "--lambda", "4", "--paper-literal"),
         ("--Z", "0.3", "--lambda", "4", "--nested"),
         ("--Z", "0.3", "--spectrum", '{"kind":"harmonic"}'),
+        ("--Z", "0.3", "--spectrum", FINITE_TABLE),
     ])
     def test_kp_rebuild_takes_the_state_route(self, capsys, argv):
         # the alpha + t rebuild uses the construction of the evolved state

@@ -7,15 +7,20 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import gammaln
 
+import solvstate.fockspace as fockspace
 from solvstate import (
+    CustomSpectrum,
     DomainError,
     FockState,
     HarmonicSpectrum,
+    KPLabel,
     PoschlTellerSpectrum,
     apply,
     build_ladder,
     displace_ground,
+    kp_state_pt,
 )
+from solvstate.verify import coeff_distance
 
 
 class TestBuildLadder:
@@ -110,6 +115,20 @@ class TestApply:
         assert out.tail_bound >= 9.0 * 1e-10 - 1e-24
 
 
+@pytest.fixture
+def attempts(monkeypatch):
+    """Truncation sizes N of the oracle's Taylor attempts, in order."""
+    sizes = []
+    taylor = fockspace._taylor_displace
+
+    def counted(spec, Z, alpha, N):
+        sizes.append(N)
+        return taylor(spec, Z, alpha, N)
+
+    monkeypatch.setattr(fockspace, "_taylor_displace", counted)
+    return sizes
+
+
 class TestDisplaceGround:
     def test_zero_displacement(self):
         state = displace_ground(HarmonicSpectrum(), 0.0)
@@ -195,6 +214,70 @@ class TestDisplaceGround:
         column /= np.linalg.norm(column)
         assert state.size == 65
         assert np.max(np.abs(state.coefficients - column)) < 1e-13
+
+    def test_edge_stop_returns_the_resolved_attempt(self):
+        # here the N = 64 attempt has the smaller total tail (4.4e-16
+        # against 1.6e-15) but leaves 3.3e-16 of edge mass, which puts it
+        # 4.1e-9 away from the closed form
+        lam = 7.441164250409111
+        Z = -0.7713569300410675 - 0.07147881150367547j
+        oracle = displace_ground(PoschlTellerSpectrum(lam / 2, lam / 2), Z,
+                                 tail_eps=1e-20)
+        closed = kp_state_pt(lam, KPLabel(Z=Z, alpha=0.0, k=0), tail_eps=1e-24)
+        assert coeff_distance(oracle, closed) <= 1e-11
+
+    def test_reflected_packet_is_not_converged(self):
+        # |Z| = 6 has a mean level near 2e5: any affordable truncation
+        # reflects the packet off the top level, which the edge after the
+        # last substep alone would miss
+        spec = PoschlTellerSpectrum(2.0, 2.0)
+        state = displace_ground(spec, 6.0 * cmath.exp(0.4j))
+        assert not state.tail_bound <= 1e-12
+        assert np.all(np.isfinite(state.coefficients))
+
+    @pytest.mark.parametrize("modulus, sizes", [(1.5, [64, 128, 256, 512]),
+                                                (0.2, [64])])
+    def test_doubling_attempts(self, attempts, modulus, sizes):
+        state = displace_ground(PoschlTellerSpectrum(0.5, 0.5),
+                                modulus * cmath.exp(0.4j), tail_eps=1e-20)
+        assert attempts == sizes
+        assert state.size == sizes[-1] + 1
+
+    @pytest.mark.parametrize("energies", [
+        [0.0, 1.0, 2.5, 4.5],
+        [0.0, 0.7, 1.5, 2.6, 3.4, 4.9, 6.1, 7.0, 8.8, 10.2, 11.5, 13.9],
+    ], ids=["M4", "M12"])
+    @pytest.mark.parametrize("modulus", [0.3, 1.5])
+    def test_finite_table_is_exact_in_one_attempt(self, attempts, energies,
+                                                  modulus):
+        # a table of M levels is the whole space: no truncation, no doubling
+        spec = CustomSpectrum(energies=energies)
+        Z, alpha = modulus * cmath.exp(0.4j), 0.3
+        state = displace_ground(spec, Z, alpha)
+        lad = build_ladder(spec, alpha, len(energies) - 1)
+        column = expm(Z * lad.a_plus - np.conj(Z) * lad.a_minus)[:, 0]
+        assert attempts == [len(energies) - 1]
+        assert state.tail_bound <= 1e-15
+        assert np.max(np.abs(state.coefficients - column)) <= 1e-14
+
+    def test_first_attempt_honours_the_cap(self, monkeypatch):
+        spec = PoschlTellerSpectrum(2.0, 2.0)
+        state = displace_ground(spec, 1.5, cap=16)
+        assert state.size == 17
+        assert state.tail_bound > 1e-6
+        monkeypatch.setenv("SOLVSTATE_MAX_N", "10")
+        state = displace_ground(spec, 1.5)
+        assert state.size == 11
+        assert state.tail_bound > 1e-6
+        # a cap below a finite table truncates it, and the tail says so
+        state = displace_ground(CustomSpectrum(energies=[0.0, 1.0, 2.5, 4.5]),
+                                1.5, cap=2)
+        assert state.size == 3
+        assert state.tail_bound > 1e-6
+
+    def test_negative_cap_rejected(self):
+        with pytest.raises(DomainError, match="cap"):
+            displace_ground(HarmonicSpectrum(), 0.5, cap=-3)
 
     def test_norm_deviation_bounded_by_tail(self):
         for spec in (HarmonicSpectrum(), PoschlTellerSpectrum(0.5, 0.5)):

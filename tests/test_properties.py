@@ -21,6 +21,7 @@ from solvstate import (
     HarmonicSpectrum,
     KPLabel,
     PoschlTellerSpectrum,
+    displace_ground,
     evolve,
     gk_norm_constant,
     gk_norm_constant_pt_closed,
@@ -30,6 +31,7 @@ from solvstate import (
     kp_overlap_pt,
     kp_state_pt,
 )
+from solvstate.verify import coeff_distance
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -117,6 +119,18 @@ def test_kp_evolve_is_alpha_shift(lam, k, xi, alpha, t):
     s0 = kp_state_pt(lam, KPLabel(xi=xi, alpha=alpha, k=k), tail_eps=1e-24)
     rebuilt = kp_state_pt(lam, KPLabel(xi=xi, alpha=alpha + t, k=k), tail_eps=1e-24)
     assert _max_dev(evolve(s0, spec, t), rebuilt) <= 2e-13
+
+
+# a stop on the total tail instead of the edge mass misses near |Z| = 0.8
+# and large lambda (about 2 % of uniform draws); 200 examples reach them
+@settings(SETTINGS, max_examples=200)
+@given(hs.floats(0.3, 8.0), hs.floats(0.0, 0.8, exclude_min=True), phases)
+def test_displacement_oracle_matches_closed_form(lam, modulus, phase):
+    # the suites' own budgets: oracle at 1e-20, closed form at 1e-24
+    Z = cmath.rect(modulus, phase)
+    oracle = displace_ground(_spectrum(lam), Z, tail_eps=1e-20)
+    closed = kp_state_pt(lam, KPLabel(Z=Z, alpha=0.0, k=0), tail_eps=1e-24)
+    assert coeff_distance(oracle, closed) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
