@@ -343,6 +343,8 @@ def cmd_pt(args) -> int:
         n = args.eigenfunction if args.eigenfunction is not None else args.partner
         fn = ptm.eigenfunction if args.eigenfunction is not None \
             else ptm.partner_eigenfunction
+        if args.points < 1:
+            raise DomainError(f"--points must be at least 1, got {args.points}")
         x = np.linspace(0.0, p.box, args.points)
         vals = fn(p, n, x)
         payload = {"meta": _meta(args, "pt"),

@@ -14,6 +14,9 @@ W^2 + W' is the same well with kappa+1 and kappa'+1, shifted up by E_1.
 partner eigenfunctions and norm constants are those of the partner well.
 The ladder phases of the spectrum n(n+lam) come from the generic
 `fockspace.build_ladder`, like those of any other spectrum.
+
+`eigenfunctions` gives levels 0..n_max as rows of one Jacobi recurrence;
+`eigenfunction` is one row of it.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .spectrum import PoschlTellerSpectrum
 from .specfun import (
     jacobi_poly,
     jacobi_poly_deriv,
+    jacobi_table,
     log_gamma,
     signed_log_sum,
 )
@@ -39,6 +43,7 @@ __all__ = [
     "superpotential",
     "norm_constant_log",
     "eigenfunction",
+    "eigenfunctions",
     "partner_eigenfunction",
     "eigenfunction_deriv",
     "apply_lowering",
@@ -90,7 +95,7 @@ class PTParams:
 
 def _check_open_interval(p: PTParams, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0) or np.any(x >= p.box):
+    if not np.all((x > 0.0) & (x < p.box)):
         raise DomainError(f"x must lie strictly inside (0, {p.box:.6g})")
     return x
 
@@ -127,18 +132,25 @@ def norm_constant_log(p: PTParams, n: int) -> float:
             - math.log(2.0 * n + k + kp))
 
 
-def eigenfunction(p: PTParams, n: int, x):
-    """Normalized eigenfunction of the lower partner Hamiltonian:
-    c_n^{-1/2} cos^{k'}(x/2a) sin^{k}(x/2a) P_n^{(k-1/2, k'-1/2)}(cos(x/a))."""
-    if n < 0:
-        raise DomainError(f"level index must be nonnegative, got {n}")
+def eigenfunctions(p: PTParams, n_max: int, x) -> np.ndarray:
+    """Normalized eigenfunctions c_n^{-1/2} cos^{k'}(x/2a) sin^{k}(x/2a)
+    P_n^{(k-1/2, k'-1/2)}(cos(x/a)) of the lower partner Hamiltonian, rows
+    n = 0..n_max of one Jacobi recurrence; shape (n_max+1,) + shape of x."""
+    if n_max < 0:
+        raise DomainError(f"level index must be nonnegative, got {n_max}")
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0) or np.any(x > p.box):
+    if not np.all((x >= 0.0) & (x <= p.box)):
         raise DomainError(f"x must lie in [0, {p.box:.6g}]")
     u = x / (2.0 * p.a)
-    pref = math.exp(-0.5 * norm_constant_log(p, n))
-    val = pref * np.cos(u) ** p.kappa_prime * np.sin(u) ** p.kappa \
-        * jacobi_poly(n, p.kappa - 0.5, p.kappa_prime - 0.5, np.cos(x / p.a))
+    pref = np.array([math.exp(-0.5 * norm_constant_log(p, n))
+                     for n in range(n_max + 1)]).reshape((-1,) + (1,) * x.ndim)
+    return pref * np.cos(u) ** p.kappa_prime * np.sin(u) ** p.kappa \
+        * jacobi_table(n_max, p.kappa - 0.5, p.kappa_prime - 0.5, np.cos(x / p.a))
+
+
+def eigenfunction(p: PTParams, n: int, x):
+    """Normalized lower-partner eigenfunction, row n of `eigenfunctions`."""
+    val = eigenfunctions(p, n, x)[n]
     return val if np.ndim(val) else float(val)
 
 
@@ -238,5 +250,7 @@ def u_matrix_element(p: PTParams, n: int, m: int,
 
 def u_matrix(p: PTParams, n_max: int, m_max: int) -> list:
     """All entries for n <= n_max, m <= m_max (row-major list of lists)."""
+    if n_max < 0 or m_max < 0:
+        raise DomainError(f"block sizes must be nonnegative, got ({n_max}, {m_max})")
     return [[u_matrix_element(p, n, m) for m in range(m_max + 1)]
             for n in range(n_max + 1)]

@@ -28,6 +28,7 @@ __all__ = [
     "hyper_pfq",
     "series_sum",
     "jacobi_poly",
+    "jacobi_table",
     "jacobi_poly_deriv",
     "integrate",
     "signed_log_sum",
@@ -348,15 +349,15 @@ def hyper_pfq(a_params, b_params, x, ctl: SeriesControl | None = None) -> PfqRes
 # Jacobi polynomials
 # ---------------------------------------------------------------------------
 
-def jacobi_poly(n: int, alpha: float, beta_: float, x):
-    """P_n^(alpha,beta)(x) by the three-term recurrence; x may be an ndarray."""
+def jacobi_table(n: int, alpha: float, beta_: float, x) -> np.ndarray:
+    """P_0..P_n^(alpha,beta)(x) as rows of one three-term recurrence that
+    keeps every degree; shape (n+1,) + shape of x."""
     if n < 0:
         raise DomainError(f"jacobi_poly requires n >= 0, got {n}")
     x = np.asarray(x, dtype=float)
-    p_prev = np.ones_like(x)
-    if n == 0:
-        return p_prev if p_prev.ndim else float(p_prev)
-    p = (alpha + 1.0) + (alpha + beta_ + 2.0) * (x - 1.0) / 2.0
+    rows = [np.ones_like(x)]
+    if n > 0:
+        rows.append((alpha + 1.0) + (alpha + beta_ + 2.0) * (x - 1.0) / 2.0)
     for m in range(2, n + 1):
         c1 = 2.0 * m * (m + alpha + beta_) * (2.0 * m + alpha + beta_ - 2.0)
         c2 = (2.0 * m + alpha + beta_ - 1.0) * (
@@ -364,7 +365,13 @@ def jacobi_poly(n: int, alpha: float, beta_: float, x):
             + alpha * alpha - beta_ * beta_
         )
         c3 = 2.0 * (m + alpha - 1.0) * (m + beta_ - 1.0) * (2.0 * m + alpha + beta_)
-        p, p_prev = (c2 * p - c3 * p_prev) / c1, p
+        rows.append((c2 * rows[-1] - c3 * rows[-2]) / c1)
+    return np.stack(rows)
+
+
+def jacobi_poly(n: int, alpha: float, beta_: float, x):
+    """P_n^(alpha,beta)(x), the last row of `jacobi_table`; x may be an ndarray."""
+    p = jacobi_table(n, alpha, beta_, x)[-1]
     return p if p.ndim else float(p)
 
 
@@ -422,8 +429,8 @@ def _gl_nodes(n: int):
 
 @dataclass
 class IntegralResult:
-    value: float
-    error: float
+    value: float | np.ndarray  # length-K arrays for a vector integrand
+    error: float | np.ndarray
     converged: bool
     evaluations: int = 0
 
@@ -431,38 +438,40 @@ class IntegralResult:
         return self.value
 
 
-# Most abscissae the integrand receives in one call. A refinement level with
-# more active panels is evaluated in several calls, so an integrand that never
-# converges cannot double the batch with every level.
+# Most values (abscissae times components) the integrand returns in one call.
+# A refinement level with more active panels is evaluated in several calls, so
+# an integrand that never converges cannot double the batch with every level.
 _MAX_ABSCISSAE = 1 << 14
 
 
-def _gl_panels(f, lo, hi, n, counter):
-    """n-node Gauss-Legendre estimates over the panels [lo[i], hi[i]]; f is
-    called on the nodes of many panels at once."""
+def _gl_panels(f, lo, hi, n, counter, width):
+    """n-node Gauss-Legendre estimates over the panels [lo[i], hi[i]], shaped
+    (panels,) or (K, panels) as f is; f is called on the nodes of many panels
+    at once, at most `_MAX_ABSCISSAE` values for `width` components."""
     t, w = _gl_nodes(n)
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    out = np.empty(lo.size)
-    per_call = max(1, _MAX_ABSCISSAE // n)
+    per_call = max(1, _MAX_ABSCISSAE // (n * width))
+    out = []
     for s in range(0, lo.size, per_call):
         x = mid[s:s + per_call, None] + half[s:s + per_call, None] * t
-        fx = np.asarray(f(x.ravel())).reshape(x.shape)
-        out[s:s + per_call] = half[s:s + per_call] * (fx @ w)
+        fx = np.asarray(f(x.ravel()))
+        out.append(half[s:s + per_call] * (fx.reshape(fx.shape[:-1] + x.shape) @ w))
     counter[0] += lo.size * n
-    return out
+    return np.concatenate(out, axis=-1)
 
 
-def _refine(g, lo, hi, coarse, tol, rule, counter):
+def _refine(g, lo, hi, coarse, tol, rule, counter, width):
     """Breadth-first refinement of the panels [lo[i], hi[i]] whose one-panel
-    estimates are `coarse`; returns per-panel (value, error, converged).
+    estimates are `coarse` (shape (panels,) or (K, panels)); returns
+    per-panel (value, error, converged) of that shape.
 
     Each level evaluates both halves of every active panel in one batch. A
-    panel is accepted when |fine - coarse| <= tol (its share, halved per
-    level), at `max_depth`, or when an estimate is not finite; otherwise its
-    halves become the next level's panels with the half estimates as their
-    coarse values. A split panel's value is then left + right, summed back
-    up level by level as a recursive bisection would.
+    panel splits while some component misses |fine - coarse| <= tol (its
+    share, halved per level) with finite estimates and depth < `max_depth`;
+    its halves become the next level's panels with the half estimates as
+    their coarse values. A split panel's value is then left + right, summed
+    back up level by level as a recursive bisection would.
     """
     levels = []
     depth = 0
@@ -470,22 +479,22 @@ def _refine(g, lo, hi, coarse, tol, rule, counter):
         mid = 0.5 * (lo + hi)
         lo2 = np.column_stack((lo, mid)).ravel()
         hi2 = np.column_stack((mid, hi)).ravel()
-        halves = _gl_panels(g, lo2, hi2, rule.nodes, counter)
-        fine = halves[0::2] + halves[1::2]
+        halves = _gl_panels(g, lo2, hi2, rule.nodes, counter, width)
+        fine = halves[..., 0::2] + halves[..., 1::2]
         err = np.abs(fine - coarse)
         ok = err <= tol
-        split = (~ok & np.isfinite(fine) & np.isfinite(coarse)
-                 & (depth < rule.max_depth))
+        miss = ~ok & np.isfinite(fine) & np.isfinite(coarse)
+        split = miss.reshape(-1, lo.size).any(axis=0) & (depth < rule.max_depth)
         levels.append((fine, err, ok, split))
         keep = np.repeat(split, 2)
-        lo, hi, coarse = lo2[keep], hi2[keep], halves[keep]
+        lo, hi, coarse = lo2[keep], hi2[keep], halves[..., keep]
         tol /= 2.0
         depth += 1
-    value, error, conv = np.empty(0), np.empty(0), np.empty(0, dtype=bool)
+    value, error, conv = levels.pop()[:3]  # the deepest level splits nothing
     for fine, err, ok, split in reversed(levels):
-        fine[split] = value[0::2] + value[1::2]
-        err[split] = error[0::2] + error[1::2]
-        ok[split] = conv[0::2] & conv[1::2]
+        fine[..., split] = value[..., 0::2] + value[..., 1::2]
+        err[..., split] = error[..., 0::2] + error[..., 1::2]
+        ok[..., split] = conv[..., 0::2] & conv[..., 1::2]
         value, error, conv = fine, err, ok
     return value, error, conv
 
@@ -521,25 +530,31 @@ def _power_substitution(f, a, b, gamma, side, power=None):
             return f(b - length * np.asarray(t) ** p) * length * p \
                 * np.asarray(t) ** (p - 1.0)
         x_wall = b - delta
-    tail = float(np.asarray(f(np.array([x_wall])))[0]) * delta / (gamma + 1.0)
-    return g, t_wall, tail
+    tail = np.asarray(f(np.array([x_wall])))[..., 0] * delta / (gamma + 1.0)
+    return g, t_wall, tail if tail.ndim else float(tail)
 
 
 def integrate(f, a: float, b: float, rule: QuadratureRule | None = None) -> IntegralResult:
     """Adaptive panel-refined Gauss-Legendre integral of f over (a, b).
 
-    f receives a 1-D ndarray holding the nodes of many panels at once (up to
-    `_MAX_ABSCISSAE` per call) and must act elementwise, returning an array of
-    the same length. Panels are refined breadth first: one call evaluates all
-    top panels of a piece, then one call per level the two halves of every
-    panel still above its tolerance share. Gauss nodes never touch the
-    endpoints, so integrable endpoint singularities are sampled but not
-    evaluated at the boundary; declaring them via the rule exponents
-    additionally substitutes them away. The reported error is the sum of
-    last-refinement differences (a conservative Richardson-style estimate);
-    `converged` is False when some panel hit the depth limit without meeting
-    its tolerance share or produced a non-finite estimate (such a panel stops
-    refining at once). `evaluations` counts the abscissae evaluated.
+    f receives a 1-D ndarray holding the nodes of many panels at once and
+    must act elementwise, returning an array of the same length, or of shape
+    (K, len(x)) for K integrands over the same abscissae (the top-panel call
+    decides; later calls return at most `_MAX_ABSCISSAE` values). Panels are
+    refined breadth first: one call evaluates all top panels of a piece, then
+    one call per level the two halves of every panel still above its
+    tolerance share. Each component has its scalar integral's tolerance,
+    max(abs_tol, rel_tol * |rough sum|), shared by the panels, and a panel
+    splits while any component misses its share, so each is refined at least
+    as far as it would be alone. Gauss nodes never touch the endpoints, so
+    integrable endpoint singularities are sampled but not evaluated at the
+    boundary; declaring them via the rule exponents additionally substitutes
+    them away. The reported error is the sum of last-refinement differences
+    (a conservative Richardson-style estimate), per component; `converged`
+    is one bool, False when some panel of some component hit the depth limit
+    without meeting its share or produced a non-finite estimate (such a
+    panel stops refining unless another component splits it).
+    `evaluations` counts the abscissae evaluated.
     """
     require_finite(a=a, b=b)
     if not a < b:
@@ -570,23 +585,27 @@ def integrate(f, a: float, b: float, rule: QuadratureRule | None = None) -> Inte
     # and each value is its panel's coarse estimate
     tops = []
     rough = offset
+    width = 1
     for g, lo, hi in pieces:
         step = (hi - lo) / rule.panels
         i = np.arange(rule.panels)
         edges = (lo + i * step, lo + (i + 1) * step)
-        coarse = _gl_panels(g, *edges, rule.nodes, counter)
-        for v in coarse:
-            rough += float(v)
+        coarse = _gl_panels(g, *edges, rule.nodes, counter, width)
+        width = coarse.size // rule.panels or 1
+        for v in coarse.T:
+            rough = rough + v
         tops.append((g, edges, coarse))
-    tol = max(rule.abs_tol, rule.rel_tol * abs(rough))
+    tol = np.fmax(rule.abs_tol, rule.rel_tol * np.abs(rough))
 
     total, err_total, ok = offset, 0.0, True
     n_panels = len(pieces) * rule.panels
     for g, edges, coarse in tops:
-        values, errors, conv = _refine(g, *edges, coarse, tol / n_panels,
-                                       rule, counter)
-        for v, e in zip(values, errors):
-            total += float(v)
-            err_total += float(e)
+        values, errors, conv = _refine(g, *edges, coarse, (tol / n_panels)[..., None],
+                                       rule, counter, width)
+        for v, e in zip(values.T, errors.T):
+            total = total + v
+            err_total = err_total + e
         ok = ok and bool(conv.all())
-    return IntegralResult(total, err_total, ok, counter[0])
+    if np.ndim(total):
+        return IntegralResult(total, err_total, ok, counter[0])
+    return IntegralResult(float(total), float(err_total), ok, counter[0])

@@ -415,13 +415,13 @@ def _orthonormality_error(p: pt.PTParams, n_max: int) -> float:
     rule = QuadratureRule(nodes=32, panels=6, rel_tol=1e-12, abs_tol=1e-13,
                           left_exponent=2.0 * p.kappa,
                           right_exponent=2.0 * p.kappa_prime)
-    worst = 0.0
-    for n in range(n_max + 1):
-        for m in range(n, n_max + 1):
-            val = integrate(lambda x: pt.eigenfunction(p, n, x)
-                            * pt.eigenfunction(p, m, x), 0.0, p.box, rule)
-            worst = max(worst, abs(val.value - (1.0 if n == m else 0.0)))
-    return worst
+    n, m = np.triu_indices(n_max + 1)  # the Gram matrix as one vector integral
+
+    def products(x):
+        rows = pt.eigenfunctions(p, n_max, x)
+        return rows[n] * rows[m]
+    gram = integrate(products, 0.0, p.box, rule).value
+    return float(np.max(np.abs(gram - (n == m))))
 
 
 def suite_pt(settings=None) -> SuiteReport:
@@ -454,15 +454,14 @@ def suite_pt(settings=None) -> SuiteReport:
         h = 2e-3 * p.a
         xs = np.linspace(0.08 * p.box, 0.92 * p.box, 101)
         stencil = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0])
-        worst = 0.0
-        for n in range(5):
-            acc = np.zeros_like(xs)
-            for j, c in enumerate(stencil):
-                acc += c * pt.eigenfunction(p, n, xs + (j - 3) * h)
-            d2 = acc / (180.0 * h * h)
-            resid = -d2 + pt.potential(p, xs) * pt.eigenfunction(p, n, xs) \
-                - p.energy(n) * pt.eigenfunction(p, n, xs)
-            worst = max(worst, float(np.max(np.abs(resid))))
+        acc = np.zeros((5, xs.size))
+        for j, c in enumerate(stencil):
+            acc += c * pt.eigenfunctions(p, 4, xs + (j - 3) * h)
+        d2 = acc / (180.0 * h * h)
+        psi = pt.eigenfunctions(p, 4, xs)
+        energies = np.array([[p.energy(n)] for n in range(5)])
+        resid = -d2 + pt.potential(p, xs) * psi - energies * psi
+        worst = float(np.max(np.abs(resid)))
         rep.add(f"schrodinger_residual[{tag}]", worst, 1e-6,
                 "levels 0..4 on the interior grid")
 
@@ -472,31 +471,26 @@ def suite_pt(settings=None) -> SuiteReport:
                               right_exponent=2.0 * p.kappa_prime + 1.0)
 
         # intertwining: A- maps level n+1 onto sqrt(E_{n+1}) x partner level n
-        worst = 0.0
-        for n in range(5):
-            val = integrate(
-                lambda x_: pt.partner_eigenfunction(p, n, x_)
-                * pt.apply_lowering(p, n + 1, x_),
-                0.0, p.box, rule)
-            worst = max(worst,
-                        abs(abs(val.value) / math.sqrt(p.energy(n + 1)) - 1.0))
+        val = integrate(
+            lambda x_: pt.eigenfunctions(p.partner(), 4, x_)
+            * [pt.apply_lowering(p, n + 1, x_) for n in range(5)],
+            0.0, p.box, rule)
+        worst = max(abs(abs(v) / math.sqrt(p.energy(n + 1)) - 1.0)
+                    for n, v in enumerate(val.value))
         rep.add(f"susy_intertwining[{tag}]", worst, 1e-7,
                 "|<psi_n^+, A- psi_{n+1}^->| / sqrt(E_{n+1}) = 1")
 
         # closed-form overlaps vs quadrature
-        worst = 0.0
-        n_flagged = 0
-        for n in range(7):
-            for m in range(7):
-                entry = pt.u_matrix_element(p, n, m)
-                if entry.flagged:
-                    n_flagged += 1
-                    continue
-                quad = integrate(
-                    lambda x_: pt.eigenfunction(p, n, x_)
-                    * pt.partner_eigenfunction(p, m, x_),
-                    0.0, p.box, rule)
-                worst = max(worst, abs(entry.value - quad.value))
+        entries = [e for row in pt.u_matrix(p, 6, 6) for e in row]
+        kept = [e for e in entries if not e.flagged]
+        n_flagged = len(entries) - len(kept)
+        n, m = [e.n for e in kept], [e.m for e in kept]
+        quad = integrate(
+            lambda x_: pt.eigenfunctions(p, 6, x_)[n]
+            * pt.eigenfunctions(p.partner(), 6, x_)[m],
+            0.0, p.box, rule)
+        worst = float(np.max(np.abs([e.value for e in kept] - quad.value),
+                             initial=0.0))
         rep.add(f"u_closed_vs_quadrature[{tag}]", worst, 1e-8,
                 f"n,m <= 6; {n_flagged} entries flagged for cancellation")
         rep.add(f"u00_positive[{tag}]",

@@ -362,6 +362,17 @@ class TestPTCommand:
         code, _, err = run_cli(capsys, "pt")
         assert code == EXIT_DOMAIN
 
+    @pytest.mark.parametrize("argv", [
+        ("pt", "--eigenfunction", "2", "--points", "-3"),
+        ("pt", "--points", "0", "--eigenfunction", "1"),
+        ("pt", "--u-block", "-1", "3"),
+    ])
+    def test_bad_sizes_exit_code(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert "domain error" in err
+
 
 class TestVerifyCommand:
     def test_ladder_suite_passes(self, capsys):

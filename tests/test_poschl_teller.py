@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from solvstate import DomainError, build_ladder
 from solvstate.poschl_teller import (
@@ -9,6 +11,7 @@ from solvstate.poschl_teller import (
     apply_lowering,
     eigenfunction,
     eigenfunction_deriv,
+    eigenfunctions,
     norm_constant_log,
     partner_eigenfunction,
     potential,
@@ -16,7 +19,8 @@ from solvstate.poschl_teller import (
     u_matrix,
     u_matrix_element,
 )
-from solvstate.specfun import QuadratureRule, beta, integrate
+from solvstate.specfun import (QuadratureRule, beta, integrate, jacobi_poly,
+                               jacobi_table)
 
 P_SYM = PTParams(2.0, 2.0, 1.0)
 P_ASYM = PTParams(1.2, 3.4, 1.0)
@@ -180,6 +184,48 @@ class TestEigenfunctions:
                             * apply_lowering(p, n + 1, x), 0.0, p.box, rule)
             ratio = abs(val.value) / math.sqrt(p.energy(n + 1))
             assert ratio == pytest.approx(1.0, abs=1e-7)
+
+
+class TestEigenfunctionTable:
+    @pytest.mark.parametrize("p", [P_SYM, P_ASYM, P_SYM.partner(), P_ASYM.partner()])
+    def test_rows_are_the_single_level_functions(self, p):
+        x = np.concatenate([np.linspace(0.0, p.box, 57), [0.3, 2.9]])
+        alpha, beta_ = p.kappa - 0.5, p.kappa_prime - 0.5
+        table = eigenfunctions(p, 12, x)
+        polys = jacobi_table(12, alpha, beta_, np.cos(x / p.a))
+        assert table.shape == polys.shape == (13, x.size)
+        for n in range(13):
+            assert np.array_equal(eigenfunction(p, n, x), table[n])
+            assert np.array_equal(eigenfunctions(p, n, x), table[:n + 1])
+            assert np.array_equal(jacobi_poly(n, alpha, beta_, np.cos(x / p.a)),
+                                  polys[n])
+        assert eigenfunction(p, 5, 0.7) == eigenfunctions(p, 5, 0.7)[5]
+
+    @given(kappa=hs.floats(0.6, 5.0), kappa_prime=hs.floats(0.6, 5.0))
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    def test_gram_by_one_vector_integral(self, kappa, kappa_prime):
+        p = PTParams(kappa, kappa_prime)
+        n, m = np.triu_indices(9)
+        rule = QuadratureRule(nodes=32, panels=6, rel_tol=1e-12, abs_tol=1e-13,
+                              left_exponent=2.0 * kappa,
+                              right_exponent=2.0 * kappa_prime)
+
+        def products(x):
+            rows = eigenfunctions(p, 8, x)
+            return rows[n] * rows[m]
+        res = integrate(products, 0.0, p.box, rule)
+        assert res.converged
+        assert np.max(np.abs(res.value - (n == m))) <= 1e-10
+
+    @pytest.mark.parametrize("fn", [potential, superpotential,
+                                    lambda p, x: eigenfunction(p, 0, x),
+                                    lambda p, x: eigenfunctions(p, 3, x),
+                                    lambda p, x: eigenfunction_deriv(p, 1, x),
+                                    lambda p, x: apply_lowering(p, 1, x)])
+    @pytest.mark.parametrize("x", [math.nan, [1.0, math.nan], math.inf])
+    def test_non_finite_positions_rejected(self, fn, x):
+        with pytest.raises(DomainError):
+            fn(P_SYM, x)
 
 
 class TestUMatrix:

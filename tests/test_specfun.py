@@ -453,6 +453,81 @@ class TestBreadthFirstQuadrature:
         assert res.evaluations == 24 * (4 + 2 * 4)
 
 
+def _stacked(*fs):
+    return lambda x: np.stack([f(x) for f in fs])
+
+
+# component families sharing an interval and a rule
+_VECTOR_CASES = {
+    "smooth": (_stacked(_REFERENCE_CASES["smooth"][0], lambda x: np.sin(20.0 * x) ** 2,
+                        lambda x: 1.0 / (1e-3 + (x - 0.7) ** 2), lambda x: x ** 3),
+               0.0, 2.0, QuadratureRule()),
+    "both_endpoints": (_stacked(_REFERENCE_CASES["both_endpoints"][0],
+                                lambda x: x ** -0.4 * (1.0 - x) ** 0.7,
+                                lambda x: (x ** -0.4 * (1.0 - x) ** 0.7
+                                           * np.cos(30.0 * x))),
+                       0.0, 1.0, QuadratureRule(left_exponent=-0.4, right_exponent=0.7)),
+    "left_endpoint": (_stacked(_REFERENCE_CASES["left_endpoint"][0], np.sqrt,
+                               lambda x: np.sqrt(x) / (1e-2 + (x - 2.5) ** 2)),
+                      0.0, 3.0, _REFERENCE_CASES["left_endpoint"][3]),
+}
+
+
+class TestVectorQuadrature:
+    @pytest.mark.parametrize("case", sorted(_VECTOR_CASES))
+    def test_each_component_within_its_scalar_error(self, case):
+        f, a, b, rule = _VECTOR_CASES[case]
+        counted, sizes = _counted(f)
+        res = integrate(counted, a, b, rule)
+        k = len(f(np.array([0.5])))
+        assert res.value.shape == res.error.shape == (k,)
+        assert res.converged is True
+        # each abscissa once, plus one sample per substituted tail
+        tails = sum(g is not None for g in (rule.left_exponent, rule.right_exponent))
+        assert sum(sizes) == res.evaluations + tails
+        for i in range(k):
+            scalar = integrate(lambda x: f(x)[i], a, b, rule)
+            assert scalar.converged
+            assert abs(res.value[i] - scalar.value) <= (scalar.error
+                                                        + 1e-15 * abs(scalar.value))
+            # refined at least as far as the scalar integral
+            assert res.evaluations >= scalar.evaluations
+
+    def test_one_unconverged_component_fails_the_integral(self):
+        peaked, a, b, rule = _REFERENCE_CASES["peaked_unconverged"]
+        assert not integrate(peaked, a, b, rule).converged
+        assert integrate(lambda x: 1.0 + x, a, b, rule).converged
+        res = integrate(_stacked(lambda x: 1.0 + x, peaked), a, b, rule)
+        assert res.converged is False
+        assert res.value[0] == pytest.approx(1.5, rel=1e-14)
+
+    @pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
+    def test_one_integrand_call_per_level(self, case):
+        # power-of-two multiples refine exactly as the scalar integrand does
+        f, a, b, rule = _REFERENCE_CASES[case]
+        scalar, scalar_sizes = _counted(f)
+        expected = integrate(scalar, a, b, rule)
+        counted, sizes = _counted(_stacked(f, lambda x: 2.0 * f(x),
+                                           lambda x: -0.5 * f(x)))
+        res = integrate(counted, a, b, rule)
+        assert sizes == scalar_sizes
+        assert res.evaluations == expected.evaluations
+        assert res.converged == expected.converged
+        assert list(res.value) == [expected.value, 2.0 * expected.value,
+                                   -0.5 * expected.value]
+
+    def test_values_per_call_bounded_for_a_never_converging_integrand(self):
+        rng = np.random.default_rng(7)
+        rule = QuadratureRule(nodes=24, panels=4, max_depth=8)
+        noise, sizes = _counted(lambda x: rng.standard_normal((45, np.size(x))))
+        res = integrate(noise, 0.0, 1.0, rule)
+        assert res.converged is False
+        assert res.value.shape == (45,)
+        assert res.evaluations == 24 * (4 + 2 * 4 * (2 ** 9 - 1))
+        assert 45 * max(sizes) <= specfun._MAX_ABSCISSAE
+        assert sum(sizes) == res.evaluations
+
+
 class TestSignedLogSum:
     def test_mixed_signs(self):
         vals = [3.0, -1.5, 0.25]
