@@ -132,6 +132,9 @@ def _build_state(args, spec) -> FockState:
             # a finite table is the whole space: the displacement is exact
             return displace_ground(spec, args.Z, args.alpha,
                                    tail_eps=args.tail_eps, cap=cap)
+        if cap is not None:
+            raise DomainError("--max-n does not apply to the nested-sum expansion, "
+                              "which sizes itself (48-384 levels)")
         result = st.kp_state_general(spec, args.Z, args.alpha, args.k)
         if not result.j_converged:
             raise ConvergenceError(
@@ -385,6 +388,11 @@ def cmd_pt(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import run_suite
 
+    for flag, value, takers in (("--lambda", args.lam, ("ladder", "gk", "kp", "measures")),
+                                ("--k", args.k, ("measures",))):
+        if value is not None and args.suite not in takers:
+            raise DomainError(f"{flag} applies only to --suite {'/'.join(takers)}, "
+                              f"not to --suite {args.suite}")
     kwargs = {}
     if args.lam is not None and args.suite in ("ladder", "measures"):
         kwargs["lam"] = args.lam

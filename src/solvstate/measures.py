@@ -56,7 +56,8 @@ __all__ = [
 
 @dataclass
 class WeightCandidate:
-    """A radial density h(r) proposed to solve a power-moment equation.
+    """A radial density h(r) on (0, 1) proposed to solve a power-moment
+    equation.
 
     `left_exponent` / `right_exponent` describe the algebraic behaviour of h
     at r = 0 and r = 1 (used to build quadrature rules); `analytic_log_moment`
@@ -69,7 +70,6 @@ class WeightCandidate:
     id: str
     description: str
     h: callable
-    support: tuple = (0.0, 1.0)
     left_exponent: float = 0.0
     right_exponent: float = 0.0
     scale: float = 1.0
@@ -87,7 +87,7 @@ def kp_weight_k0(lam: float, scale: float = 1.0) -> WeightCandidate:
     def h(r):
         return np.exp((lam - 1.0) * np.log1p(-r) - log_norm)
 
-    def analytic(n, power):
+    def analytic(power):
         # integral of r^power (1-r)^(lam-1) dr = B(power+1, lam)
         if power + 1.0 <= 0.0:
             return None
@@ -125,7 +125,7 @@ def kp_weight_unit_disk(lam: float, k: int, reading: str = "a_b_b",
             return np.exp((lam + 2.0 * k - 1.0) * np.log1p(-r)
                           - k * np.log(r) - log_norm)
 
-        def analytic(n, power):
+        def analytic(power):
             # integral of r^(power-k) (1-r)^(lam+2k-1) dr = B(power-k+1, lam+2k)
             if power - k + 1.0 <= 0.0:
                 return None  # divergent at r = 0
@@ -196,12 +196,11 @@ def kp_weight_unit_disk(lam: float, k: int, reading: str = "a_b_b",
     raise DomainError(f"unknown reading {reading!r}")
 
 
-def custom_weight(h, description: str = "custom", support=(0.0, 1.0),
+def custom_weight(h, description: str = "custom",
                   left_exponent: float = 0.0, right_exponent: float = 0.0,
                   analytic_log_moment=None) -> WeightCandidate:
-    return WeightCandidate("custom", description, h, support,
-                           left_exponent, right_exponent, 1.0,
-                           analytic_log_moment)
+    return WeightCandidate("custom", description, h, left_exponent,
+                           right_exponent, 1.0, analytic_log_moment)
 
 
 # ---------------------------------------------------------------------------
@@ -360,16 +359,30 @@ def mellin_gamma_check_pt(lam: float, k: int, n_max: int,
     return report
 
 
+def _power_moment(candidate: WeightCandidate, power: int):
+    """Adaptive quadrature of h(r) r^power over (0, 1), or None where the
+    integral diverges at r = 0."""
+    left = candidate.left_exponent + power
+    if left <= -1.0:
+        return None
+    right = candidate.right_exponent
+    rule = QuadratureRule(
+        nodes=24, panels=4, rel_tol=1e-12, abs_tol=1e-16,
+        left_exponent=left if left != int(left) or left < 0 else None,
+        right_exponent=right if right != int(right) or right < 0 else None)
+    return integrate(lambda r: candidate.evaluate(r) * r ** power, 0.0, 1.0, rule)
+
+
 def kp_moment_residuals(lam: float, k: int, candidate: WeightCandidate,
-                        n_max: int, rule: QuadratureRule | None = None,
-                        quad_tolerance: float = 1e-9,
+                        n_max: int, quad_tolerance: float = 1e-9,
                         match_tolerance: float = 1e-8,
                         target_log_fn=None) -> MomentReport:
     """Quadrature moments of a candidate unit-disk weight, both power
     conventions, against the published KP moment targets.
 
-    For n = 1..n_max the integrals of h(r) r^{n-1} and h(r) r^n over (0,1)
-    are computed by adaptive quadrature; each is compared against the target
+    One table holds the moments of h(r) r^p over (0,1), p = 0..n_max, each
+    integrated once; for n = 1..n_max the r^{n-1} and r^n conventions read
+    entries p = n-1 and p = n of it. Each is compared against the target
     (default: the published Gamma-ratio RHS) and, where the candidate is
     Beta-reducible, against its analytic value. `passed` asserts only
     quadrature-vs-analytic agreement (within quad_tolerance) and quadrature
@@ -382,38 +395,23 @@ def kp_moment_residuals(lam: float, k: int, candidate: WeightCandidate,
         candidate=candidate.id,
         tolerance=match_tolerance,
     )
+    moments = [_power_moment(candidate, p) for p in range(n_max + 1)]
     match_count = {n_power: 0 for n_power in ("n-1", "n")}
     for n in range(1, n_max + 1):
         for power in (n - 1, n):
             target = target_log_fn(n, power)
-            eff_left = candidate.left_exponent + power
-            if eff_left <= -1.0:
+            res = moments[power]
+            if res is None:
                 report.entries.append(MomentEntry(
                     n, power, target, None, math.inf, 0.0, None, None,
                     "divergent"))
                 continue
-            local_rule = rule or QuadratureRule(
-                nodes=24,
-                panels=4,
-                rel_tol=1e-12,
-                abs_tol=1e-16,
-                left_exponent=eff_left if eff_left != int(eff_left) or eff_left < 0 else None,
-                right_exponent=(candidate.right_exponent
-                                if candidate.right_exponent != int(candidate.right_exponent)
-                                or candidate.right_exponent < 0 else None),
-            )
-
-            def integrand(r, _p=power):
-                return candidate.evaluate(r) * r ** _p
-
-            res = integrate(integrand, candidate.support[0], candidate.support[1],
-                            local_rule)
             computed_log = math.log(res.value) if res.value > 0 else -math.inf
             rel_resid = _rel_from_logs(computed_log, target)
             analytic_log = None
             quad_vs_analytic = None
             if candidate.analytic_log_moment is not None:
-                analytic_log = candidate.analytic_log_moment(n, power)
+                analytic_log = candidate.analytic_log_moment(power)
                 if analytic_log is not None:
                     quad_vs_analytic = _rel_from_logs(computed_log, analytic_log)
                     if quad_vs_analytic > quad_tolerance or not res.converged:
@@ -485,8 +483,7 @@ def gk_measure_selfconsistency(lam: float, k: int, n_max: int,
 
 def nonnegativity_report(candidate: WeightCandidate, n_grid: int = 1000) -> dict:
     """Sample h on an interior grid and report any negative values."""
-    lo, hi = candidate.support
-    r = np.linspace(lo, hi, n_grid + 2)[1:-1]
+    r = np.linspace(0.0, 1.0, n_grid + 2)[1:-1]
     vals = np.atleast_1d(candidate.evaluate(r))
     neg = int(np.sum(vals < 0.0))
     return {

@@ -343,22 +343,17 @@ def suite_measures(lam: float = 4.0, k: int = 2) -> SuiteReport:
             "quadrature against the analytic Beta moments")
     # the published weight misses the published target by (n+lam)/(n*lam);
     # reproducing that factor is the documented-errata check
-    worst_factor = 0.0
-    for e in r0.entries:
-        if e.power == e.n - 1 and e.computed_log is not None:
-            expected = (e.n + lam) / (e.n * lam)
-            observed = math.exp(e.computed_log - e.target_log)
-            worst_factor = max(worst_factor, abs(observed / expected - 1.0))
+    worst_factor = max(
+        abs(math.exp(e.computed_log - e.target_log) / ((e.n + lam) / (e.n * lam)) - 1.0)
+        for e in r0.entries if e.power == e.n - 1)
     rep.add("k0_structural_residual_reproduced", worst_factor, 1e-8,
             "computed/target matches the predicted mismatch factor")
     rep.errata.extend(r0.errata)
 
     # the k=0 weight does solve the moment equation under the r^n power
     # convention once the constant lam is absorbed into the ansatz prefactor
-    scaled = msr.kp_moment_residuals(lam, 0, msr.kp_weight_k0(lam, scale=lam),
-                                     n_max=10)
-    worst_scaled = max(e.rel_residual for e in scaled.entries
-                       if e.power == e.n)
+    worst_scaled = max(abs(math.exp(e.computed_log - e.target_log) * lam - 1.0)
+                       for e in r0.entries if e.power == e.n)
     rep.add("k0_rescaled_rn_convention_passes", worst_scaled, 1e-8,
             "published k=0 weight x lam solves the r^n moment equation")
 
@@ -424,6 +419,12 @@ def _orthonormality_error(p: pt.PTParams, n_max: int) -> float:
     return float(np.max(np.abs(gram - (n == m))))
 
 
+def _w_prime(p: pt.PTParams, x) -> np.ndarray:
+    """W'(x) = (kappa/sin^2(x/2a) + kappa'/cos^2(x/2a)) / 4a^2."""
+    u = x / (2.0 * p.a)
+    return (p.kappa / np.sin(u) ** 2 + p.kappa_prime / np.cos(u) ** 2) / (4.0 * p.a ** 2)
+
+
 def suite_pt(settings=None) -> SuiteReport:
     from scipy.linalg import eigvalsh_tridiagonal
 
@@ -435,12 +436,9 @@ def suite_pt(settings=None) -> SuiteReport:
         tag = f"k={p.kappa},k'={p.kappa_prime}"
         x = np.linspace(0.05 * p.box, 0.95 * p.box, 211)
 
-        u = x / (2.0 * p.a)
         w = pt.superpotential(p, x)
-        w_prime = (p.kappa / np.sin(u) ** 2 + p.kappa_prime / np.cos(u) ** 2) \
-            / (4.0 * p.a ** 2)
         rep.add(f"susy_factorization[{tag}]",
-                float(np.max(np.abs(w * w - w_prime - pt.potential(p, x)))),
+                float(np.max(np.abs(w * w - _w_prime(p, x) - pt.potential(p, x)))),
                 1e-9, "W^2 - W' reproduces the potential pointwise")
 
         rep.add(f"orthonormality[{tag}]",
@@ -481,7 +479,8 @@ def suite_pt(settings=None) -> SuiteReport:
                 "|<psi_n^+, A- psi_{n+1}^->| / sqrt(E_{n+1}) = 1")
 
         # closed-form overlaps vs quadrature
-        entries = [e for row in pt.u_matrix(p, 6, 6) for e in row]
+        block = pt.u_matrix(p, 6, 6)
+        entries = [e for row in block for e in row]
         kept = [e for e in entries if not e.flagged]
         n_flagged = len(entries) - len(kept)
         n, m = [e.n for e in kept], [e.m for e in kept]
@@ -494,25 +493,18 @@ def suite_pt(settings=None) -> SuiteReport:
         rep.add(f"u_closed_vs_quadrature[{tag}]", worst, 1e-8,
                 f"n,m <= 6; {n_flagged} entries flagged for cancellation")
         rep.add(f"u00_positive[{tag}]",
-                pt.u_matrix_element(p, 0, 0).value, 0.0,
+                block[0][0].value, 0.0,
                 "<psi_0^-|psi_0^+> with positive-root normalizations",
                 larger_is_fail=False)
 
         # truncated column norms approach 1 monotonically
-        worst_violation = -1.0
-        max_defect = 0.0
-        for m in range(5):
-            defects = []
-            col = [pt.u_matrix_element(p, n, m).value for n in range(19)]
-            for cutoff in (6, 10, 14, 18):
-                s = sum(v * v for v in col[:cutoff + 1])
-                defects.append(abs(1.0 - s))
-            worst_violation = max(worst_violation,
-                                  max(defects[i + 1] - defects[i]
-                                      for i in range(len(defects) - 1)))
-            max_defect = max(max_defect, defects[-1])
-        rep.add(f"u_column_norms_monotone[{tag}]", worst_violation, 0.0,
-                f"defect at cutoff 18 at most {max_defect:.2e}")
+        columns = pt.u_matrix(p, 18, 4)
+        defects = np.array([[abs(1.0 - sum(row[m].value * row[m].value
+                                           for row in columns[:cutoff + 1]))
+                             for cutoff in (6, 10, 14, 18)] for m in range(5)])
+        rep.add(f"u_column_norms_monotone[{tag}]",
+                float(np.max(np.diff(defects, axis=1))), 0.0,
+                f"defect at cutoff 18 at most {defects[:, -1].max():.2e}")
 
     # finite-difference isospectrality on the default setting
     p = settings[0]
@@ -522,11 +514,7 @@ def suite_pt(settings=None) -> SuiteReport:
     for partner, label in ((False, "lower"), (True, "upper")):
         if partner:
             # H+ = A- A+ = -d2/dx2 + W^2 + W', isospectral to H- one level up
-            u = xs / (2.0 * p.a)
-            w = pt.superpotential(p, xs)
-            w_prime = (p.kappa / np.sin(u) ** 2
-                       + p.kappa_prime / np.cos(u) ** 2) / (4.0 * p.a ** 2)
-            vx = w * w + w_prime
+            vx = pt.superpotential(p, xs) ** 2 + _w_prime(p, xs)
             targets = [p.energy(n + 1) for n in range(4)]
         else:
             vx = pt.potential(p, xs)

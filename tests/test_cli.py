@@ -211,6 +211,20 @@ class TestStateCommand:
         assert code == EXIT_DOMAIN
         assert "level 4 requested" in err
 
+    @pytest.mark.parametrize("command", ["state", "evolve"])
+    @pytest.mark.parametrize("route", [
+        ("--spectrum", '{"kind":"harmonic"}'),
+        ("--lambda", "4", "--nested"),
+    ])
+    def test_max_n_on_nested_route_rejected(self, capsys, command, route):
+        # the nested expansion sizes itself; a cap it would not honour is an
+        # error, not a silently longer state
+        code, out, err = run_cli(capsys, command, "kp", "--Z", "0.3", *route,
+                                 "--max-n", "10")
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert "sizes itself" in err
+
     def test_paper_literal_state_differs(self, capsys):
         args = ["state", "kp", "--xi", "0.4", "--k", "1", "--lambda", "4"]
         _, out_std, _ = run_cli(capsys, *args)
@@ -404,6 +418,42 @@ class TestVerifyCommand:
         assert code == EXIT_ASSERTION
         doc = json.loads(out)
         assert doc["failures"][0]["name"] == "synthetic"
+
+    @pytest.mark.parametrize("argv", [
+        ("--suite", "pt", "--lambda", "2"),
+        ("--suite", "all", "--lambda", "2"),
+        ("--suite", "gk", "--k", "1"),
+        ("--suite", "all", "--k", "2"),
+    ])
+    def test_option_a_suite_ignores_rejected(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert f"{argv[2]} applies only to" in err
+
+    @pytest.mark.parametrize("suite, expected", [
+        ("measures", {"lam": 3.0, "k": 1}),
+        ("ladder", {"lam": 3.0}),
+        ("kp", {"lams": (3.0,)}),
+    ])
+    def test_lambda_and_k_reach_their_suite(self, capsys, monkeypatch, suite,
+                                             expected):
+        import solvstate.verify as verify_mod
+        from solvstate.verify import SuiteReport
+
+        seen = {}
+
+        def recording_suite(**kwargs):
+            seen.update(kwargs)
+            return SuiteReport(suite)
+
+        monkeypatch.setitem(verify_mod.SUITES, suite, recording_suite)
+        argv = ["verify", "--suite", suite, "--lambda", "3"]
+        if "k" in expected:
+            argv += ["--k", "1"]
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert seen == expected
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):

@@ -8,6 +8,8 @@ from scipy.special import gammainc
 
 from solvstate import PoschlTellerSpectrum
 from solvstate.measures import (
+    MomentEntry,
+    MomentReport,
     custom_weight,
     gk_measure_selfconsistency,
     gk_moment_target,
@@ -20,7 +22,7 @@ from solvstate.measures import (
     mellin_weight_moment_log,
     nonnegativity_report,
 )
-from solvstate.specfun import log_gamma, log_pochhammer
+from solvstate.specfun import QuadratureRule, integrate, log_gamma, log_pochhammer
 
 LAM = 4.0
 SPEC = PoschlTellerSpectrum(2.0, 2.0)
@@ -293,3 +295,114 @@ class TestLogReadingArrays:
         assert np.isnan(values[1:]).all()
         report = kp_moment_residuals(LAM, 2, cand, n_max=2)
         assert [e.verdict for e in report.entries] == ["indeterminate"] * 4
+
+
+def _reference_residuals(lam, k, candidate, n_max, quad_tolerance=1e-9,
+                         match_tolerance=1e-8):
+    """The per-entry loop `kp_moment_residuals` replaced: one quadrature for
+    every (n, power) entry, so each interior power is integrated twice."""
+    report = MomentReport(
+        title=f"unit-disk moment residuals (lam={lam}, k={k})",
+        candidate=candidate.id,
+        tolerance=match_tolerance,
+    )
+    match_count = {"n-1": 0, "n": 0}
+    for n in range(1, n_max + 1):
+        for power in (n - 1, n):
+            target = kp_moment_target_log(lam, k, n)
+            eff_left = candidate.left_exponent + power
+            if eff_left <= -1.0:
+                report.entries.append(MomentEntry(
+                    n, power, target, None, math.inf, 0.0, None, None,
+                    "divergent"))
+                continue
+            rule = QuadratureRule(
+                nodes=24, panels=4, rel_tol=1e-12, abs_tol=1e-16,
+                left_exponent=eff_left if eff_left != int(eff_left) or eff_left < 0 else None,
+                right_exponent=(candidate.right_exponent
+                                if candidate.right_exponent != int(candidate.right_exponent)
+                                or candidate.right_exponent < 0 else None),
+            )
+            res = integrate(lambda r, _p=power: candidate.evaluate(r) * r ** _p,
+                            0.0, 1.0, rule)
+            computed_log = math.log(res.value) if res.value > 0 else -math.inf
+            d = computed_log - target
+            rel_resid = math.inf if abs(d) > 700.0 else abs(math.expm1(d))
+            analytic_log = quad_vs_analytic = None
+            if candidate.analytic_log_moment is not None:
+                analytic_log = candidate.analytic_log_moment(power)
+                if analytic_log is not None:
+                    d = computed_log - analytic_log
+                    quad_vs_analytic = math.inf if abs(d) > 700.0 else abs(math.expm1(d))
+                    if quad_vs_analytic > quad_tolerance or not res.converged:
+                        report.passed = False
+            if not res.converged:
+                verdict = "indeterminate"
+            elif rel_resid <= match_tolerance:
+                verdict = "pass"
+                match_count["n-1" if power == n - 1 else "n"] += 1
+            else:
+                verdict = "fail"
+            report.entries.append(MomentEntry(
+                n, power, target, computed_log, rel_resid,
+                res.error, analytic_log, quad_vs_analytic, verdict))
+    for key, label in (("n-1", "r^(n-1)"), ("n", "r^n")):
+        report.notes.append(
+            f"power convention {label}: {match_count[key]}/{n_max} moments "
+            f"match the published target within {match_tolerance:g}"
+        )
+    if all(v == 0 for v in match_count.values()):
+        report.errata.append(
+            "candidate satisfies neither power convention of the published "
+            "moment equation; at k=0 the published weight differs from the "
+            "published target by the factor (n+lam)/(n*lam) -- a structural "
+            "inconsistency in the source formulas, reported here, not fixed"
+        )
+    return report
+
+
+class TestMomentTable:
+    """Each power moment of a weight is integrated once and read by both
+    power conventions, with the same report as one integral per entry."""
+
+    @pytest.mark.parametrize("lam", [1.0, 2.5, 4.0, 7.0])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_same_report_as_one_integral_per_entry(self, lam, k):
+        for k_used, cand in ((0, kp_weight_k0(lam)),
+                             (k, kp_weight_unit_disk(lam, k, "a_b_b")),
+                             (k, kp_weight_unit_disk(lam, k, "a_b_lam2k"))):
+            table = kp_moment_residuals(lam, k_used, cand, n_max=8).to_dict()
+            assert table == _reference_residuals(lam, k_used, cand, 8).to_dict()
+
+    @staticmethod
+    def _count_integrals(monkeypatch):
+        import solvstate.measures as msr
+        import solvstate.verify as verify_mod
+
+        calls = []
+        for mod in (msr, verify_mod):
+            def counted(*args, _inner=mod.integrate, **kwargs):
+                calls.append(1)
+                return _inner(*args, **kwargs)
+            monkeypatch.setattr(mod, "integrate", counted)
+        return calls
+
+    @pytest.mark.parametrize("k, build, expected", [
+        (0, lambda: kp_weight_k0(LAM), 11),             # 20 per entry
+        (2, lambda: kp_weight_unit_disk(LAM, 2), 9),    # 17; p = 0, 1 diverge
+    ])
+    def test_one_integral_per_power(self, monkeypatch, k, build, expected):
+        cand = build()
+        calls = self._count_integrals(monkeypatch)
+        kp_moment_residuals(LAM, k, cand, n_max=10)
+        assert len(calls) == expected
+
+    def test_measures_suite_integral_count(self, monkeypatch):
+        from solvstate.verify import run_suite
+
+        calls = self._count_integrals(monkeypatch)
+        (report,) = run_suite("measures")
+        assert report.passed
+        # 11 + 9 + 7 moments of the k = 0, a_b_b and a_b_lam2k weights; one
+        # integral per entry, with the lam-scaled k = 0 weight again, was 69
+        assert len(calls) == 27
