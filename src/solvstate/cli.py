@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -132,9 +133,10 @@ def _build_state(args, spec) -> FockState:
             # a finite table is the whole space: the displacement is exact
             return displace_ground(spec, args.Z, args.alpha,
                                    tail_eps=args.tail_eps, cap=cap)
-        if cap is not None:
-            raise DomainError("--max-n does not apply to the nested-sum expansion, "
-                              "which sizes itself (48-384 levels)")
+        if cap is not None or "SOLVSTATE_MAX_N" in os.environ:
+            raise DomainError("--max-n and SOLVSTATE_MAX_N do not apply to the "
+                              "nested-sum expansion, which sizes itself "
+                              "(48-384 levels)")
         result = st.kp_state_general(spec, args.Z, args.alpha, args.k)
         if not result.j_converged:
             raise ConvergenceError(
@@ -310,6 +312,8 @@ def cmd_evolve(args) -> int:
 def cmd_moments(args) -> int:
     lam = _lam(args)
     k = args.k
+    if args.n_max < 1:
+        raise DomainError(f"--n-max must be at least 1, got {args.n_max}")
     reports = []
     if args.check in ("mellin", "all"):
         reports.append(msr.mellin_gamma_check_pt(lam, k, args.n_max))
@@ -443,7 +447,9 @@ def _add_label_args(sp):
     sp.add_argument("--k", type=int, default=0, help="number of added excitations")
     sp.add_argument("--tail-eps", type=float, default=1e-12)
     sp.add_argument("--max-n", type=int, default=None,
-                    help="truncation cap (also settable via SOLVSTATE_MAX_N)")
+                    help="truncation cap (also settable via SOLVSTATE_MAX_N) of "
+                         "the series states and the displacement oracle; the "
+                         "kp --Z nested-sum route sizes itself and rejects it")
     sp.add_argument("--nested", action="store_true",
                     help="force the nested-sum construction for kp --Z "
                          "(otherwise Poschl-Teller uses the closed form, a "

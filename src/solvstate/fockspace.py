@@ -12,9 +12,10 @@ written, for every spectrum, Poschl-Teller included. `build_ladder` spreads
 it into dense a- and a+ for the identity checks (`apply` is a plain matvec
 on those); the displacement oracle never forms a matrix and acts with the
 two diagonals of its tridiagonal generator, O(N) work per Taylor term. It
-doubles the truncation until the largest mass seen on the top levels over
-all Taylor substeps is below eps^2, and runs once over the whole space of a
-finite energy table.
+makes one Taylor pass on a window of levels that doubles whenever the
+packet puts more than eps^2 on its top levels, sizes each substep by the
+generator on the window, and runs once over the whole space of a finite
+energy table.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ __all__ = ["LadderRep", "FockState", "build_ladder", "displace_ground", "apply",
 # Edge mass below which truncation moves no coefficient by more than one
 # unit roundoff of the unit-norm vector.
 _EDGE_EPS = np.finfo(float).eps ** 2
+# Taylor substeps one displacement may take.
+_MAX_STEPS = 4000
 
 
 def max_truncation(default: int = 2048) -> int:
@@ -169,82 +172,62 @@ def apply(op: np.ndarray, state: FockState) -> FockState:
     return FockState(0, w, state.alpha, state.tail_bound * max(col_gain, 1.0))
 
 
-def _taylor_displace(spec, Z, alpha, N, max_steps=4000):
-    """Truncated Taylor action of exp(Z a+ - conj(Z) a-) on |psi_0>.
+def _window(spec, Z, alpha, L):
+    """Generator Z a+ - conj(Z) a- on levels 0..L as its two off-diagonals,
+    Z conj(m_n) below and -conj(Z) m_n above (O(L) work per Taylor term), and
+    norm = 2 max|sub|, a bound on its spectral norm (|sub| == |sup|)."""
+    m = _lowering_diagonal(spec.levels(0, L + 1)[0], alpha)
+    sub = Z * np.conj(m)
+    return sub, -(np.conj(Z) * m), 2.0 * np.max(np.abs(sub), initial=0.0)
 
-    The generator is tridiagonal with zero diagonal and is kept as its two
-    off-diagonals, Z conj(m_n) below and -conj(Z) m_n above, so each Taylor
-    term is O(N) vector work. The generator is split into substeps of
-    spectral norm <= ~5 and each substep is applied as a plain Taylor series
-    on the evolving vector, so no partial sum ever grows past ~e^5 and the
-    alternating-series cancellation stays harmless (no matrix exponential,
-    no squaring). Returns (vector, rounding, edge): rounding is the norm
-    deficit |1 - |v|^2| of the anti-Hermitian action, edge the largest mass
-    on the top three levels after any substep. After each substep the
-    vector is the displaced state at a smaller |Z| (for Poschl-Teller and
-    the oscillator), so edge also sees a packet that reached the boundary
-    and was reflected back below it. Both are +inf when a series exhausted
-    its term budget, went non-finite, or the step count needed exceeds
-    max_steps.
-    """
-    m = _lowering_diagonal(spec.levels(0, N + 1)[0], alpha)
-    sub = Z * np.conj(m)          # gen[n, n-1], from Z a+
-    sup = -(np.conj(Z) * m)       # gen[n-1, n], from -conj(Z) a-
-    gen_norm = 2.0 * np.max(np.abs(sub), initial=0.0)  # |sub| == |sup| entrywise
-    steps = max(1, math.ceil(gen_norm / 5.0))
-    if steps > max_steps:
-        return np.zeros(N + 1, dtype=complex), math.inf, math.inf
-    sub /= steps
-    sup /= steps
-    v = np.zeros(N + 1, dtype=complex)
-    v[0] = 1.0
-    edge = 0.0
-    for _ in range(steps):
-        term = v
-        acc = v.copy()
-        small = 0
-        done = False
-        for j in range(1, 120):
-            nxt = np.empty_like(term)
-            np.multiply(sup, term[1:], out=nxt[:-1])
-            nxt[-1] = 0.0
-            nxt[1:] += sub * term[:-1]
-            nxt /= j
-            term = nxt
-            acc += term
-            tn = math.sqrt(np.vdot(term, term).real)
-            if not math.isfinite(tn):
-                return acc, math.inf, math.inf
-            if tn < 1e-16 * math.sqrt(np.vdot(acc, acc).real):
-                small += 1
-                if small >= 5:
-                    done = True
-                    break
-            else:
-                small = 0
-        if not done:
-            return acc, math.inf, math.inf
-        v = acc
-        edge = max(edge, float(np.sum(np.abs(v[-3:]) ** 2)))
-    return v, abs(1.0 - float(np.vdot(v, v).real)), edge
+
+def _taylor_step(v, sub, sup):
+    """exp(G) v by its plain Taylor series, G the tridiagonal with zero
+    diagonal and off-diagonals sub (below) and sup (above). With |G| <= ~5 no
+    partial sum grows past ~e^5, so the series' cancellation stays harmless."""
+    term, acc, small = v, v.copy(), 0
+    for j in range(1, 120):
+        nxt = np.empty_like(term)
+        np.multiply(sup, term[1:], out=nxt[:-1])
+        nxt[-1] = 0.0
+        nxt[1:] += sub * term[:-1]
+        nxt /= j
+        term = nxt
+        acc += term
+        tn = math.sqrt(np.vdot(term, term).real)
+        if not math.isfinite(tn):
+            break
+        if tn < 1e-16 * math.sqrt(np.vdot(acc, acc).real):
+            small += 1
+            if small >= 5:
+                return acc
+        else:
+            small = 0
+    raise ConvergenceError("displacement Taylor series went non-finite or "
+                           "missed its stop")
 
 
 def displace_ground(spec: Spectrum, Z: complex, alpha: float = 0.0,
                     N: int = 64, tail_eps: float = 1e-12,
                     cap: int | None = None) -> FockState:
-    """exp(Z a+ - conj(Z) a-) |psi_0> by direct Taylor action on the vector.
+    """exp(Z a+ - conj(Z) a-) |psi_0> by one Taylor pass along the path
+    exp(t G) |psi_0>, t from 0 to 1, on a window of levels 0..L.
 
-    The generator is anti-Hermitian, so the exact result is unit norm;
-    tail_bound is the measured norm deficit (Taylor rounding) plus the edge
-    mass (what truncation discards). N, clamped to the cap, doubles until
-    the edge mass is at most eps^2 (the boundary amplitude is then below
-    one unit roundoff, so a larger N cannot move a coefficient by more than
-    the rounding it already carries), the tail meets `tail_eps`, the edge
-    mass fails to halve, an attempt fails, or 2N exceeds the cap. The last
-    usable attempt is returned and its tail_bound tells the truth either
-    way (callers decide whether missing the budget is fatal). A finite table
-    of M levels is the whole space: one attempt at N = min(M - 1, cap),
-    whose tail is the rounding alone when the table fits.
+    L starts at N (clamped to the cap). The rest of the path, a fraction
+    `left`, is cut into ceil(norm * left / 5) substeps, norm the generator
+    bound on the current window. After a substep whose top three levels hold
+    more than eps^2, the window doubles and only that substep is redone,
+    unless 2L passes the cap, the rest of the path at 2L needs more than 4000
+    substeps, or the doubling interval dt since the last growth projects past
+    the cap (L 2^(left/dt) > 2 cap); then it never grows again. The generator
+    is anti-Hermitian, so the exact result is unit norm: tail_bound is the
+    norm deficit (Taylor rounding) plus the edge, the largest accepted top
+    mass. Each intermediate vector is the displaced state at a smaller |Z|
+    (for Poschl-Teller and the oscillator), so the edge also sees a packet
+    that reached the top and was reflected back below it. A finite table of
+    M levels is the whole space: one window of min(M - 1, cap) levels, whose
+    tail is the rounding alone when the table fits. tail_eps is checked but
+    steers nothing: callers compare tail_bound with their own budget.
     """
     Z = complex(Z)
     require_finite(Z=Z, alpha=alpha)
@@ -254,22 +237,37 @@ def displace_ground(spec: Spectrum, Z: complex, alpha: float = 0.0,
     if cap < 1:
         raise DomainError(f"truncation cap must be positive, got {cap}")
     finite = math.isfinite(spec.max_level)
-    N = min(int(spec.max_level), cap) if finite else min(max(8, N), cap)
-    v, prev_edge = None, math.inf
+    L = min(int(spec.max_level), cap) if finite else min(max(8, N), cap)
+    v = np.zeros(L + 1, dtype=complex)
+    v[0] = 1.0
+    t, edge, grow, grown = 0.0, 0.0, not finite, None  # grown: t of last growth
+    sub, sup, norm = _window(spec, Z, alpha, L)
     while True:
-        w, rounding, edge = _taylor_displace(spec, Z, alpha, N)
-        if v is not None and not math.isfinite(rounding):
+        left = 1.0 - t
+        need = norm * left / 5.0
+        if not need <= _MAX_STEPS:
+            raise ConvergenceError(f"displacement by |Z| = {abs(Z):.3g} needs more "
+                                   f"than {_MAX_STEPS} Taylor substeps")
+        steps = max(1, math.ceil(need))
+        h_sub, h_sup = sub * left / steps, sup * left / steps
+        for i in range(steps):
+            w = _taylor_step(v, h_sub, h_sup)
+            top = float(np.sum(np.abs(w[-3:]) ** 2))
+            if top > _EDGE_EPS and grow:
+                now = t + i * left / steps
+                # 1 - now <= dt log2(2 cap / L): the projection stays in reach
+                grow = 2 * L <= cap and (grown is None or 1.0 - now <= (
+                    now - grown) * math.log2(2 * cap / L))
+                wide = _window(spec, Z, alpha, 2 * L) if grow else None
+                if grow and wide[2] * (1.0 - now) / 5.0 <= _MAX_STEPS:
+                    sub, sup, norm = wide
+                    v = np.concatenate([v, np.zeros(L, dtype=complex)])
+                    L, t, grown = 2 * L, now, now
+                    break
+                grow = False
+            v, edge = w, max(edge, top)
+        else:
             break
-        v, tail = w, min(rounding + (edge if N < spec.max_level else 0.0), 1.0)
-        if (finite or edge <= _EDGE_EPS or tail <= tail_eps
-                or not edge < 0.5 * prev_edge or 2 * N > cap):
-            break
-        prev_edge = edge
-        N *= 2
-    nrm = float(np.linalg.norm(v))
-    if not math.isfinite(nrm) or nrm == 0.0:
-        raise ConvergenceError(
-            f"displacement Taylor sum produced no usable digits for "
-            f"|Z| = {abs(Z):.3g}"
-        )
-    return FockState(0, v / nrm, float(alpha), tail)
+    rounding = abs(1.0 - float(np.vdot(v, v).real))
+    tail = min(rounding + (edge if L < spec.max_level else 0.0), 1.0)
+    return FockState(0, v / np.linalg.norm(v), float(alpha), tail)

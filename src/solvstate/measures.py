@@ -331,6 +331,12 @@ def _rel_from_logs(la: float, lb: float) -> float:
 # Checks
 # ---------------------------------------------------------------------------
 
+def _require_moments(n_max: int, lowest: int) -> None:
+    """A report over moments lowest..n_max must have at least one to judge."""
+    if n_max < lowest:
+        raise DomainError(f"n_max must be at least {lowest}, got {n_max}")
+
+
 def mellin_gamma_check_pt(lam: float, k: int, n_max: int,
                           tolerance: float = 1e-12) -> MomentReport:
     """Verify, in log-Gamma arithmetic, that the Meijer-G weight's Mellin
@@ -338,6 +344,7 @@ def mellin_gamma_check_pt(lam: float, k: int, n_max: int,
     require_finite(lam=lam)
     if lam <= 0.0:
         raise DomainError(f"lam must be positive, got {lam}")
+    _require_moments(n_max, 0)
     report = MomentReport(
         title=f"Mellin-level weight check (lam={lam}, k={k})",
         candidate="gk_meijer_g[mellin-only]",
@@ -388,6 +395,7 @@ def kp_moment_residuals(lam: float, k: int, candidate: WeightCandidate,
     quadrature-vs-analytic agreement (within quad_tolerance) and quadrature
     convergence; target mismatches are tallied in notes/errata.
     """
+    _require_moments(n_max, 1)
     if target_log_fn is None:
         target_log_fn = lambda n, power: kp_moment_target_log(lam, k, n)
     report = MomentReport(
@@ -452,6 +460,7 @@ def gk_measure_selfconsistency(lam: float, k: int, n_max: int,
     is the convention offset shared by the closed-form normalization, and it
     cancels exactly here.
     """
+    _require_moments(n_max, 0)
     report = MomentReport(
         title=f"GK identity-resolution diagonal (lam={lam}, k={k})",
         candidate="gk_meijer_g[mellin-only]",

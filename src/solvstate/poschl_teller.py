@@ -198,14 +198,70 @@ class UMatrixEntry:
     flagged: bool
 
 
-def _log_binom(x: float, j: int) -> float:
-    """log of the generalized binomial coefficient C(x, j), x - j > -1."""
-    return log_gamma(x + 1.0) - log_gamma(j + 1.0) - log_gamma(x - j + 1.0)
+# defaults of u_matrix_element, which u_matrix uses for every entry
+_U_THRESHOLD = 1e-10
+_U_INDEX_CAP = 24
+
+
+def _u_tables(p: PTParams, ns, ms):
+    """Shared pieces of the u double sum for rows ns and columns ms: per row
+    the log binomials in p and the norm constant, per column those in p',
+    and a memo of log-Gamma values keyed by their exact argument, so an
+    entry reads the same floats as when summed alone."""
+    memo = {}
+
+    def lg(x):
+        if x not in memo:
+            memo[x] = log_gamma(x)
+        return memo[x]
+
+    def binoms(x, js):  # log C(x, j), x - j > -1
+        return np.array([lg(x + 1.0) - lg(j + 1.0) - lg(x - j + 1.0) for j in js])
+
+    kap, kpp, partner = p.kappa, p.kappa_prime, p.partner()
+    rows = {n: (binoms(n + kap - 0.5, range(n + 1)),
+                binoms(n + kpp - 0.5, range(n, -1, -1)),
+                norm_constant_log(p, n)) for n in ns}
+    cols = {m: (binoms(m + kap + 0.5, range(m + 1)),
+                binoms(m + kpp + 0.5, range(m, -1, -1)),
+                norm_constant_log(partner, m)) for m in ms}
+    return np.vectorize(lg, otypes=[float]), rows, cols
+
+
+def _u_entry(p: PTParams, n: int, m: int, tables,
+             cancellation_threshold: float) -> UMatrixEntry:
+    """The double sum of `u_matrix_element` from `_u_tables` pieces."""
+    lg, rows, cols = tables
+    (r1, r2, norm_n), (c1, c2, norm_m) = rows[n], cols[m]
+    kap, kpp = p.kappa, p.kappa_prime
+    q, qq = np.arange(n + 1)[:, None], np.arange(m + 1)
+    log_mags = ((r1 + r2)[:, None] + c1 + c2 + lg(n + m + kap + 1.0 - q - qq)
+                + lg(kpp + q + qq + 1.0) - lg(n + m + kap + kpp + 2.0)).ravel()
+    signs = np.where((n + m - q - qq) % 2 == 0, 1.0, -1.0).ravel()
+    log_sum, sign = signed_log_sum(log_mags, signs)
+    log_pref = math.log(p.a) - 0.5 * (norm_n + norm_m)
+    max_term = float(np.max(log_mags))
+    if log_sum == -math.inf:
+        return UMatrixEntry(n, m, 0.0, math.inf, True)
+    condition = math.exp(max_term - log_sum)
+    value = sign * math.exp(log_pref + log_sum)
+    flagged = math.exp(log_sum - max_term) < cancellation_threshold
+    return UMatrixEntry(n, m, value, condition, flagged)
+
+
+def _check_u_indices(n: int, m: int, index_cap: int) -> None:
+    if n < 0 or m < 0:
+        raise DomainError(f"indices must be nonnegative, got ({n}, {m})")
+    if n > index_cap or m > index_cap:
+        raise DomainError(
+            f"indices ({n}, {m}) exceed the cancellation cap {index_cap}; "
+            f"raise index_cap only with the quadrature cross-check in hand"
+        )
 
 
 def u_matrix_element(p: PTParams, n: int, m: int,
-                     cancellation_threshold: float = 1e-10,
-                     index_cap: int = 24) -> UMatrixEntry:
+                     cancellation_threshold: float = _U_THRESHOLD,
+                     index_cap: int = _U_INDEX_CAP) -> UMatrixEntry:
     """Basis-change element by the finite double sum over Jacobi expansions:
 
         a [c_n c'_m]^{-1/2} sum_{p,p'} (-1)^{n+m-p-p'}
@@ -216,41 +272,16 @@ def u_matrix_element(p: PTParams, n: int, m: int,
     n+m and eventually eat all significant digits, hence the index cap; each
     entry carries a condition estimate and a cancellation flag.
     """
-    if n < 0 or m < 0:
-        raise DomainError(f"indices must be nonnegative, got ({n}, {m})")
-    if n > index_cap or m > index_cap:
-        raise DomainError(
-            f"indices ({n}, {m}) exceed the cancellation cap {index_cap}; "
-            f"raise index_cap only with the quadrature cross-check in hand"
-        )
-    kap, kpp = p.kappa, p.kappa_prime
-    log_mags, signs = [], []
-    for q in range(n + 1):
-        for qq in range(m + 1):
-            lm = (_log_binom(n + kap - 0.5, q)
-                  + _log_binom(n + kpp - 0.5, n - q)
-                  + _log_binom(m + kap + 0.5, qq)
-                  + _log_binom(m + kpp + 0.5, m - qq)
-                  + log_gamma(n + m + kap + 1.0 - q - qq)
-                  + log_gamma(kpp + q + qq + 1.0)
-                  - log_gamma(n + m + kap + kpp + 2.0))
-            log_mags.append(lm)
-            signs.append(1.0 if (n + m - q - qq) % 2 == 0 else -1.0)
-    log_sum, sign = signed_log_sum(log_mags, signs)
-    log_pref = (math.log(p.a) - 0.5 * (norm_constant_log(p, n)
-                                       + norm_constant_log(p.partner(), m)))
-    max_term = max(log_mags)
-    if log_sum == -math.inf:
-        return UMatrixEntry(n, m, 0.0, math.inf, True)
-    condition = math.exp(max_term - log_sum)
-    value = sign * math.exp(log_pref + log_sum)
-    flagged = math.exp(log_sum - max_term) < cancellation_threshold
-    return UMatrixEntry(n, m, value, condition, flagged)
+    _check_u_indices(n, m, index_cap)
+    return _u_entry(p, n, m, _u_tables(p, [n], [m]), cancellation_threshold)
 
 
 def u_matrix(p: PTParams, n_max: int, m_max: int) -> list:
-    """All entries for n <= n_max, m <= m_max (row-major list of lists)."""
+    """All entries for n <= n_max, m <= m_max (row-major list of lists); the
+    log-Gamma values and binomial rows and columns are built once per block."""
     if n_max < 0 or m_max < 0:
         raise DomainError(f"block sizes must be nonnegative, got ({n_max}, {m_max})")
-    return [[u_matrix_element(p, n, m) for m in range(m_max + 1)]
+    _check_u_indices(n_max, m_max, _U_INDEX_CAP)
+    tables = _u_tables(p, range(n_max + 1), range(m_max + 1))
+    return [[_u_entry(p, n, m, tables, _U_THRESHOLD) for m in range(m_max + 1)]
             for n in range(n_max + 1)]

@@ -250,7 +250,7 @@ def suite_kp(lams=(1.0, 4.0)) -> SuiteReport:
         worst = 0.0
         for Zmag in (0.2, 0.4, 0.8, 1.5):
             Z = Zmag * np.exp(0.4j)
-            oracle = displace_ground(spec, Z, alpha=0.0, tail_eps=1e-20)
+            oracle = displace_ground(spec, Z, alpha=0.0)
             closed = st.kp_state_pt(lam, st.KPLabel(Z=Z, alpha=0.0, k=0),
                                     tail_eps=1e-24)
             worst = max(worst, coeff_distance(oracle, closed))

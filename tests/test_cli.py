@@ -225,6 +225,20 @@ class TestStateCommand:
         assert out == ""
         assert "sizes itself" in err
 
+    @pytest.mark.parametrize("command", ["state", "evolve"])
+    @pytest.mark.parametrize("route", [
+        ("--spectrum", '{"kind":"harmonic"}'),
+        ("--lambda", "4", "--nested"),
+    ])
+    def test_env_cap_on_nested_route_rejected(self, capsys, monkeypatch,
+                                              command, route):
+        # SOLVSTATE_MAX_N is the same cap as --max-n and is refused alike
+        monkeypatch.setenv("SOLVSTATE_MAX_N", "10")
+        code, out, err = run_cli(capsys, command, "kp", "--Z", "0.3", *route)
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert "sizes itself" in err
+
     def test_paper_literal_state_differs(self, capsys):
         args = ["state", "kp", "--xi", "0.4", "--k", "1", "--lambda", "4"]
         _, out_std, _ = run_cli(capsys, *args)
@@ -344,6 +358,18 @@ class TestMomentsCommand:
         n_plain = len(json.loads(out_plain)["reports"])
         n_lit = len(json.loads(out_lit)["reports"])
         assert n_lit == n_plain + 1
+
+    @pytest.mark.parametrize("check, n_max", [
+        ("mellin", "-3"), ("mellin", "0"), ("kp-weights", "0"),
+        ("gk-diag", "0"), ("all", "-1"),
+    ])
+    def test_n_max_below_one_rejected(self, capsys, check, n_max):
+        # an empty moment table must not read as passed or back an errata
+        code, out, err = run_cli(capsys, "moments", "--check", check,
+                                 "--lambda", "4", "--n-max", n_max)
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert "--n-max" in err
 
     def test_text_format(self, capsys):
         code, out, _ = run_cli(capsys, "moments", "--check", "gk-diag",

@@ -9,6 +9,7 @@ from scipy.special import gammaln
 
 import solvstate.fockspace as fockspace
 from solvstate import (
+    ConvergenceError,
     CustomSpectrum,
     DomainError,
     FockState,
@@ -116,16 +117,16 @@ class TestApply:
 
 
 @pytest.fixture
-def attempts(monkeypatch):
-    """Truncation sizes N of the oracle's Taylor attempts, in order."""
+def windows(monkeypatch):
+    """Top levels L of the windows 0..L the oracle builds, in order."""
     sizes = []
-    taylor = fockspace._taylor_displace
+    window = fockspace._window
 
-    def counted(spec, Z, alpha, N):
-        sizes.append(N)
-        return taylor(spec, Z, alpha, N)
+    def recorded(spec, Z, alpha, L):
+        sizes.append(L)
+        return window(spec, Z, alpha, L)
 
-    monkeypatch.setattr(fockspace, "_taylor_displace", counted)
+    monkeypatch.setattr(fockspace, "_window", recorded)
     return sizes
 
 
@@ -181,6 +182,11 @@ class TestDisplaceGround:
         assert state.tail_bound > 1e-6
         assert np.all(np.isfinite(state.coefficients))
 
+    def test_too_many_substeps_on_the_first_window_raises(self):
+        # |Z| = 3000 needs 2|Z| max|m_n| / 5 = 79,000 substeps on 64 levels
+        with pytest.raises(ConvergenceError, match="substeps"):
+            displace_ground(PoschlTellerSpectrum(2.0, 2.0), 3000.0)
+
     @pytest.mark.parametrize("Z, alpha", [
         (float("nan"), 0.0),
         (float("inf"), 0.0),
@@ -204,7 +210,7 @@ class TestDisplaceGround:
     @pytest.mark.parametrize("modulus", [0.4, 1.5])
     @pytest.mark.parametrize("alpha", [0.0, 0.3])
     def test_single_attempt_matches_dense_expm(self, spec, modulus, alpha):
-        # cap = N allows exactly one attempt; the reference is the exact
+        # cap = N allows exactly one window; the reference is the exact
         # exponential of the same truncated generator, built from the dense
         # ladder, so signs and alpha phases of both representations must agree
         Z = modulus * cmath.exp(0.4j)
@@ -216,47 +222,74 @@ class TestDisplaceGround:
         assert np.max(np.abs(state.coefficients - column)) < 1e-13
 
     def test_edge_stop_returns_the_resolved_attempt(self):
-        # here the N = 64 attempt has the smaller total tail (4.4e-16
-        # against 1.6e-15) but leaves 3.3e-16 of edge mass, which puts it
-        # 4.1e-9 away from the closed form
+        # here 64 levels give the smaller total tail (4.4e-16 against
+        # 1.6e-15) but leave 3.3e-16 of edge mass, which puts them 4.1e-9
+        # away from the closed form; the default budget of 1e-12 would
+        # have stopped there
         lam = 7.441164250409111
         Z = -0.7713569300410675 - 0.07147881150367547j
-        oracle = displace_ground(PoschlTellerSpectrum(lam / 2, lam / 2), Z,
-                                 tail_eps=1e-20)
+        oracle = displace_ground(PoschlTellerSpectrum(lam / 2, lam / 2), Z)
         closed = kp_state_pt(lam, KPLabel(Z=Z, alpha=0.0, k=0), tail_eps=1e-24)
         assert coeff_distance(oracle, closed) <= 1e-11
 
     def test_reflected_packet_is_not_converged(self):
-        # |Z| = 6 has a mean level near 2e5: any affordable truncation
-        # reflects the packet off the top level, which the edge after the
+        # |Z| = 6 has a mean level near 2e5: the window fills at 64 and again
+        # at 128 so soon after that the doubling rate projects past the cap,
+        # and the packet reflects off the top level, which the edge after the
         # last substep alone would miss
         spec = PoschlTellerSpectrum(2.0, 2.0)
         state = displace_ground(spec, 6.0 * cmath.exp(0.4j))
+        assert state.size == 129
         assert not state.tail_bound <= 1e-12
         assert np.all(np.isfinite(state.coefficients))
 
+    def test_slow_halving_edge_keeps_growing(self):
+        # doubling N whole stopped here at 129 levels with tail 5.4e-2: an
+        # overfilled window's top mass scales like 1/N, so the edge went
+        # 1.1e-1 -> 5.4e-2 and "fails to halve" fired. The growing window
+        # reaches the cap instead. The exact amplitude at level 2048 is
+        # 1.0e-10, so no 2049-level vector comes closer than that.
+        lam, Z = 4.0, 2.5 * cmath.exp(0.4j)
+        state = displace_ground(PoschlTellerSpectrum(lam / 2, lam / 2), Z)
+        closed = kp_state_pt(lam, KPLabel(Z=Z, alpha=0.0, k=0), tail_eps=1e-24)
+        assert state.size == 2049
+        assert state.tail_bound <= 1e-12
+        assert coeff_distance(state, closed) <= 1e-9
+
     @pytest.mark.parametrize("modulus, sizes", [(1.5, [64, 128, 256, 512]),
                                                 (0.2, [64])])
-    def test_doubling_attempts(self, attempts, modulus, sizes):
+    def test_doubling_attempts(self, windows, modulus, sizes):
         state = displace_ground(PoschlTellerSpectrum(0.5, 0.5),
-                                modulus * cmath.exp(0.4j), tail_eps=1e-20)
-        assert attempts == sizes
+                                modulus * cmath.exp(0.4j))
+        assert windows == sizes
         assert state.size == sizes[-1] + 1
+
+    @pytest.mark.parametrize("lam", [1.0, 4.0])
+    def test_substeps_follow_the_window(self, monkeypatch, lam):
+        # sized by the top level of the whole N = 512 truncation, the
+        # |Z| = 1.5 path took about 300 substeps at N = 512 alone
+        steps = []
+        taylor = fockspace._taylor_step
+        monkeypatch.setattr(fockspace, "_taylor_step",
+                            lambda *a: steps.append(1) or taylor(*a))
+        displace_ground(PoschlTellerSpectrum(lam / 2, lam / 2),
+                        1.5 * cmath.exp(0.4j))
+        assert len(steps) <= 130
 
     @pytest.mark.parametrize("energies", [
         [0.0, 1.0, 2.5, 4.5],
         [0.0, 0.7, 1.5, 2.6, 3.4, 4.9, 6.1, 7.0, 8.8, 10.2, 11.5, 13.9],
     ], ids=["M4", "M12"])
     @pytest.mark.parametrize("modulus", [0.3, 1.5])
-    def test_finite_table_is_exact_in_one_attempt(self, attempts, energies,
+    def test_finite_table_is_exact_in_one_attempt(self, windows, energies,
                                                   modulus):
-        # a table of M levels is the whole space: no truncation, no doubling
+        # a table of M levels is the whole space: no truncation, no growth
         spec = CustomSpectrum(energies=energies)
         Z, alpha = modulus * cmath.exp(0.4j), 0.3
         state = displace_ground(spec, Z, alpha)
         lad = build_ladder(spec, alpha, len(energies) - 1)
         column = expm(Z * lad.a_plus - np.conj(Z) * lad.a_minus)[:, 0]
-        assert attempts == [len(energies) - 1]
+        assert windows == [len(energies) - 1]
         assert state.tail_bound <= 1e-15
         assert np.max(np.abs(state.coefficients - column)) <= 1e-14
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import gammainc
 
-from solvstate import PoschlTellerSpectrum
+from solvstate import DomainError, PoschlTellerSpectrum
 from solvstate.measures import (
     MomentEntry,
     MomentReport,
@@ -396,6 +396,17 @@ class TestMomentTable:
         calls = self._count_integrals(monkeypatch)
         kp_moment_residuals(LAM, k, cand, n_max=10)
         assert len(calls) == expected
+
+    @pytest.mark.parametrize("report, n_max", [
+        (lambda n: mellin_gamma_check_pt(LAM, 2, n), -1),
+        (lambda n: gk_measure_selfconsistency(LAM, 2, n), -1),
+        (lambda n: kp_moment_residuals(LAM, 0, kp_weight_k0(LAM), n), 0),
+    ], ids=["mellin", "gk_diag", "kp_residuals"])
+    def test_empty_table_rejected(self, report, n_max):
+        # no moment to judge: neither a pass nor an errata claim
+        with pytest.raises(DomainError, match="n_max"):
+            report(n_max)
+        assert report(n_max + 1).entries
 
     def test_measures_suite_integral_count(self, monkeypatch):
         from solvstate.verify import run_suite

@@ -122,13 +122,14 @@ def test_kp_evolve_is_alpha_shift(lam, k, xi, alpha, t):
 
 
 # a stop on the total tail instead of the edge mass misses near |Z| = 0.8
-# and large lambda (about 2 % of uniform draws); 200 examples reach them
+# and large lambda (about 2 % of uniform draws); 200 examples reach them.
+# Up to |Z| = 1.5 the window grows to 512 levels.
 @settings(SETTINGS, max_examples=200)
-@given(hs.floats(0.3, 8.0), hs.floats(0.0, 0.8, exclude_min=True), phases)
+@given(hs.floats(0.3, 8.0), hs.floats(0.0, 1.5, exclude_min=True), phases)
 def test_displacement_oracle_matches_closed_form(lam, modulus, phase):
-    # the suites' own budgets: oracle at 1e-20, closed form at 1e-24
+    # the closed form at the suites' budget of 1e-24
     Z = cmath.rect(modulus, phase)
-    oracle = displace_ground(_spectrum(lam), Z, tail_eps=1e-20)
+    oracle = displace_ground(_spectrum(lam), Z)
     closed = kp_state_pt(lam, KPLabel(Z=Z, alpha=0.0, k=0), tail_eps=1e-24)
     assert coeff_distance(oracle, closed) <= 1e-10
 
