@@ -116,27 +116,21 @@ def _build_state(args, spec) -> FockState:
             raise DomainError("gk state needs --z")
         label = st.GKLabel(args.z, args.alpha, args.k)
         return st.gk_state(spec, label, tail_eps=args.tail_eps, cap=cap)
-    # kp family
-    if args.xi is not None:
-        lam = _lam_of(spec)
-        label = st.KPLabel(xi=args.xi, alpha=args.alpha, k=args.k)
-        exponent = "two_lambda" if args.paper_literal else "lambda"
-        return st.kp_state_pt(lam, label, tail_eps=args.tail_eps, cap=cap,
-                              exponent=exponent)
+    # kp family: the unit-disk closed form for --xi, and for --Z on Poschl-Teller
+    if args.xi is not None or (args.Z is not None and not args.nested
+                               and isinstance(spec, PoschlTellerSpectrum)):
+        label = (st.KPLabel(xi=args.xi, alpha=args.alpha, k=args.k) if args.xi is not None
+                 else st.KPLabel(Z=args.Z, alpha=args.alpha, k=args.k))
+        return st.kp_state_pt(_lam_of(spec), label, tail_eps=args.tail_eps, cap=cap,
+                              exponent="two_lambda" if args.paper_literal else "lambda")
     if args.Z is not None:
-        if isinstance(spec, PoschlTellerSpectrum) and not args.nested:
-            label = st.KPLabel(Z=args.Z, alpha=args.alpha, k=args.k)
-            exponent = "two_lambda" if args.paper_literal else "lambda"
-            return st.kp_state_pt(spec.lam, label, tail_eps=args.tail_eps,
-                                  cap=cap, exponent=exponent)
         if args.k == 0 and not args.nested and math.isfinite(spec.max_level):
             # a finite table is the whole space: the displacement is exact
             return displace_ground(spec, args.Z, args.alpha,
                                    tail_eps=args.tail_eps, cap=cap)
-        if cap is not None or "SOLVSTATE_MAX_N" in os.environ:
-            raise DomainError("--max-n and SOLVSTATE_MAX_N do not apply to the "
-                              "nested-sum expansion, which sizes itself "
-                              "(48-384 levels)")
+        if cap is not None:
+            raise DomainError("--max-n does not apply to the nested-sum "
+                              "expansion, which sizes itself (48-384 levels)")
         result = st.kp_state_general(spec, args.Z, args.alpha, args.k)
         if not result.j_converged:
             raise ConvergenceError(
@@ -210,8 +204,12 @@ def cmd_overlap(args) -> int:
         l2 = st.GKLabel(args.z2, args.alpha2, args.k)
         series = st.gk_overlap(spec, l1, l2)
         closed = None
+        note = "closed form available only for equal-alpha Poschl-Teller labels"
         if isinstance(spec, PoschlTellerSpectrum) and args.alpha1 == args.alpha2:
-            closed = st.gk_overlap_compact(spec, l1, l2)
+            try:
+                closed = st.gk_overlap_compact(spec, l1, l2)
+            except ConvergenceError as exc:
+                note = f"closed form omitted: {exc}"
     else:
         if args.xi1 is None or args.xi2 is None:
             raise DomainError("kp overlap needs --xi1 and --xi2")
@@ -232,8 +230,7 @@ def cmd_overlap(args) -> int:
         payload["difference"] = abs(series - closed)
     else:
         payload["closed_form"] = None
-        payload["note"] = "closed form available only for equal-alpha " \
-                          "Poschl-Teller labels"
+        payload["note"] = note
 
     def as_text(p):
         lines = [f"series      : {_sig(p['series']['re'], 6)} "
@@ -447,8 +444,8 @@ def _add_label_args(sp):
     sp.add_argument("--k", type=int, default=0, help="number of added excitations")
     sp.add_argument("--tail-eps", type=float, default=1e-12)
     sp.add_argument("--max-n", type=int, default=None,
-                    help="truncation cap (also settable via SOLVSTATE_MAX_N) of "
-                         "the series states and the displacement oracle; the "
+                    help="truncation cap of the series states and the "
+                         "displacement oracle (default 2048, at least 1); the "
                          "kp --Z nested-sum route sizes itself and rejects it")
     sp.add_argument("--nested", action="store_true",
                     help="force the nested-sum construction for kp --Z "
@@ -539,6 +536,9 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
+    except BrokenPipeError:  # `| head`: drop the rest so the exit flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
 
 
 if __name__ == "__main__":

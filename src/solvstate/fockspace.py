@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,25 +29,26 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, require_finite
 from .spectrum import Spectrum
 
-__all__ = ["LadderRep", "FockState", "build_ladder", "displace_ground", "apply",
-           "max_truncation"]
+__all__ = ["LadderRep", "FockState", "build_ladder", "displace_ground", "apply"]
 
 # Edge mass below which truncation moves no coefficient by more than one
 # unit roundoff of the unit-norm vector.
 _EDGE_EPS = np.finfo(float).eps ** 2
 # Taylor substeps one displacement may take.
 _MAX_STEPS = 4000
+# Top level L of the displacement oracle's first window on an infinite spectrum.
+_WINDOW = 64
+_MAX_N = 2048
 
 
-def max_truncation(default: int = 2048) -> int:
-    """Truncation cap, overridable through SOLVSTATE_MAX_N."""
-    raw = os.environ.get("SOLVSTATE_MAX_N")
-    if raw is None:
-        return default
-    try:
-        return max(4, int(raw))
-    except ValueError:
-        raise DomainError(f"SOLVSTATE_MAX_N must be an integer, got {raw!r}")
+def _truncation(tail_eps: float, cap: int | None) -> int:
+    """The cap of a build under budget tail_eps, _MAX_N when None; a budget
+    that is not a nonnegative number or a cap below 1 is a DomainError."""
+    if not tail_eps >= 0.0:
+        raise DomainError(f"tail_eps must be a nonnegative number, got {tail_eps}")
+    if cap is not None and cap < 1:
+        raise DomainError(f"truncation cap must be positive, got {cap}")
+    return _MAX_N if cap is None else cap
 
 
 @dataclass(frozen=True)
@@ -65,9 +65,10 @@ class LadderRep:
 class FockState:
     """Coefficient vector over the shifted basis {|psi_{n+offset}>}.
 
-    coefficients[n] multiplies |psi_{n+offset}>. tail_bound estimates the
-    squared-norm mass that truncation discarded beyond the last coefficient;
-    a state built under a tail budget eps is "converged" iff
+    coefficients[n] multiplies |psi_{n+offset}>. tail_bound is the squared
+    mass truncation discarded past the last coefficient, relative to the mass
+    kept: a bound for the series states (see `states`), an edge estimate for
+    the oracle and the nested sums; "converged" under budget eps means
     tail_bound <= eps.
     """
 
@@ -208,12 +209,11 @@ def _taylor_step(v, sub, sup):
 
 
 def displace_ground(spec: Spectrum, Z: complex, alpha: float = 0.0,
-                    N: int = 64, tail_eps: float = 1e-12,
-                    cap: int | None = None) -> FockState:
+                    tail_eps: float = 1e-12, cap: int | None = None) -> FockState:
     """exp(Z a+ - conj(Z) a-) |psi_0> by one Taylor pass along the path
     exp(t G) |psi_0>, t from 0 to 1, on a window of levels 0..L.
 
-    L starts at N (clamped to the cap). The rest of the path, a fraction
+    L starts at 64 (clamped to the cap). The rest of the path, a fraction
     `left`, is cut into ceil(norm * left / 5) substeps, norm the generator
     bound on the current window. After a substep whose top three levels hold
     more than eps^2, the window doubles and only that substep is redone,
@@ -231,13 +231,9 @@ def displace_ground(spec: Spectrum, Z: complex, alpha: float = 0.0,
     """
     Z = complex(Z)
     require_finite(Z=Z, alpha=alpha)
-    if not tail_eps >= 0.0:
-        raise DomainError(f"tail_eps must be a nonnegative number, got {tail_eps}")
-    cap = cap or max_truncation()
-    if cap < 1:
-        raise DomainError(f"truncation cap must be positive, got {cap}")
+    cap = _truncation(tail_eps, cap)
     finite = math.isfinite(spec.max_level)
-    L = min(int(spec.max_level), cap) if finite else min(max(8, N), cap)
+    L = min(int(spec.max_level), cap) if finite else min(_WINDOW, cap)
     v = np.zeros(L + 1, dtype=complex)
     v[0] = 1.0
     t, edge, grow, grown = 0.0, 0.0, not finite, None  # grown: t of last growth

@@ -302,13 +302,13 @@ def hyper_pfq(a_params, b_params, x, ctl: SeriesControl | None = None) -> PfqRes
     Summed by `series_sum`: log w(n) = sum log|(a_i)_n| - sum log|(b_j)_n| -
     log n! from the exact term ratio, with a sign for negative parameters, so
     parameters like (n+k)! cannot overflow the accumulation. At most
-    ctl.max_terms + 1 terms. A terminating series (some a_i a nonpositive
-    integer) and x = 0 are summed exactly with achieved_tol 0; otherwise
-    achieved_tol is the larger of |last term| / |sum| and eps * max|term| /
-    |sum| (cancellation), and a sum with eps * max|term| > ctl.rel_tol * |sum|
-    is not converged. For an ndarray x each point stops as its scalar call
-    would; value, log_abs, phase and achieved_tol are arrays shaped like x,
-    terms_used the total and converged true only if every point converged.
+    ctl.max_terms + 1 terms. achieved_tol is eps * max|term| / |sum|
+    (cancellation), or |last term| / |sum| if larger and the series is
+    infinite; 0 for one term (x = 0). A sum with eps * max|term| >
+    ctl.rel_tol * |sum| is not converged, terminating or not. For an ndarray
+    x each point stops as its scalar call would; value, log_abs, phase and
+    achieved_tol are arrays shaped like x, terms_used the total and
+    converged true only if every point converged.
     """
     ctl = ctl or DEFAULT_SERIES_CONTROL
     a = [float(v) for v in a_params]
@@ -332,10 +332,10 @@ def hyper_pfq(a_params, b_params, x, ctl: SeriesControl | None = None) -> PfqRes
     last = min((-ai for ai in a if ai <= 0.0 and ai == int(ai)), default=math.inf)
     s = series_sum(_pfq_block(a, b), xs.ravel(), ctl, ctl.max_terms + 1, last)
     size, log_abs, phase = s.polar()
-    loss = _EPS * s.peak
+    loss = np.where(s.end > 0, _EPS * s.peak, 0.0)  # one term has no rounding
     with np.errstate(divide="ignore", invalid="ignore"):
-        achieved = np.where(s.exact, 0.0, np.maximum(s.last, loss) / size)
-    ok = s.exact | (s.stopped & (loss <= ctl.rel_tol * size))
+        achieved = np.maximum(np.where(s.exact, 0.0, s.last), loss) / size
+    ok = (s.stopped | s.exact) & (loss <= ctl.rel_tol * size)
     value = s.total * np.exp(s.top)
     if xs.ndim == 0:
         return PfqResult(complex(value[0]), float(log_abs[0]), complex(phase[0]),

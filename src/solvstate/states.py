@@ -14,10 +14,14 @@ w(n) = 1/E_k(n) (GK) or (n+k)! Gamma(n+k+lam+1) / (n!^2 Gamma(lam+1)) (KP),
 held by a private family record. One loop builds every state from x^n
 sqrt(w(n)) and energy phases; one loop sums the squared norm (x = |z|^2) and
 the overlap kernel (x = conj(z1) z2, phases e^{-i (alpha2 - alpha1) E_{n+k}}).
-A state stops on a geometric bound of its remaining mass, trusted once the
-squared coefficient ratio is below 0.9 for GK, whose ratios fall to 0 on
-unbounded spectra, or 0.95 for KP, whose ratios only fall to |xi|^2: the
-looser gate lets states near the disk edge stop before the cap.
+A state stops at its cap (2048 unless given) or once term_n r_n / (1 - r_n),
+r_n < 1 the squared coefficient ratio, meets its budget relative to the
+partial sum. That bounds the rest wherever the ratios do not increase
+(Johansson, ACM TOMS 45(3), 2019): for KP, |xi|^2 (1 + k/(n+1)) (1 +
+(k+lam_w)/(n+1)), and for GK, |z|^2 E_{n+k+1} / E_{n+1}^2, at k = 0 on any
+increasing spectrum and at every k on the Poschl-Teller and harmonic ones.
+Finite tables are summed exactly; on a rule-based CustomSpectrum at k >= 1
+the tail is an estimate.
 
 States are always normalized by the directly summed coefficient series; the
 hypergeometric closed forms are treated as cross-checks, never as the source
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, require_finite
-from .fockspace import FockState, max_truncation
+from .fockspace import FockState, _truncation
 from .spectrum import PoschlTellerSpectrum, Spectrum
 from .specfun import (
     DEFAULT_SERIES_CONTROL,
@@ -118,13 +122,11 @@ class KPLabel:
 @dataclass(frozen=True)
 class _Family:
     """terms(lo, hi) gives (log w(n), E_{n+k}) for n = lo..hi-1; last is the
-    last index n of a finite table (else +inf); ratio_bound gates the tail
-    estimate (see the module docstring)."""
+    last index n of a finite table (else +inf)."""
 
     k: int
     terms: callable
     last: float
-    ratio_bound: float
 
 
 def _lgamma(x: np.ndarray) -> np.ndarray:
@@ -138,7 +140,7 @@ def _gk_family(spec: Spectrum, k: int) -> _Family:
         energies, log_e0 = spec.levels(lo, hi + k)
         return log_e0[k:] - 2.0 * log_e0[:hi - lo], energies[k:]
 
-    return _Family(k, terms, spec.max_level - k, 0.9)
+    return _Family(k, terms, spec.max_level - k)
 
 
 def _kp_family(lam: float, k: int, lam_w: float) -> _Family:
@@ -156,17 +158,15 @@ def _kp_family(lam: float, k: int, lam_w: float) -> _Family:
                  - 2.0 * log_fact[:hi - lo] - log_norm)
         return log_w, (n + k) * (n + k + lam)
 
-    return _Family(k, terms, math.inf, 0.95)
+    return _Family(k, terms, math.inf)
 
 
 def _state(fam: _Family, x: complex, alpha: float, tail_eps: float,
            cap: int | None) -> FockState:
     """sum_n x^n sqrt(w(n)) e^{-i alpha E_{n+k}} |psi_{n+k}>, normalized and
-    grown until the tail estimate meets tail_eps, a finite table ends, or
-    the cap is reached."""
-    if not tail_eps >= 0.0:
-        raise DomainError(f"tail_eps must be a nonnegative number, got {tail_eps}")
-    cap = cap or max_truncation()
+    grown until the tail bound meets tail_eps, a finite table ends, or the
+    cap is reached."""
+    cap = _truncation(tail_eps, cap)
     if x == 0:
         return FockState(fam.k, np.array([1.0 + 0.0j]), alpha, 0.0)
     log_r = math.log(abs(x))
@@ -189,7 +189,7 @@ def _state(fam: _Family, x: complex, alpha: float, tail_eps: float,
             total += math.exp(2.0 * (ln - shift))
         if n >= 4:
             ratio = math.exp(2.0 * (ln - logs[n - 1]))
-            if ratio < fam.ratio_bound:  # geometric bound on the rest
+            if ratio < 1.0:  # geometric bound on the rest
                 tail_rel = math.exp(2.0 * (ln - shift)) * ratio / (1.0 - ratio) / total
                 if tail_rel <= tail_eps:
                     break
@@ -267,9 +267,9 @@ def gk_state(spec: Spectrum, label: GKLabel, tail_eps: float = 1e-12,
 
     Coefficients c_n on |psi_{n+k}> are z^n e^{-i alpha E_{n+k}} /
     sqrt(E_k(n)), normalized by the summed series. The truncation order grows
-    until the geometric tail estimate of the squared coefficients drops
-    below tail_eps (capped; the returned tail_bound tells the truth either
-    way).
+    until the tail bound (module docstring) drops below tail_eps or to the
+    cap (2048 when None, a DomainError below 1); tail_bound tells the truth
+    either way.
     """
     _check_gk_radius(spec, label)
     return _state(_gk_family(spec, label.k), label.z, label.alpha, tail_eps, cap)
@@ -331,12 +331,15 @@ def gk_overlap_compact(spec: PoschlTellerSpectrum, label1: GKLabel,
                        label2: GKLabel) -> complex:
     """Equal-alpha `gk_overlap` on the Poschl-Teller spectrum from the compact
     kernel Gamma(k+1) (lam+1)_k 2F3(k+1, lam+k+1; 1, lam+1, lam+1; conj(z1) z2)
-    over the two series normalizations, as a cross-check."""
+    over the two series normalizations, as a cross-check; an unconverged 2F3
+    raises ConvergenceError."""
     if label1.k != label2.k or label1.alpha != label2.alpha:
         raise DomainError("the compact kernel needs a shared k and equal alpha")
     lam, k = spec.lam, label1.k
     f = hyper_pfq([k + 1.0, lam + k + 1.0], [1.0, lam + 1.0, lam + 1.0],
                   np.conj(label1.z) * label2.z)
+    if not f.converged:
+        raise ConvergenceError("2F3 compact kernel did not converge", partial=f.log_abs)
     log_num = log_gamma(k + 1.0) + log_pochhammer(lam + 1.0, k)
     la1 = gk_norm_constant(spec, abs(label1.z) ** 2, k)
     la2 = gk_norm_constant(spec, abs(label2.z) ** 2, k)

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import solvstate
 from solvstate import DomainError, FockState
 from solvstate.cli import (
     EXIT_ASSERTION,
@@ -225,19 +230,26 @@ class TestStateCommand:
         assert out == ""
         assert "sizes itself" in err
 
-    @pytest.mark.parametrize("command", ["state", "evolve"])
-    @pytest.mark.parametrize("route", [
-        ("--spectrum", '{"kind":"harmonic"}'),
-        ("--lambda", "4", "--nested"),
-    ])
-    def test_env_cap_on_nested_route_rejected(self, capsys, monkeypatch,
-                                              command, route):
-        # SOLVSTATE_MAX_N is the same cap as --max-n and is refused alike
-        monkeypatch.setenv("SOLVSTATE_MAX_N", "10")
-        code, out, err = run_cli(capsys, command, "kp", "--Z", "0.3", *route)
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    @pytest.mark.parametrize("argv", [
+        ("gk", "--z", "0.5"),
+        ("kp", "--xi", "0.5"),
+        ("kp", "--Z", "0.3", "--spectrum", FINITE_TABLE),
+    ], ids=["gk", "kp_disk", "kp_oracle"])
+    def test_cap_below_one_exit_code(self, capsys, argv, cap):
+        # 0 is not "the default" and -5 is not a one-level state
+        code, out, err = run_cli(capsys, "state", *argv, "--max-n", cap)
         assert code == EXIT_DOMAIN
         assert out == ""
-        assert "sizes itself" in err
+        assert "cap must be positive" in err
+
+    def test_disk_edge_state_meets_its_budget(self, capsys):
+        code, out, _ = run_cli(capsys, "state", "kp", "--xi", "0.99",
+                               "--lambda", "4")
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert len(doc["state"]["coefficients"]) < 2048
+        assert doc["summary"]["tail_bound"] <= 1e-12
 
     def test_paper_literal_state_differs(self, capsys):
         args = ["state", "kp", "--xi", "0.4", "--k", "1", "--lambda", "4"]
@@ -247,13 +259,6 @@ class TestStateCommand:
         c_lit = json.loads(out_lit)["state"]["coefficients"]
         assert c_std != c_lit
 
-    def test_truncation_cap_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("SOLVSTATE_MAX_N", "12")
-        code, out, _ = run_cli(capsys, "state", "gk", "--z", "1.5",
-                               "--lambda", "1", "--tail-eps", "1e-30")
-        assert code == EXIT_OK
-        doc = json.loads(out)
-        assert len(doc["state"]["coefficients"]) <= 12
 
 
 class TestOverlapCommand:
@@ -279,6 +284,18 @@ class TestOverlapCommand:
         doc = json.loads(out)
         assert doc["closed_form"] is not None
         assert doc["difference"] < 1e-10
+
+    @pytest.mark.parametrize("z", ["5", "8"])
+    def test_gk_unconverged_closed_form_is_omitted(self, capsys, z):
+        # conj(z1) z2 = -z^2: the 2F3 terms cancel past its tolerance, so the
+        # compact kernel is not printed as a closed form
+        code, out, _ = run_cli(capsys, "overlap", "gk", "--z1", z, "--z2", f"-{z}",
+                               "--k", "1", "--lambda", "4")
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["closed_form"] is None
+        assert "difference" not in doc
+        assert "2F3 compact kernel did not converge" in doc["note"]
 
     def test_kp_overlap(self, capsys):
         code, out, _ = run_cli(capsys, "overlap", "kp", "--xi1", "0.3",
@@ -494,17 +511,16 @@ def test_json_payload_uses_15_significant_digits(capsys):
     assert len(repr(val).replace("-", "").replace(".", "").lstrip("0")) <= 16
 
 
+def _child_env():
+    """Environment of a fresh interpreter that imports this solvstate."""
+    src = str(Path(solvstate.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def test_state_command_leaves_scipy_unloaded():
     # scipy costs about 0.2 s of a cold start; only moments, pt and verify
     # need it, so importing the CLI and building a state must not load it
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import solvstate
-
-    src = str(Path(solvstate.__file__).resolve().parents[1])
     code = (
         "import contextlib, io, sys\n"
         "import solvstate.cli as cli\n"
@@ -513,8 +529,22 @@ def test_state_command_leaves_scipy_unloaded():
         "    assert cli.main(['state', 'gk', '--z', '0.5']) == 0\n"
         "assert 'scipy' not in sys.modules, 'state gk --z 0.5'\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_reader_closing_the_pipe_exits_quietly():
+    # `solvstate ... | head -2`: the payload (about 4 MB) outgrows any pipe
+    # buffer, so the write fails once the reader has gone
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "solvstate.cli", "pt", "--eigenfunction", "3",
+         "--points", "100000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
+    assert proc.stdout.readline() == b"x,value\n"
+    proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == EXIT_OK
+    assert err == b""

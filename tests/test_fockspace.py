@@ -210,11 +210,12 @@ class TestDisplaceGround:
     @pytest.mark.parametrize("modulus", [0.4, 1.5])
     @pytest.mark.parametrize("alpha", [0.0, 0.3])
     def test_single_attempt_matches_dense_expm(self, spec, modulus, alpha):
-        # cap = N allows exactly one window; the reference is the exact
-        # exponential of the same truncated generator, built from the dense
-        # ladder, so signs and alpha phases of both representations must agree
+        # cap = 64, the first window, allows that window only; the reference
+        # is the exact exponential of the same truncated generator, built from
+        # the dense ladder, so signs and alpha phases of both representations
+        # must agree
         Z = modulus * cmath.exp(0.4j)
-        state = displace_ground(spec, Z, alpha, N=64, cap=64)
+        state = displace_ground(spec, Z, alpha, cap=64)
         lad = build_ladder(spec, alpha, 64)
         column = expm(Z * lad.a_plus - np.conj(Z) * lad.a_minus)[:, 0]
         column /= np.linalg.norm(column)
@@ -293,14 +294,10 @@ class TestDisplaceGround:
         assert state.tail_bound <= 1e-15
         assert np.max(np.abs(state.coefficients - column)) <= 1e-14
 
-    def test_first_attempt_honours_the_cap(self, monkeypatch):
+    def test_first_attempt_honours_the_cap(self):
         spec = PoschlTellerSpectrum(2.0, 2.0)
         state = displace_ground(spec, 1.5, cap=16)
         assert state.size == 17
-        assert state.tail_bound > 1e-6
-        monkeypatch.setenv("SOLVSTATE_MAX_N", "10")
-        state = displace_ground(spec, 1.5)
-        assert state.size == 11
         assert state.tail_bound > 1e-6
         # a cap below a finite table truncates it, and the tail says so
         state = displace_ground(CustomSpectrum(energies=[0.0, 1.0, 2.5, 4.5]),
@@ -309,8 +306,9 @@ class TestDisplaceGround:
         assert state.tail_bound > 1e-6
 
     def test_negative_cap_rejected(self):
-        with pytest.raises(DomainError, match="cap"):
-            displace_ground(HarmonicSpectrum(), 0.5, cap=-3)
+        for cap in (-3, 0):  # 0 is a cap too, not "the default"
+            with pytest.raises(DomainError, match="cap"):
+                displace_ground(HarmonicSpectrum(), 0.5, cap=cap)
 
     def test_norm_deviation_bounded_by_tail(self):
         for spec in (HarmonicSpectrum(), PoschlTellerSpectrum(0.5, 0.5)):

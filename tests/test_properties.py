@@ -5,7 +5,9 @@ Labels are drawn on the ranges the label_sweep workload uses: lambda in
 [1, 7], k in 0..3, |z| in [0.2, 1.5], |xi| in [0.2, 0.7], alpha in [0, 1].
 Tolerances are the verify suites' own, except evolve-vs-rebuild at 2e-13:
 with alpha + t up to 2 the rounding of (alpha + t) E_n alone moves a
-coefficient by a few 1e-14.
+coefficient by a few 1e-14. The truncation properties range wider (lambda in
+(0, 10], k in 0..6, |xi| up to 0.99, |z| up to 8), since the tail bound must
+hold to the disk edge.
 """
 
 import cmath
@@ -31,6 +33,7 @@ from solvstate import (
     kp_overlap_pt,
     kp_state_pt,
 )
+from solvstate.states import _gk_family, _kp_family
 from solvstate.verify import coeff_distance
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
@@ -132,6 +135,53 @@ def test_displacement_oracle_matches_closed_form(lam, modulus, phase):
     oracle = displace_ground(_spectrum(lam), Z)
     closed = kp_state_pt(lam, KPLabel(Z=Z, alpha=0.0, k=0), tail_eps=1e-24)
     assert coeff_distance(oracle, closed) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# Truncation: the geometric tail bound of the series states
+# ---------------------------------------------------------------------------
+
+wide_lams = hs.floats(1e-300, 10.0)  # lam / 2 stays positive
+wide_ks = hs.integers(0, 6)
+# GK on Poschl-Teller and harmonic spectra, KP in both exponent conventions
+families = hs.sampled_from(["gk_pt", "gk_harmonic", "kp", "kp_two_lambda"])
+
+
+def _family(kind, lam, k):
+    if kind.startswith("gk"):
+        return _gk_family(_spectrum(lam if kind == "gk_pt" else None), k)
+    return _kp_family(lam, k, 2.0 * lam if kind == "kp_two_lambda" else lam)
+
+
+@settings(SETTINGS, max_examples=100)
+@given(families, wide_lams, wide_ks)
+def test_term_ratios_do_not_increase(kind, lam, k):
+    # term_n r_n / (1 - r_n) bounds the rest of a sum only when the ratios
+    # r_n = w(n) / w(n-1) do not increase; 1e-9 absorbs the rounding of log w
+    log_w, _ = _family(kind, lam, k).terms(0, 2048)
+    assert np.diff(log_w, 2).max() <= 1e-9
+
+
+@settings(SETTINGS, max_examples=40)
+@given(families, wide_lams, wide_ks, hs.floats(0.05, 1.0), phases,
+       hs.integers(3, 14))
+def test_tail_bound_covers_the_mass_beyond(kind, lam, k, radius, phase, digits):
+    # the mass past a state's last level, relative to the mass it keeps,
+    # measured on a rebuild to 1e-30, never exceeds its tail_bound
+    if kind.startswith("gk"):
+        spec = _spectrum(lam if kind == "gk_pt" else None)
+        label = GKLabel(cmath.rect(8.0 * radius, phase), 0.0, k)
+        build = lambda eps, cap=None: gk_state(spec, label, eps, cap)
+    else:
+        label = KPLabel(xi=cmath.rect(0.99 * radius, phase), k=k)
+        exponent = "two_lambda" if kind == "kp_two_lambda" else "lambda"
+        build = lambda eps, cap=None: kp_state_pt(lam, label, eps, cap, exponent)
+    state = build(10.0 ** -digits)
+    deep = build(1e-30, 1 << 15)
+    assert deep.tail_bound <= 1e-30
+    mass = np.abs(deep.coefficients) ** 2
+    beyond = math.fsum(mass[state.size:]) / math.fsum(mass[:state.size])
+    assert beyond <= state.tail_bound * (1.0 + 1e-9)
 
 
 # ---------------------------------------------------------------------------

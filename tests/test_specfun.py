@@ -84,15 +84,15 @@ class TestBeta:
             beta(1.0, 0.0)
 
 
-def finite_sum_2f1(m, b, c, x):
-    """Terminating 2F1(-m, b; c; x) by its finite sum (independent oracle)."""
-    total = 0.0
+def finite_terms_2f1(m, b, c, x):
+    """Terms of the terminating 2F1(-m, b; c; x) (independent oracle)."""
+    terms = []
     for n in range(m + 1):
         term = x ** n / math.factorial(n)
         for j in range(n):
             term *= (-m + j) * (b + j) / (c + j)
-        total += term
-    return total
+        terms.append(term)
+    return terms
 
 
 class TestHyperPfq:
@@ -122,11 +122,28 @@ class TestHyperPfq:
 
     @pytest.mark.parametrize("m", [1, 3, 7, 10])
     def test_terminating_2f1_vs_finite_sum(self, m):
-        b, c, x = 2.4, 1.7, 0.6
-        res = hyper_pfq([-float(m), b], [c], x)
-        assert res.converged
-        assert res.value.real == pytest.approx(finite_sum_2f1(m, b, c, x),
-                                               rel=1e-12)
+        # a finite sum is complete but still rounds: its achieved_tol is the
+        # cancellation bound eps max|term| / |sum|, and converged follows it
+        b, c = 2.4, 1.7
+        for x in (0.6, -0.6, 0.05):
+            terms = finite_terms_2f1(m, b, c, x)
+            total = math.fsum(terms)
+            rounding = np.finfo(float).eps * max(map(abs, terms)) / abs(total)
+            res = hyper_pfq([-float(m), b], [c], x)
+            assert res.value.real == pytest.approx(total, rel=max(1e-13, 10 * rounding))
+            assert res.achieved_tol == pytest.approx(rounding, rel=1e-6)
+            assert res.converged == (res.achieved_tol <= SeriesControl().rel_tol)
+
+    def test_cancelling_terminating_sum_is_flagged(self):
+        # largest term 13,510 times the sum: off by 2.2e-13 relative, which
+        # a terminating sum reported as exact hid
+        res = hyper_pfq([-10.0, 2.4], [1.7], 0.6)
+        assert not res.converged
+        assert res.achieved_tol == pytest.approx(13510 * np.finfo(float).eps, rel=1e-3)
+        assert hyper_pfq([-10.0, 2.4], [1.7], 0.6,
+                         SeriesControl(rel_tol=1e-11)).converged
+        # one term is summed without rounding
+        assert hyper_pfq([-10.0, 2.4], [1.7], 0.0).achieved_tol == 0.0
 
     def test_against_mpmath(self):
         cases = [

@@ -253,6 +253,15 @@ class TestGKOverlap:
         with pytest.raises(DomainError):
             gk_overlap_compact(SPEC, l1, GKLabel(z2, 0.4, k))
 
+    @pytest.mark.parametrize("z", [5.0, 8.0])
+    def test_compact_kernel_flags_an_unconverged_2f3(self, z):
+        # conj(z1) z2 = -z^2: the 2F3 terms cancel past its tolerance (6.3e-13
+        # and 7.2e-10 from the series overlap), which must not pass as a value
+        from solvstate.states import gk_overlap_compact
+        l1, l2 = GKLabel(z, 0.0, 1), GKLabel(-z, 0.0, 1)
+        with pytest.raises(ConvergenceError, match="2F3"):
+            gk_overlap_compact(SPEC, l1, l2)
+
 
 # ---------------------------------------------------------------------------
 # Klauder-Perelomov states (Poschl-Teller closed form)
@@ -295,6 +304,31 @@ class TestKPStatePT:
     def test_unit_disk_boundary_rejected(self):
         with pytest.raises(DomainError):
             kp_state_pt(LAM, KPLabel(xi=1.0, alpha=0.0, k=0))
+
+    @pytest.mark.parametrize("label", [KPLabel(xi=0.975, k=0), KPLabel(xi=0.975, k=2),
+                                       KPLabel(Z=2.5, k=0)], ids=["xi_k0", "xi_k2", "Z"])
+    def test_disk_edge_stops_below_the_cap(self, label):
+        # the term ratios tend to |xi|^2 from above, so a bound trusted only
+        # below a fixed ratio never fired here and the state ran to the cap
+        state = kp_state_pt(LAM, label)
+        assert state.size < 2048
+        assert state.tail_bound <= 1e-12
+
+    def test_cap_reports_the_tail_it_leaves(self):
+        label = KPLabel(xi=0.99, k=2)
+        capped = kp_state_pt(LAM, label)
+        assert capped.size == 2048
+        assert 1e-12 < capped.tail_bound < 1e-9
+        full = kp_state_pt(LAM, label, cap=16384)
+        assert 2048 < full.size < 16384
+        assert full.tail_bound <= 1e-12
+
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_cap_below_one_rejected(self, cap):
+        with pytest.raises(DomainError, match="cap"):
+            kp_state_pt(LAM, KPLabel(xi=0.3), cap=cap)
+        with pytest.raises(DomainError, match="cap"):
+            gk_state(SPEC, GKLabel(0.5), cap=cap)
 
     @pytest.mark.parametrize("lam", [float("nan"), float("inf"), 0.0, -1.0])
     def test_bad_lambda_rejected(self, lam):
