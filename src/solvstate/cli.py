@@ -58,18 +58,10 @@ def _round_floats(obj, digits=15):
 
 
 def _emit(args, payload: dict, text_renderer=None, csv_renderer=None) -> None:
-    fmt = getattr(args, "format", "json")
-    if fmt == "json":
-        out = json.dumps(_round_floats(payload), indent=2)
-    elif fmt == "csv" and csv_renderer is not None:
-        out = csv_renderer(payload)
-    elif fmt == "text" and text_renderer is not None:
-        out = text_renderer(payload)
-    else:
-        out = json.dumps(_round_floats(payload), indent=2)
-    dest = getattr(args, "output", None)
-    if dest:
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
+    renderer = {"csv": csv_renderer, "text": text_renderer}.get(args.format)
+    out = renderer(payload) if renderer else json.dumps(_round_floats(payload), indent=2)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(out + ("\n" if not out.endswith("\n") else ""))
     else:
         print(out)
@@ -119,8 +111,7 @@ def _build_state(args, spec) -> FockState:
     # kp family: the unit-disk closed form for --xi, and for --Z on Poschl-Teller
     if args.xi is not None or (args.Z is not None and not args.nested
                                and isinstance(spec, PoschlTellerSpectrum)):
-        label = (st.KPLabel(xi=args.xi, alpha=args.alpha, k=args.k) if args.xi is not None
-                 else st.KPLabel(Z=args.Z, alpha=args.alpha, k=args.k))
+        label = st.KPLabel(xi=args.xi, Z=args.Z, alpha=args.alpha, k=args.k)
         return st.kp_state_pt(_lam_of(spec), label, tail_eps=args.tail_eps, cap=cap,
                               exponent="two_lambda" if args.paper_literal else "lambda")
     if args.Z is not None:
@@ -219,7 +210,10 @@ def cmd_overlap(args) -> int:
         series = st.kp_overlap_pt(lam, l1, l2)
         s1 = st.kp_state_pt(lam, l1, tail_eps=1e-24)
         s2 = st.kp_state_pt(lam, l2, tail_eps=1e-24)
-        closed = s1.inner(s2)
+        tail = max(s1.tail_bound, s2.tail_bound)
+        closed = s1.inner(s2) if tail <= 1e-24 else None
+        note = (f"closed form omitted: the coefficient dot product is truncated "
+                f"(state tail bound {tail:.3e} above its 1e-24 budget)")
 
     payload = {"meta": _meta(args, "overlap"),
                "series": {"re": series.real, "im": series.imag,
@@ -426,13 +420,14 @@ def cmd_verify(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sp, spectrum=True, default_format="json"):
+def _add_common(sp, formats, spectrum=True):
+    """--spectrum and --lambda, --format among the `formats` the command
+    renders (the first is the default), and --output."""
     if spectrum:
         sp.add_argument("--spectrum", help="spectrum JSON document or file path")
         sp.add_argument("--lambda", dest="lam", type=float, default=None,
                         help="Poschl-Teller lambda shortcut (kappa=kappa'=lambda/2)")
-    sp.add_argument("--format", choices=("json", "csv", "text"),
-                    default=default_format)
+    sp.add_argument("--format", choices=formats, default=formats[0])
     sp.add_argument("--output", help="write to file instead of stdout")
 
 
@@ -469,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_label_args(sp)
     sp.add_argument("--check-eigen", action="store_true",
                     help="report the lowering-eigenvalue residual")
-    _add_common(sp)
+    _add_common(sp, ("json", "csv", "text"))
     sp.set_defaults(func=cmd_state)
 
     sp = sub.add_parser("overlap", help="overlap kernel of two states")
@@ -481,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha1", type=float, default=0.0)
     sp.add_argument("--alpha2", type=float, default=0.0)
     sp.add_argument("--k", type=int, default=0)
-    _add_common(sp)
+    _add_common(sp, ("json", "text"))
     sp.set_defaults(func=cmd_overlap)
 
     sp = sub.add_parser("evolve", help="time evolution table")
@@ -489,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_label_args(sp)
     sp.add_argument("--times", default="0,0.25,0.5,0.75,1.0",
                     help="comma-separated time grid")
-    _add_common(sp, default_format="csv")
+    _add_common(sp, ("csv", "json", "text"))
     sp.set_defaults(func=cmd_evolve)
 
     sp = sub.add_parser("moments", help="measure / moment verification reports")
@@ -498,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, default=2)
     sp.add_argument("--n-max", type=int, default=20)
     sp.add_argument("--paper-literal", action="store_true")
-    _add_common(sp)
+    _add_common(sp, ("json", "text"))
     sp.set_defaults(func=cmd_moments)
 
     sp = sub.add_parser("pt", help="position-space dumps")
@@ -510,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--partner", type=int, metavar="N")
     sp.add_argument("--u-block", type=int, nargs=2, metavar=("N", "M"))
     sp.add_argument("--points", type=int, default=200)
-    _add_common(sp, spectrum=False, default_format="csv")
+    _add_common(sp, ("csv", "json", "text"), spectrum=False)
     sp.set_defaults(func=cmd_pt)
 
     sp = sub.add_parser("verify", help="run verification suites")
@@ -519,8 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
                     default="all")
     sp.add_argument("--lambda", dest="lam", type=float, default=None)
     sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--format", choices=("json", "csv", "text"), default="text")
-    sp.add_argument("--output")
+    _add_common(sp, ("text", "json"), spectrum=False)
     sp.set_defaults(func=cmd_verify)
 
     return ap

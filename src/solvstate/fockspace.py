@@ -20,7 +20,6 @@ energy table.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -124,13 +123,6 @@ class FockState:
         coeffs = np.array([complex(re, im) for re, im in obj["coefficients"]])
         return cls(int(obj["offset"]), coeffs, float(obj["alpha"]),
                    float(obj["tail_bound"]))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "FockState":
-        return cls.from_json_dict(json.loads(text))
 
 
 def _lowering_diagonal(energies: np.ndarray, alpha: float) -> np.ndarray:

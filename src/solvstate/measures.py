@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, require_finite
-from .spectrum import PoschlTellerSpectrum, Spectrum
+from .spectrum import PoschlTellerSpectrum
 from .specfun import (
     QuadratureRule,
     SeriesControl,
@@ -38,8 +38,6 @@ __all__ = [
     "MomentReport",
     "kp_weight_k0",
     "kp_weight_unit_disk",
-    "custom_weight",
-    "gk_moment_target",
     "gk_radial_moment_log",
     "mellin_weight_moment_log",
     "mellin_gamma_check_pt",
@@ -48,6 +46,15 @@ __all__ = [
     "gk_measure_selfconsistency",
     "nonnegativity_report",
 ]
+
+# series control of the a_b_lam2k weight's 2F1 in 1 - r
+_LOG_READING_SERIES = SeriesControl(max_terms=20000, rel_tol=1e-13)
+# verdict tolerances: quadrature against analytic Beta moments, quadrature
+# against the published target, and the exact log-Gamma identities
+_QUAD_TOLERANCE = 1e-9
+_MATCH_TOLERANCE = 1e-8
+_IDENTITY_TOLERANCE = 1e-12
+_NONNEGATIVITY_GRID = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -62,9 +69,10 @@ class WeightCandidate:
     `left_exponent` / `right_exponent` describe the algebraic behaviour of h
     at r = 0 and r = 1 (used to build quadrature rules); `analytic_log_moment`
     returns log of the exact moment integral with integrand h(r) r^power when
-    one exists, else None. `scale` is a configurable overall constant (the
-    published ansatz prefactor is unresolvable from the text, so it stays a
-    knob rather than a hard-coded choice).
+    one exists, else None. Candidates carry the published prefactor as
+    printed; `verify.suite_measures` checks the constant lam (k = 0) or
+    lam+2k (a_b_lam2k) that the published text leaves unresolved against the
+    unscaled moments.
     """
 
     id: str
@@ -72,14 +80,13 @@ class WeightCandidate:
     h: callable
     left_exponent: float = 0.0
     right_exponent: float = 0.0
-    scale: float = 1.0
     analytic_log_moment: callable = None
 
     def evaluate(self, r):
-        return self.scale * self.h(np.asarray(r, dtype=float))
+        return self.h(np.asarray(r, dtype=float))
 
 
-def kp_weight_k0(lam: float, scale: float = 1.0) -> WeightCandidate:
+def kp_weight_k0(lam: float) -> WeightCandidate:
     """Published k=0 unit-disk weight h(r) = (1-r)^(lam-1) / Gamma(lam+1)."""
     require_finite(lam=lam)
     log_norm = log_gamma(lam + 1.0)
@@ -92,21 +99,18 @@ def kp_weight_k0(lam: float, scale: float = 1.0) -> WeightCandidate:
         if power + 1.0 <= 0.0:
             return None
         return (log_gamma(power + 1.0) + log_gamma(lam) - log_gamma(power + 1.0 + lam)
-                - log_norm + math.log(scale))
+                - log_norm)
 
     return WeightCandidate(
         id="kp_k0",
         description=f"(1-r)^({lam}-1)/Gamma({lam}+1)",
         h=h,
         right_exponent=lam - 1.0,
-        scale=scale,
         analytic_log_moment=analytic,
     )
 
 
-def kp_weight_unit_disk(lam: float, k: int, reading: str = "a_b_b",
-                        scale: float = 1.0,
-                        ctl: SeriesControl | None = None) -> WeightCandidate:
+def kp_weight_unit_disk(lam: float, k: int, reading: str = "a_b_b") -> WeightCandidate:
     """Published photon-added unit-disk weight under one reading of its
     ambiguous hypergeometric parameter list.
 
@@ -130,7 +134,7 @@ def kp_weight_unit_disk(lam: float, k: int, reading: str = "a_b_b",
             if power - k + 1.0 <= 0.0:
                 return None  # divergent at r = 0
             return (log_gamma(power - k + 1.0) + log_gamma(lam + 2.0 * k)
-                    - log_gamma(power + k + 1.0 + lam) - log_norm + math.log(scale))
+                    - log_gamma(power + k + 1.0 + lam) - log_norm)
 
         return WeightCandidate(
             id=f"kp_eq_weight[{reading}]",
@@ -138,12 +142,10 @@ def kp_weight_unit_disk(lam: float, k: int, reading: str = "a_b_b",
             h=h,
             left_exponent=float(-k),
             right_exponent=lam + 2.0 * k - 1.0,
-            scale=scale,
             analytic_log_moment=analytic,
         )
 
     if reading == "a_b_lam2k":
-        series_ctl = ctl or SeriesControl(max_terms=20000, rel_tol=1e-13)
         a, b = float(k), lam + k
         if k > 0:  # digamma table of the connection expansion, at most 200 terms
             from scipy.special import digamma
@@ -165,7 +167,8 @@ def kp_weight_unit_disk(lam: float, k: int, reading: str = "a_b_b",
             if k == 0:
                 return out
             if far.any():
-                res = hyper_pfq([a, b], [lam + 2.0 * k], 1.0 - r[far], series_ctl)
+                res = hyper_pfq([a, b], [lam + 2.0 * k], 1.0 - r[far],
+                                _LOG_READING_SERIES)
                 out[far] = res.value.real if res.converged else np.nan
             if not far.all():
                 near = r[~far, None]
@@ -190,27 +193,14 @@ def kp_weight_unit_disk(lam: float, k: int, reading: str = "a_b_b",
             # the quadrature substitute it into a smooth integrand
             left_exponent=-0.5 if k > 0 else 0.0,
             right_exponent=lam + 2.0 * k - 1.0,
-            scale=scale,
         )
 
     raise DomainError(f"unknown reading {reading!r}")
 
 
-def custom_weight(h, description: str = "custom",
-                  left_exponent: float = 0.0, right_exponent: float = 0.0,
-                  analytic_log_moment=None) -> WeightCandidate:
-    return WeightCandidate("custom", description, h, left_exponent,
-                           right_exponent, 1.0, analytic_log_moment)
-
-
 # ---------------------------------------------------------------------------
 # Targets
 # ---------------------------------------------------------------------------
-
-def gk_moment_target(spec: Spectrum, k: int, n: int) -> float:
-    """log of the required radial moment E_k(n) of the GK measure."""
-    return spec.log_ek(k, n)
-
 
 def gk_radial_moment_log(lam: float, k: int, n: int) -> float:
     """log of (n!)^2 ((lam+1)_n)^2 / ((n+k)! (lam+k+1)_n).
@@ -337,8 +327,7 @@ def _require_moments(n_max: int, lowest: int) -> None:
         raise DomainError(f"n_max must be at least {lowest}, got {n_max}")
 
 
-def mellin_gamma_check_pt(lam: float, k: int, n_max: int,
-                          tolerance: float = 1e-12) -> MomentReport:
+def mellin_gamma_check_pt(lam: float, k: int, n_max: int) -> MomentReport:
     """Verify, in log-Gamma arithmetic, that the Meijer-G weight's Mellin
     transform reproduces the required GK radial moments for n <= n_max."""
     require_finite(lam=lam)
@@ -348,13 +337,13 @@ def mellin_gamma_check_pt(lam: float, k: int, n_max: int,
     report = MomentReport(
         title=f"Mellin-level weight check (lam={lam}, k={k})",
         candidate="gk_meijer_g[mellin-only]",
-        tolerance=tolerance,
+        tolerance=_IDENTITY_TOLERANCE,
     )
     for n in range(n_max + 1):
         lhs = mellin_weight_moment_log(lam, k, n)
         rhs = gk_radial_moment_log(lam, k, n)
         resid = _rel_from_logs(lhs, rhs)
-        verdict = "pass" if resid <= tolerance else "fail"
+        verdict = "pass" if resid <= _IDENTITY_TOLERANCE else "fail"
         report.entries.append(MomentEntry(n, None, rhs, lhs, resid, 0.0, None,
                                           None, verdict))
         if verdict == "fail":
@@ -381,33 +370,29 @@ def _power_moment(candidate: WeightCandidate, power: int):
 
 
 def kp_moment_residuals(lam: float, k: int, candidate: WeightCandidate,
-                        n_max: int, quad_tolerance: float = 1e-9,
-                        match_tolerance: float = 1e-8,
-                        target_log_fn=None) -> MomentReport:
+                        n_max: int) -> MomentReport:
     """Quadrature moments of a candidate unit-disk weight, both power
     conventions, against the published KP moment targets.
 
     One table holds the moments of h(r) r^p over (0,1), p = 0..n_max, each
     integrated once; for n = 1..n_max the r^{n-1} and r^n conventions read
-    entries p = n-1 and p = n of it. Each is compared against the target
-    (default: the published Gamma-ratio RHS) and, where the candidate is
+    entries p = n-1 and p = n of it. Each is compared against the published
+    Gamma-ratio target (within 1e-8) and, where the candidate is
     Beta-reducible, against its analytic value. `passed` asserts only
-    quadrature-vs-analytic agreement (within quad_tolerance) and quadrature
+    quadrature-vs-analytic agreement (within 1e-9) and quadrature
     convergence; target mismatches are tallied in notes/errata.
     """
     _require_moments(n_max, 1)
-    if target_log_fn is None:
-        target_log_fn = lambda n, power: kp_moment_target_log(lam, k, n)
     report = MomentReport(
         title=f"unit-disk moment residuals (lam={lam}, k={k})",
         candidate=candidate.id,
-        tolerance=match_tolerance,
+        tolerance=_MATCH_TOLERANCE,
     )
     moments = [_power_moment(candidate, p) for p in range(n_max + 1)]
     match_count = {n_power: 0 for n_power in ("n-1", "n")}
     for n in range(1, n_max + 1):
         for power in (n - 1, n):
-            target = target_log_fn(n, power)
+            target = kp_moment_target_log(lam, k, n)
             res = moments[power]
             if res is None:
                 report.entries.append(MomentEntry(
@@ -422,11 +407,11 @@ def kp_moment_residuals(lam: float, k: int, candidate: WeightCandidate,
                 analytic_log = candidate.analytic_log_moment(power)
                 if analytic_log is not None:
                     quad_vs_analytic = _rel_from_logs(computed_log, analytic_log)
-                    if quad_vs_analytic > quad_tolerance or not res.converged:
+                    if quad_vs_analytic > _QUAD_TOLERANCE or not res.converged:
                         report.passed = False
             if not res.converged:
                 verdict = "indeterminate"
-            elif rel_resid <= match_tolerance:
+            elif rel_resid <= _MATCH_TOLERANCE:
                 verdict = "pass"
                 match_count["n-1" if power == n - 1 else "n"] += 1
             else:
@@ -438,7 +423,7 @@ def kp_moment_residuals(lam: float, k: int, candidate: WeightCandidate,
     for key, label in (("n-1", "r^(n-1)"), ("n", "r^n")):
         report.notes.append(
             f"power convention {label}: {match_count[key]}/{n_max} moments "
-            f"match the published target within {match_tolerance:g}"
+            f"match the published target within {_MATCH_TOLERANCE:g}"
         )
     if all(v == 0 for v in match_count.values()):
         report.errata.append(
@@ -450,8 +435,7 @@ def kp_moment_residuals(lam: float, k: int, candidate: WeightCandidate,
     return report
 
 
-def gk_measure_selfconsistency(lam: float, k: int, n_max: int,
-                               tolerance: float = 1e-12) -> MomentReport:
+def gk_measure_selfconsistency(lam: float, k: int, n_max: int) -> MomentReport:
     """Diagonal elements of the reconstructed identity operator for the GK
     family, assembled from moment ratios (isotropy kills off-diagonals).
 
@@ -464,7 +448,7 @@ def gk_measure_selfconsistency(lam: float, k: int, n_max: int,
     report = MomentReport(
         title=f"GK identity-resolution diagonal (lam={lam}, k={k})",
         candidate="gk_meijer_g[mellin-only]",
-        tolerance=tolerance,
+        tolerance=_IDENTITY_TOLERANCE,
     )
     spec = PoschlTellerSpectrum(lam / 2.0, lam / 2.0)
     conv = log_pochhammer(lam + 1.0, k)
@@ -472,7 +456,7 @@ def gk_measure_selfconsistency(lam: float, k: int, n_max: int,
         diag_log = (mellin_weight_moment_log(lam, k, m)
                     - spec.log_ek(k, m) - conv)
         resid = abs(math.expm1(diag_log))
-        verdict = "pass" if resid <= tolerance else "fail"
+        verdict = "pass" if resid <= _IDENTITY_TOLERANCE else "fail"
         report.entries.append(MomentEntry(m, None, 0.0, diag_log, resid,
                                           0.0, None, None, verdict))
         if verdict == "fail":
@@ -490,9 +474,9 @@ def gk_measure_selfconsistency(lam: float, k: int, n_max: int,
     return report
 
 
-def nonnegativity_report(candidate: WeightCandidate, n_grid: int = 1000) -> dict:
+def nonnegativity_report(candidate: WeightCandidate) -> dict:
     """Sample h on an interior grid and report any negative values."""
-    r = np.linspace(0.0, 1.0, n_grid + 2)[1:-1]
+    r = np.linspace(0.0, 1.0, _NONNEGATIVITY_GRID + 2)[1:-1]
     vals = np.atleast_1d(candidate.evaluate(r))
     neg = int(np.sum(vals < 0.0))
     return {

@@ -198,7 +198,9 @@ class UMatrixEntry:
     flagged: bool
 
 
-# defaults of u_matrix_element, which u_matrix uses for every entry
+# an entry is flagged when its sum is below this fraction of its largest
+# term; indices above the cap are refused (the alternating sum has lost too
+# many digits there)
 _U_THRESHOLD = 1e-10
 _U_INDEX_CAP = 24
 
@@ -228,8 +230,7 @@ def _u_tables(p: PTParams, ns, ms):
     return np.vectorize(lg, otypes=[float]), rows, cols
 
 
-def _u_entry(p: PTParams, n: int, m: int, tables,
-             cancellation_threshold: float) -> UMatrixEntry:
+def _u_entry(p: PTParams, n: int, m: int, tables) -> UMatrixEntry:
     """The double sum of `u_matrix_element` from `_u_tables` pieces."""
     lg, rows, cols = tables
     (r1, r2, norm_n), (c1, c2, norm_m) = rows[n], cols[m]
@@ -245,23 +246,19 @@ def _u_entry(p: PTParams, n: int, m: int, tables,
         return UMatrixEntry(n, m, 0.0, math.inf, True)
     condition = math.exp(max_term - log_sum)
     value = sign * math.exp(log_pref + log_sum)
-    flagged = math.exp(log_sum - max_term) < cancellation_threshold
+    flagged = math.exp(log_sum - max_term) < _U_THRESHOLD
     return UMatrixEntry(n, m, value, condition, flagged)
 
 
-def _check_u_indices(n: int, m: int, index_cap: int) -> None:
+def _check_u_indices(n: int, m: int) -> None:
     if n < 0 or m < 0:
         raise DomainError(f"indices must be nonnegative, got ({n}, {m})")
-    if n > index_cap or m > index_cap:
+    if n > _U_INDEX_CAP or m > _U_INDEX_CAP:
         raise DomainError(
-            f"indices ({n}, {m}) exceed the cancellation cap {index_cap}; "
-            f"raise index_cap only with the quadrature cross-check in hand"
-        )
+            f"indices ({n}, {m}) exceed the cancellation cap {_U_INDEX_CAP}")
 
 
-def u_matrix_element(p: PTParams, n: int, m: int,
-                     cancellation_threshold: float = _U_THRESHOLD,
-                     index_cap: int = _U_INDEX_CAP) -> UMatrixEntry:
+def u_matrix_element(p: PTParams, n: int, m: int) -> UMatrixEntry:
     """Basis-change element by the finite double sum over Jacobi expansions:
 
         a [c_n c'_m]^{-1/2} sum_{p,p'} (-1)^{n+m-p-p'}
@@ -269,11 +266,12 @@ def u_matrix_element(p: PTParams, n: int, m: int,
           B(n+m+k+1-p-p', k'+p+p'+1)
 
     summed in log-magnitude + sign form. The alternating terms grow with
-    n+m and eventually eat all significant digits, hence the index cap; each
-    entry carries a condition estimate and a cancellation flag.
+    n+m and eventually eat all significant digits, so indices above 24 raise
+    DomainError; each entry carries a condition estimate and is flagged
+    when the sum falls below 1e-10 of its largest term.
     """
-    _check_u_indices(n, m, index_cap)
-    return _u_entry(p, n, m, _u_tables(p, [n], [m]), cancellation_threshold)
+    _check_u_indices(n, m)
+    return _u_entry(p, n, m, _u_tables(p, [n], [m]))
 
 
 def u_matrix(p: PTParams, n_max: int, m_max: int) -> list:
@@ -281,7 +279,7 @@ def u_matrix(p: PTParams, n_max: int, m_max: int) -> list:
     log-Gamma values and binomial rows and columns are built once per block."""
     if n_max < 0 or m_max < 0:
         raise DomainError(f"block sizes must be nonnegative, got ({n_max}, {m_max})")
-    _check_u_indices(n_max, m_max, _U_INDEX_CAP)
+    _check_u_indices(n_max, m_max)
     tables = _u_tables(p, range(n_max + 1), range(m_max + 1))
-    return [[_u_entry(p, n, m, tables, _U_THRESHOLD) for m in range(m_max + 1)]
+    return [[_u_entry(p, n, m, tables) for m in range(m_max + 1)]
             for n in range(n_max + 1)]

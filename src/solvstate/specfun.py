@@ -499,7 +499,7 @@ def _refine(g, lo, hi, coarse, tol, rule, counter, width):
     return value, error, conv
 
 
-def _power_substitution(f, a, b, gamma, side, power=None):
+def _power_substitution(f, a, b, gamma, side):
     """Map f on [a,b] with an algebraic endpoint at `side` to a smooth
     integrand on [0,1] via x = endpoint +/- (b-a) t^p.
 
@@ -511,12 +511,10 @@ def _power_substitution(f, a, b, gamma, side, power=None):
     the constant.
     """
     length = b - a
-    if power is None:
-        # exponent of the transformed integrand is gamma*p + p - 1;
-        # push it to >= 2 for painless panels (capped: for gamma near -1 a
-        # huge power only shrinks the sampled range without gaining accuracy)
-        power = min(8, max(1, math.ceil(3.0 / (1.0 + gamma))))
-    p = float(power)
+    # exponent of the transformed integrand is gamma*p + p - 1; push it to
+    # >= 2 for painless panels (capped: for gamma near -1 a huge power only
+    # shrinks the sampled range without gaining accuracy)
+    p = float(min(8, max(1, math.ceil(3.0 / (1.0 + gamma)))))
     delta = 1e-12 * length
     t_wall = (delta / length) ** (1.0 / p)
 

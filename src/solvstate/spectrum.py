@@ -25,6 +25,10 @@ __all__ = [
     "spectrum_from_json",
 ]
 
+# a ratio E_k(n+1)/E_k(n) (or its extrapolated limit) above this counts as
+# unbounded growth in `Spectrum.radius`
+_DIVERGENCE_THRESHOLD = 1e6
+
 
 @dataclass(frozen=True)
 class RadiusEstimate:
@@ -106,9 +110,6 @@ class Spectrum:
             raise DomainError(f"photon number must be nonnegative, got {k}")
         return 2.0 * self.log_e0(n) - self.log_e0(n + k)
 
-    def ek(self, k: int, n: int) -> float:
-        return math.exp(self.log_ek(k, n))
-
     @property
     def max_level(self) -> float:
         """Highest defined level; +inf unless backed by a finite table."""
@@ -122,14 +123,13 @@ class Spectrum:
         """
         return math.inf
 
-    def radius(self, k: int, n_probe: int = 40,
-               divergence_threshold: float = 1e6) -> RadiusEstimate:
+    def radius(self, k: int, n_probe: int = 40) -> RadiusEstimate:
         """Estimate lim E_k(n)^{1/n} by extrapolating E_k(n+1)/E_k(n).
 
         The ratio r_n = E_{n+1}^2 / E_{n+k+1} has the same limit as the n-th
         root but converges far faster in practice. A tail of ratios that
-        grows monotonically past `divergence_threshold` is reported as
-        infinite; a non-monotone tail yields the "undetermined" status.
+        grows monotonically past 1e6 is reported as infinite; a non-monotone
+        tail yields the "undetermined" status.
         """
         if n_probe < 2:
             raise DomainError(f"radius probe needs n_probe >= 2, got {n_probe}")
@@ -150,13 +150,13 @@ class Spectrum:
         if increasing:
             growth = [diffs[i + 1] - diffs[i] for i in range(len(diffs) - 1)]
             # non-shrinking increments mean the ratios never level off
-            if tail[-1] > divergence_threshold or all(g >= -tiny for g in growth):
+            if tail[-1] > _DIVERGENCE_THRESHOLD or all(g >= -tiny for g in growth):
                 return RadiusEstimate("infinite", math.inf)
         # ratios level off: Aitken delta-squared on the last triple
         r0, r1, r2 = ratios[-3], ratios[-2], ratios[-1]
         denom = r2 - 2.0 * r1 + r0
         limit = r2 - (r2 - r1) ** 2 / denom if abs(denom) > 1e-300 else r2
-        if limit > divergence_threshold or (increasing and limit < tail[-1]):
+        if limit > _DIVERGENCE_THRESHOLD or (increasing and limit < tail[-1]):
             return RadiusEstimate("infinite", math.inf)
         return RadiusEstimate("finite", limit)
 

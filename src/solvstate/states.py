@@ -291,25 +291,15 @@ def gk_norm_constant(spec: Spectrum, z_abs2: float, k: int,
 
 
 def gk_norm_constant_pt_closed(lam: float, z_abs2: float, k: int,
-                               ctl: SeriesControl | None = None,
-                               convention: str = "series") -> float:
-    """log of the hypergeometric closed form of the GK normalization.
-
-    convention="series" multiplies by the Pochhammer constant (lam+1)_k so
-    the value matches `gk_norm_constant` on the Poschl-Teller spectrum;
-    convention="compact" returns the bare Gamma(k+1) * 2F3 form, which is
-    smaller by exactly that n-independent constant.
-    """
-    if convention not in ("series", "compact"):
-        raise DomainError(f"unknown convention {convention!r}")
+                               ctl: SeriesControl | None = None) -> float:
+    """log of the hypergeometric closed form of the GK normalization,
+    Gamma(k+1) (lam+1)_k 2F3(k+1, lam+k+1; 1, lam+1, lam+1; |z|^2), which
+    matches `gk_norm_constant` on the Poschl-Teller spectrum."""
     res = hyper_pfq([k + 1.0, lam + k + 1.0], [1.0, lam + 1.0, lam + 1.0],
                     z_abs2, ctl)
     if not res.converged:
         raise ConvergenceError("2F3 closed form did not converge", partial=res.log_abs)
-    out = log_gamma(k + 1.0) + res.log_abs
-    if convention == "series":
-        out += log_pochhammer(lam + 1.0, k)
-    return out
+    return log_gamma(k + 1.0) + res.log_abs + log_pochhammer(lam + 1.0, k)
 
 
 def gk_overlap(spec: Spectrum, label1: GKLabel, label2: GKLabel,
@@ -420,6 +410,12 @@ def kp_overlap_pt(lam: float, label1: KPLabel, label2: KPLabel,
 # Klauder-Perelomov family for a generic spectrum (nested energy sums)
 # ---------------------------------------------------------------------------
 
+# truncation of the nested sums' alternating series over j, and the largest
+# last-term/partial-sum ratio that still counts as converged
+_NESTED_J_MAX = 120
+_NESTED_REL_TOL = 1e-12
+
+
 @dataclass
 class KPGeneralResult:
     """Nested-sum KP construction plus its convergence diagnostics."""
@@ -449,14 +445,15 @@ def _nested_log_sums(spec: Spectrum, n_max: int, j_max: int) -> np.ndarray:
 
 
 def kp_state_general(spec: Spectrum, Z: complex, alpha: float = 0.0, k: int = 0,
-                     n_max: int | None = None, j_max: int = 120,
-                     rel_tol: float = 1e-12) -> KPGeneralResult:
+                     n_max: int | None = None) -> KPGeneralResult:
     """Displacement-type state from the nested-sum energy expansion.
 
-    For each level the alternating series over j is truncated at j_max; the
-    worst last-term/partial-sum ratio across levels is reported, and
-    j_converged is False when it exceeds rel_tol (small |Z| keeps this well
-    behaved, large |Z| may not converge at all depending on the spectrum).
+    For each level the alternating series over j is truncated after
+    j = 120; the worst last-term/partial-sum ratio across levels is
+    reported, and j_converged is False when it exceeds 1e-12 (small |Z|
+    keeps this well behaved, large |Z| may not converge at all depending on
+    the spectrum). Without n_max the level count doubles from 48 until the
+    top four levels hold below 1e-14 of the norm, or reaches 384.
     """
     if k < 0:
         raise DomainError(f"photon number k must be nonnegative, got {k}")
@@ -468,7 +465,7 @@ def kp_state_general(spec: Spectrum, Z: complex, alpha: float = 0.0, k: int = 0,
     if n_max is None:
         n_max = 48
         while True:
-            result = kp_state_general(spec, Z, alpha, k, n_max, j_max, rel_tol)
+            result = kp_state_general(spec, Z, alpha, k, n_max)
             c = result.state.coefficients
             edge = float(np.sum(np.abs(c[-4:]) ** 2))
             if edge < 1e-14 or n_max >= 384:
@@ -477,17 +474,17 @@ def kp_state_general(spec: Spectrum, Z: complex, alpha: float = 0.0, k: int = 0,
 
     u = abs(Z) ** 2
     log_u = math.log(u)
-    log_s = _nested_log_sums(spec, n_max, j_max)
+    log_s = _nested_log_sums(spec, n_max, _NESTED_J_MAX)
 
-    lg = _lgamma(np.arange(n_max + 2 * j_max + 1) + 1.0)  # lg[m] = log m!
-    j = np.arange(j_max + 1)
+    lg = _lgamma(np.arange(n_max + 2 * _NESTED_J_MAX + 1) + 1.0)  # lg[m] = log m!
+    j = np.arange(_NESTED_J_MAX + 1)
     signs = np.where(j % 2 == 0, 1.0, -1.0)
     j = j[:, None]
     log_terms = j * log_u + log_s - lg[np.arange(n_max + 1) + 2 * j]  # [j, n]
     log_b, sign_b = np.array([signed_log_sum(col, signs) for col in log_terms.T]).T
     sign_b[sign_b == 0.0] = 1.0
     worst = float(np.max(np.exp(log_terms[-1] - log_b)))  # last term / sum, per level
-    converged = worst <= rel_tol
+    converged = worst <= _NESTED_REL_TOL
 
     n_arr = np.arange(n_max + 1)
     energies, log_e0 = spec.levels(k, n_max + k + 1)

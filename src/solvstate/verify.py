@@ -102,9 +102,10 @@ def coeff_distance(s1, s2) -> float:
 # ladder suite
 # ---------------------------------------------------------------------------
 
-def suite_ladder(lam: float = 4.0, N: int = 64) -> SuiteReport:
+def suite_ladder(lam: float = 4.0) -> SuiteReport:
     rep = SuiteReport("ladder")
     t0 = time.perf_counter()
+    N = 64
     specs = [("pt", PoschlTellerSpectrum(lam / 2.0, lam / 2.0)),
              ("harmonic", HarmonicSpectrum())]
     for tag, spec in specs:
@@ -336,7 +337,7 @@ def suite_measures(lam: float = 4.0, k: int = 2) -> SuiteReport:
 
     # unit-disk weight candidates
     k0 = msr.kp_weight_k0(lam)
-    r0 = msr.kp_moment_residuals(lam, 0, k0, n_max=10, quad_tolerance=1e-10)
+    r0 = msr.kp_moment_residuals(lam, 0, k0, n_max=10)
     worst_quad = max(e.quad_vs_analytic for e in r0.entries
                      if e.quad_vs_analytic is not None)
     rep.add("k0_weight_quadrature_vs_beta", worst_quad, 1e-10,
@@ -425,13 +426,12 @@ def _w_prime(p: pt.PTParams, x) -> np.ndarray:
     return (p.kappa / np.sin(u) ** 2 + p.kappa_prime / np.cos(u) ** 2) / (4.0 * p.a ** 2)
 
 
-def suite_pt(settings=None) -> SuiteReport:
+def suite_pt() -> SuiteReport:
     from scipy.linalg import eigvalsh_tridiagonal
 
     rep = SuiteReport("pt")
     t0 = time.perf_counter()
-    settings = settings or [pt.PTParams(2.0, 2.0, 1.0),
-                            pt.PTParams(1.2, 3.4, 1.0)]
+    settings = [pt.PTParams(2.0, 2.0, 1.0), pt.PTParams(1.2, 3.4, 1.0)]
     for p in settings:
         tag = f"k={p.kappa},k'={p.kappa_prime}"
         x = np.linspace(0.05 * p.box, 0.95 * p.box, 211)

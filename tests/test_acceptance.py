@@ -177,8 +177,7 @@ def test_06_mellin_gamma_identity():
 
 def test_07_moment_problem_errata_report():
     lam = 4.0
-    rep = kp_moment_residuals(lam, 0, kp_weight_k0(lam), n_max=10,
-                              quad_tolerance=1e-9)
+    rep = kp_moment_residuals(lam, 0, kp_weight_k0(lam), n_max=10)
     worst_quad = max(e.quad_vs_analytic for e in rep.entries
                      if e.quad_vs_analytic is not None)
     report(7, "quadrature vs analytic Beta moments", worst_quad, 1e-9,

@@ -137,6 +137,15 @@ class TestStateCommand:
         assert out == ""
         assert "tail_eps" in err
 
+    @pytest.mark.parametrize("command", ["state", "evolve"])
+    def test_kp_label_takes_xi_or_z_not_both(self, capsys, command):
+        # --Z is refused, not silently dropped in favour of --xi
+        code, out, err = run_cli(capsys, command, "kp", "--xi", "0.3", "--Z", "0.5",
+                                 "--lambda", "4")
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert "exactly one of xi or Z" in err
+
     @pytest.mark.parametrize("argv", [
         ("state", "kp", "--xi", "0.3"),
         ("evolve", "kp", "--xi", "0.3", "--times", "0,0.5"),
@@ -304,6 +313,17 @@ class TestOverlapCommand:
         doc = json.loads(out)
         assert doc["difference"] < 1e-10
         assert abs(doc["series"]["abs"]) <= 1.0
+
+    def test_kp_truncated_closed_form_is_omitted(self, capsys):
+        # the xi = 0.99, k = 2 state stops at the 2048 cap with a tail of
+        # about 3e-10, so its dot product is not a closed form to 1e-24
+        code, out, _ = run_cli(capsys, "overlap", "kp", "--xi1", "0.99",
+                               "--xi2", "0.985", "--k", "2")
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["closed_form"] is None
+        assert "difference" not in doc
+        assert "tail bound 3.2" in doc["note"]
 
 
 class TestEvolveCommand:
@@ -501,6 +521,18 @@ class TestVerifyCommand:
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["verify", "--suite", "bogus"])
+
+
+@pytest.mark.parametrize("argv", [
+    ("overlap", "gk", "--z1", "0.5", "--z2", "0.8"),
+    ("moments", "--check", "mellin"),
+    ("verify", "--suite", "ladder"),
+])
+def test_csv_refused_where_no_csv_is_rendered(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", "csv"])
+    assert exc.value.code == EXIT_DOMAIN
+    assert capsys.readouterr().out == ""
 
 
 def test_json_payload_uses_15_significant_digits(capsys):

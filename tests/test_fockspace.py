@@ -1,5 +1,4 @@
 import cmath
-import json
 import math
 
 import numpy as np
@@ -322,10 +321,10 @@ class TestDisplaceGround:
 class TestFockState:
     def test_json_round_trip(self):
         state = FockState(2, np.array([0.3 + 0.1j, -0.7j, 0.64]), 0.25, 1e-13)
-        doc = json.loads(state.to_json())
+        doc = state.to_json_dict()
         assert doc["offset"] == 2
         assert doc["coefficients"][1] == [0.0, -0.7]
-        back = FockState.from_json(state.to_json())
+        back = FockState.from_json_dict(doc)
         assert back.offset == state.offset
         assert back.alpha == state.alpha
         assert np.array_equal(back.coefficients, state.coefficients)

@@ -4,15 +4,13 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import gammainc
 
 from solvstate import DomainError, PoschlTellerSpectrum
 from solvstate.measures import (
     MomentEntry,
     MomentReport,
-    custom_weight,
+    WeightCandidate,
     gk_measure_selfconsistency,
-    gk_moment_target,
     gk_radial_moment_log,
     kp_moment_residuals,
     kp_moment_target_log,
@@ -31,11 +29,11 @@ SPEC = PoschlTellerSpectrum(2.0, 2.0)
 class TestTargets:
     def test_gk_target_k0_is_e0(self):
         for n in range(12):
-            assert gk_moment_target(SPEC, 0, n) == pytest.approx(
+            assert SPEC.log_ek(0, n) == pytest.approx(
                 SPEC.log_e0(n), abs=1e-13)
 
     def test_gk_target_trivial_origin(self):
-        assert gk_moment_target(SPEC, 0, 0) == 0.0
+        assert SPEC.log_ek(0, 0) == 0.0
 
     def test_radial_moment_carries_pochhammer_constant(self):
         # (n!)^2 ((lam+1)_n)^2 / ((n+k)!(lam+k+1)_n) = E_k(n) * (lam+1)_k
@@ -75,8 +73,7 @@ class TestMellinGammaCheck:
 
 class TestKPWeights:
     def test_k0_quadrature_vs_beta(self):
-        report = kp_moment_residuals(LAM, 0, kp_weight_k0(LAM), n_max=10,
-                                     quad_tolerance=1e-10)
+        report = kp_moment_residuals(LAM, 0, kp_weight_k0(LAM), n_max=10)
         assert report.passed
         worst = max(e.quad_vs_analytic for e in report.entries
                     if e.quad_vs_analytic is not None)
@@ -139,45 +136,43 @@ class TestKPWeights:
         r = np.linspace(0.02, 0.98, 25)
         assert np.allclose(cand.evaluate(r), base.evaluate(r), rtol=1e-12)
 
-    def test_custom_candidate_incomplete_gamma_selftest(self):
-        # h = e^{ -r } with targets gamma(n, 1): the harness must call these
-        # a pass when handed the right targets
-        cand = custom_weight(lambda r: np.exp(-r), "exp decay")
+    def test_custom_candidate_published_target_selftest(self):
+        # lam * (1-r)^(lam-1) / Gamma(lam+1) has r^n moments
+        # n! / Gamma(n+lam+1), exactly the published k = 0 targets: the
+        # harness must call every r^n entry a pass and every r^(n-1) entry a
+        # fail, and find no errata
+        log_norm = log_gamma(LAM + 1.0) - math.log(LAM)
+        cand = WeightCandidate(
+            "custom", "lam-scaled k = 0 weight",
+            lambda r: np.exp((LAM - 1.0) * np.log1p(-r) - log_norm),
+            right_exponent=LAM - 1.0)
+        report = kp_moment_residuals(LAM, 0, cand, n_max=6)
+        assert all(e.verdict == ("pass" if e.power == e.n else "fail")
+                   for e in report.entries)
+        assert max(e.rel_residual for e in report.entries if e.power == e.n) < 1e-10
+        assert not report.errata
 
-        def target(n, power):
-            return math.log(gammainc(power + 1.0, 1.0)) + log_gamma(power + 1.0)
-
-        report = kp_moment_residuals(LAM, 0, cand, n_max=6,
-                                     target_log_fn=target,
-                                     match_tolerance=1e-9)
-        assert all(e.verdict == "pass" for e in report.entries)
-
-    def test_ansatz_scale_knob(self):
-        scaled = kp_weight_k0(LAM, scale=2.0)
-        base = kp_weight_k0(LAM)
-        assert scaled.evaluate(0.3) == pytest.approx(2.0 * base.evaluate(0.3),
-                                                     rel=1e-14)
+    @staticmethod
+    def _rescaled_rn_residuals(report, constant):
+        # the arithmetic of verify.suite_measures: the unscaled r^n moment
+        # times the constant the published prefactor leaves unresolved
+        return [abs(math.exp(e.computed_log - e.target_log) * constant - 1.0)
+                for e in report.entries if e.power == e.n]
 
     def test_k0_rescaled_rn_convention_passes(self):
         # under the r^n power convention the k=0 weight misses by exactly the
         # constant lam, so folding lam into the prefactor satisfies every
         # moment: the "which (reading, power) combination passes" answer
-        report = kp_moment_residuals(LAM, 0, kp_weight_k0(LAM, scale=LAM),
-                                     n_max=10)
-        rn_entries = [e for e in report.entries if e.power == e.n]
-        assert all(e.verdict == "pass" for e in rn_entries)
-        assert max(e.rel_residual for e in rn_entries) < 1e-8
+        report = kp_moment_residuals(LAM, 0, kp_weight_k0(LAM), n_max=10)
+        assert max(self._rescaled_rn_residuals(report, LAM)) < 1e-8
 
     @pytest.mark.parametrize("lam,k", [(1.5, 1), (4.0, 2), (7.0, 3)])
     def test_alternate_reading_rescaled_rn_passes(self, lam, k):
         # the full resolution: the hypergeometric reading scaled by the
         # constant lam+2k satisfies the r^n moment equation at every k
-        cand = kp_weight_unit_disk(lam, k, reading="a_b_lam2k",
-                                   scale=lam + 2.0 * k)
+        cand = kp_weight_unit_disk(lam, k, reading="a_b_lam2k")
         report = kp_moment_residuals(lam, k, cand, n_max=5)
-        rn_entries = [e for e in report.entries if e.power == e.n]
-        assert all(e.verdict == "pass" for e in rn_entries)
-        assert max(e.rel_residual for e in rn_entries) < 1e-8
+        assert max(self._rescaled_rn_residuals(report, lam + 2.0 * k)) < 1e-8
 
     def test_unknown_reading_rejected(self):
         from solvstate.errors import DomainError
@@ -224,7 +219,7 @@ class TestNonnegativity:
             assert rep["nonnegative"]
 
     def test_negative_weight_flagged(self):
-        cand = custom_weight(lambda r: np.cos(8.0 * r), "oscillating")
+        cand = WeightCandidate("custom", "oscillating", lambda r: np.cos(8.0 * r))
         rep = nonnegativity_report(cand)
         assert not rep["nonnegative"]
         assert rep["negative_points"] > 0
@@ -286,12 +281,14 @@ class TestLogReadingArrays:
                      for v in r]
         assert batch.tolist() == pointwise
 
-    def test_unconverged_sum_is_nan_and_moments_indeterminate(self):
+    def test_unconverged_sum_is_nan_and_moments_indeterminate(self, monkeypatch):
+        import solvstate.measures as msr
         from solvstate.specfun import SeriesControl
 
-        cand = kp_weight_unit_disk(LAM, 2, "a_b_lam2k", ctl=SeriesControl(max_terms=5))
+        monkeypatch.setattr(msr, "_LOG_READING_SERIES", SeriesControl(max_terms=5))
+        cand = kp_weight_unit_disk(LAM, 2, "a_b_lam2k")
         values = cand.evaluate(np.array([0.1, 0.5, 0.9]))
-        assert math.isfinite(values[0])  # the connection expansion does not use ctl
+        assert math.isfinite(values[0])  # the connection expansion sums no series
         assert np.isnan(values[1:]).all()
         report = kp_moment_residuals(LAM, 2, cand, n_max=2)
         assert [e.verdict for e in report.entries] == ["indeterminate"] * 4

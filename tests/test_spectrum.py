@@ -72,7 +72,7 @@ def test_ek_at_n0_is_inverse_e0():
 
 def test_ek_direct_value():
     spec = PoschlTellerSpectrum(2.0, 2.0)
-    assert spec.ek(1, 1) == pytest.approx(25.0 / 60.0, rel=1e-13)
+    assert math.exp(spec.log_ek(1, 1)) == pytest.approx(25.0 / 60.0, rel=1e-13)
 
 
 def test_ek_log_identity():
