@@ -391,8 +391,8 @@ def kp_moment_residuals(lam: float, k: int, candidate: WeightCandidate,
     moments = [_power_moment(candidate, p) for p in range(n_max + 1)]
     match_count = {n_power: 0 for n_power in ("n-1", "n")}
     for n in range(1, n_max + 1):
+        target = kp_moment_target_log(lam, k, n)
         for power in (n - 1, n):
-            target = kp_moment_target_log(lam, k, n)
             res = moments[power]
             if res is None:
                 report.entries.append(MomentEntry(

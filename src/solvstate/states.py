@@ -23,6 +23,15 @@ increasing spectrum and at every k on the Poschl-Teller and harmonic ones.
 Finite tables are summed exactly; on a rule-based CustomSpectrum at k >= 1
 the tail is an estimate.
 
+The KP weights depend only on lam, so their ingredients are shared tables:
+log m! (one for the module, also read by the nested sums), log Gamma(m +
+lam_w + 1) and E_m = m (m + lam) (one pair per (lam, lam_w), the last 16
+pairs kept). A KP block slices them at m = n + k. Each table grows by
+doubling under a lock and publishes a new read-only array; it keeps
+entries m < 2112 (_MAX_N + 64), and blocks past that are computed on each
+call. Entries are the same math.lgamma values in the same order, so no
+result depends on call history or on which thread grew a table.
+
 States are always normalized by the directly summed coefficient series; the
 hypergeometric closed forms are treated as cross-checks, never as the source
 of truth (they differ from the direct series by a benign n-independent
@@ -31,13 +40,15 @@ constant that would be fatal if mixed into overlaps).
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, require_finite
-from .fockspace import FockState, _truncation
+from .fockspace import _MAX_N, FockState, _truncation
 from .spectrum import PoschlTellerSpectrum, Spectrum
 from .specfun import (
     DEFAULT_SERIES_CONTROL,
@@ -133,6 +144,49 @@ def _lgamma(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.lgamma, x.tolist()), float, len(x))
 
 
+# entries m = 0.._TABLE_LEN-1 of a shared table are kept (a default-cap state
+# at k < 64 stays inside); past them each block is computed on every call
+_TABLE_LEN = _MAX_N + 64
+# (lam, lam_w) pairs whose KP tables are kept, least recently used dropped
+_KP_TABLES_KEPT = 16
+
+
+class _Table:
+    """f(m) for m = 0, 1, ...: a read-only array that grows by doubling under
+    a lock, to at most _TABLE_LEN entries, and is replaced, never written, so
+    readers on other threads see either the old array or the new one. f is
+    elementwise, so a slice equals f on the same indices bit for bit."""
+
+    def __init__(self, f):
+        self._f = f
+        self._lock = threading.Lock()
+        self._values = np.empty(0)
+
+    def slice(self, lo: int, hi: int) -> np.ndarray:
+        values = self._values
+        if hi > len(values):
+            if hi > _TABLE_LEN:
+                return self._f(np.arange(lo, hi))
+            with self._lock:
+                values = self._values
+                if hi > len(values):
+                    size = min(max(hi, 2 * len(values), 64), _TABLE_LEN)
+                    values = np.concatenate(
+                        [values, self._f(np.arange(len(values), size))])
+                    values.flags.writeable = False
+                    self._values = values
+        return values[lo:hi]
+
+
+_LOG_FACTORIAL = _Table(lambda m: _lgamma(m + 1.0))  # log m!
+
+
+@functools.lru_cache(maxsize=_KP_TABLES_KEPT)
+def _kp_tables(lam: float, lam_w: float) -> tuple:
+    """Tables of log Gamma(m + lam_w + 1) and E_m = m (m + lam)."""
+    return _Table(lambda m: _lgamma(m + lam_w + 1.0)), _Table(lambda m: m * (m + lam))
+
+
 def _gk_family(spec: Spectrum, k: int) -> _Family:
     """w(n) = 1 / E_k(n) = E_0(n+k) / E_0(n)^2."""
 
@@ -150,13 +204,13 @@ def _kp_family(lam: float, k: int, lam_w: float) -> _Family:
     if lam <= 0.0:
         raise DomainError(f"lam must be positive, got {lam}")
     log_norm = math.lgamma(lam_w + 1.0)
+    log_gamma_w, energy = _kp_tables(lam, lam_w)
 
     def terms(lo, hi):
-        n = np.arange(lo, hi)
-        log_fact = _lgamma(np.arange(lo, hi + k) + 1.0)  # log m! for m = lo..hi+k-1
-        log_w = (log_fact[k:] + _lgamma(n + k + lam_w + 1.0)
+        log_fact = _LOG_FACTORIAL.slice(lo, hi + k)  # log m! for m = lo..hi+k-1
+        log_w = (log_fact[k:] + log_gamma_w.slice(lo + k, hi + k)
                  - 2.0 * log_fact[:hi - lo] - log_norm)
-        return log_w, (n + k) * (n + k + lam)
+        return log_w, energy.slice(lo + k, hi + k)
 
     return _Family(k, terms, math.inf)
 
@@ -476,7 +530,7 @@ def kp_state_general(spec: Spectrum, Z: complex, alpha: float = 0.0, k: int = 0,
     log_u = math.log(u)
     log_s = _nested_log_sums(spec, n_max, _NESTED_J_MAX)
 
-    lg = _lgamma(np.arange(n_max + 2 * _NESTED_J_MAX + 1) + 1.0)  # lg[m] = log m!
+    lg = _LOG_FACTORIAL.slice(0, n_max + 2 * _NESTED_J_MAX + 1)  # lg[m] = log m!
     j = np.arange(_NESTED_J_MAX + 1)
     signs = np.where(j % 2 == 0, 1.0, -1.0)
     j = j[:, None]

@@ -552,14 +552,16 @@ def _child_env():
 
 def test_state_command_leaves_scipy_unloaded():
     # scipy costs about 0.2 s of a cold start; only moments, pt and verify
-    # need it, so importing the CLI and building a state must not load it
+    # need it, so importing the CLI and building a state (the KP weight
+    # tables included) must not load it
     code = (
         "import contextlib, io, sys\n"
         "import solvstate.cli as cli\n"
         "assert 'scipy' not in sys.modules, 'import solvstate.cli'\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cli.main(['state', 'gk', '--z', '0.5']) == 0\n"
-        "assert 'scipy' not in sys.modules, 'state gk --z 0.5'\n"
+        "    assert cli.main(['state', 'kp', '--xi', '0.5', '--lambda', '4']) == 0\n"
+        "assert 'scipy' not in sys.modules, 'state gk and state kp'\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
                           capture_output=True, text=True, timeout=120)

@@ -1,5 +1,5 @@
 """Property tests of the GK/KP identities beyond the verify suites' grids,
-plus 30-digit references for the normalization series.
+plus 30-digit references for the normalization series and overlap kernels.
 
 Labels are drawn on the ranges the label_sweep workload uses: lambda in
 [1, 7], k in 0..3, |z| in [0.2, 1.5], |xi| in [0.2, 0.7], alpha in [0, 1].
@@ -232,3 +232,51 @@ def test_kp_series_norm_against_30_digits():
                 ref = _mp_kp_log_norm(mpmath.mpf(lam), mpmath.mpf(u), k)
                 got = kp_norm_constant_pt(lam, u, k, method="series")
                 assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref))
+
+
+def _mp_overlap(log_w, energy, x1, x2, d_alpha):
+    """sum_n conj(x1)^n x2^n w(n) e^{-i d_alpha E_{n+k}} over the square roots
+    of the two norms (the same sum at d_alpha = 0 and x1 = x2), at 30 digits;
+    summed until both norms' terms fall below 1e-40 of their partial sums."""
+    with mpmath.workdps(30):
+        x1, x2 = mpmath.mpc(x1), mpmath.mpc(x2)
+        kernel = norm1 = norm2 = mpmath.mpf(0)
+        n = 0
+        while True:
+            w = mpmath.exp(log_w(n))
+            t1, t2 = w * abs(x1) ** (2 * n), w * abs(x2) ** (2 * n)
+            kernel += w * (mpmath.conj(x1) * x2) ** n * mpmath.expj(-d_alpha * energy(n))
+            norm1 += t1
+            norm2 += t2
+            if n > 5 and t1 < mpmath.mpf("1e-40") * norm1 and t2 < mpmath.mpf("1e-40") * norm2:
+                return complex(kernel / mpmath.sqrt(norm1 * norm2))
+            n += 1
+
+
+@SETTINGS
+@given(lams, ks, xis, xis, alphas, alphas)
+def test_kp_overlap_against_30_digits(lam, k, xi1, xi2, a1, a2):
+    # w(n) = (n+k)! Gamma(n+k+lam+1) / (n!^2 Gamma(lam+1)), E_m = m (m + lam)
+    lam_mp = mpmath.mpf(lam)
+    ref = _mp_overlap(
+        lambda n: (mpmath.loggamma(n + k + 1) + mpmath.loggamma(n + k + lam_mp + 1)
+                   - 2 * mpmath.loggamma(n + 1) - mpmath.loggamma(lam_mp + 1)),
+        lambda n: (n + k) * (n + k + lam_mp), xi1, xi2, mpmath.mpf(a2) - mpmath.mpf(a1))
+    got = kp_overlap_pt(lam, KPLabel(xi=xi1, alpha=a1, k=k), KPLabel(xi=xi2, alpha=a2, k=k))
+    assert abs(got - ref) <= 1e-12
+
+
+@SETTINGS
+@given(lams, ks, zs, zs, alphas, alphas)
+def test_gk_overlap_against_30_digits(lam, k, z1, z2, a1, a2):
+    # w(n) = 1 / E_k(n) = E_0(n+k) / E_0(n)^2 with E_0(n) = n! (lam+1)_n
+    lam_mp = mpmath.mpf(lam)
+
+    def log_e0(n):
+        return mpmath.loggamma(n + 1) + mpmath.loggamma(lam_mp + 1 + n) - mpmath.loggamma(lam_mp + 1)
+
+    ref = _mp_overlap(lambda n: log_e0(n + k) - 2 * log_e0(n),
+                      lambda n: (n + k) * (n + k + lam_mp), z1, z2,
+                      mpmath.mpf(a2) - mpmath.mpf(a1))
+    got = gk_overlap(_spectrum(lam), GKLabel(z1, a1, k), GKLabel(z2, a2, k))
+    assert abs(got - ref) <= 1e-12

@@ -1,9 +1,16 @@
+import cmath
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import gammaln
 
+import solvstate
 from solvstate import (
     ConvergenceError,
     CustomSpectrum,
@@ -28,6 +35,14 @@ from solvstate import (
     photon_statistics,
 )
 from solvstate.fockspace import apply
+from solvstate.specfun import block_end
+from solvstate.states import (
+    _KP_TABLES_KEPT,
+    _LOG_FACTORIAL,
+    _TABLE_LEN,
+    _kp_family,
+    _kp_tables,
+)
 from solvstate.verify import coeff_distance, eigen_residual
 
 LAM = 4.0
@@ -430,6 +445,115 @@ class TestKPOverlap:
             val = kp_overlap_pt(LAM, KPLabel(xi=x1, alpha=0.0, k=1),
                                 KPLabel(xi=x2, alpha=0.9, k=1))
             assert abs(val) <= 1.0 + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Shared KP weight tables: call history never changes a result
+# ---------------------------------------------------------------------------
+
+def _direct_kp_terms(lam, k, lam_w, lo, hi):
+    """(log w(n), E_{n+k}) for n = lo..hi-1 from math.lgamma one value at a
+    time, in the order the tables are combined."""
+    log_fact = [math.lgamma(m + 1.0) for m in range(lo, hi + k)]
+    log_w = [log_fact[i + k] + math.lgamma(n + k + lam_w + 1.0) - 2.0 * log_fact[i]
+             - math.lgamma(lam_w + 1.0) for i, n in enumerate(range(lo, hi))]
+    return np.array(log_w), np.array([(n + k) * (n + k + lam) for n in range(lo, hi)])
+
+
+# builds whose coefficient bytes, tail bounds, kernels and norms are hashed
+_HISTORY_CHILD = """
+import hashlib, sys
+from solvstate import KPLabel, kp_norm_constant_pt, kp_overlap_pt, kp_state_pt
+warm = sys.argv[1]
+if warm == "cap":
+    kp_state_pt(2.5, KPLabel(xi=0.999, k=3), tail_eps=0.0, cap=4096)
+elif warm == "other_lambda":
+    kp_state_pt(7.0, KPLabel(xi=0.95, k=1))
+elif warm == "two_lambda":
+    kp_state_pt(2.5, KPLabel(xi=0.95, k=2), exponent="two_lambda")
+h = hashlib.sha256()
+for k in range(4):
+    for xi in (0.3, 0.6 + 0.2j, 0.95):
+        for exponent in ("lambda", "two_lambda"):
+            s = kp_state_pt(2.5, KPLabel(xi=xi, alpha=0.3, k=k), exponent=exponent)
+            h.update(s.coefficients.tobytes() + repr(s.tail_bound).encode())
+    h.update(repr((kp_overlap_pt(2.5, KPLabel(xi=0.3, alpha=0.1, k=k),
+                                 KPLabel(xi=0.95j, alpha=0.7, k=k)),
+                   kp_norm_constant_pt(2.5, 0.9, k, method="series"))).encode())
+print(h.hexdigest())
+"""
+
+
+class TestKPTables:
+    @pytest.mark.parametrize("exponent", ["lambda", "two_lambda"])
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_terms_equal_direct_lgamma_at_every_block(self, exponent, k):
+        # blocks 0/32/64/.../2048/4096 cross the retention limit, so both the
+        # kept and the recomputed entries are compared bit for bit; at
+        # lam = 1/3 a changed evaluation order rounds differently
+        lam = 1.0 / 3.0
+        lam_w = lam if exponent == "lambda" else 2.0 * lam
+        fam = _kp_family(lam, k, lam_w)
+        lo = 0
+        while lo < 4096:
+            hi = block_end(lo, 4096)
+            log_w, energies = fam.terms(lo, hi)
+            want_w, want_e = _direct_kp_terms(lam, k, lam_w, lo, hi)
+            assert log_w.tobytes() == want_w.tobytes()
+            assert energies.tobytes() == want_e.tobytes()
+            lo = hi
+        log_gamma_w, energy = _kp_tables(lam, lam_w)
+        for m in (0, 32, 64, 1024, 2048, 2048 + k, _TABLE_LEN - 1):
+            assert _LOG_FACTORIAL.slice(m, m + 1)[0] == math.lgamma(m + 1.0)
+            assert log_gamma_w.slice(m, m + 1)[0] == math.lgamma(m + lam_w + 1.0)
+            assert energy.slice(m, m + 1)[0] == m * (m + lam)
+
+    def test_results_do_not_depend_on_call_history(self):
+        # each child starts with cold tables, then grows them another way
+        # before the same builds
+        src = str(Path(solvstate.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        digests = []
+        for warm in ("cold", "cap", "other_lambda", "two_lambda"):
+            proc = subprocess.run([sys.executable, "-c", _HISTORY_CHILD, warm], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.strip())
+        assert len(digests[0]) == 64 and len(set(digests)) == 1
+
+    def test_four_threads_match_the_serial_build(self):
+        lam = 3.140625  # a lambda no other test uses: its tables start cold
+        labels = [KPLabel(xi=cmath.rect(r, 0.7 * i), alpha=0.1 * i, k=i % 4)
+                  for i, r in enumerate((0.2, 0.5, 0.8, 0.95, 0.99, 0.3, 0.9, 0.6))]
+        barrier = threading.Barrier(4)
+        results = [None] * 4
+
+        def build(i):
+            barrier.wait()
+            results[i] = [kp_state_pt(lam, label) for label in labels[i:] + labels[:i]]
+
+        threads = [threading.Thread(target=build, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        serial = [kp_state_pt(lam, label) for label in labels]
+        for i, states in enumerate(results):
+            assert states is not None
+            for got, want in zip(states, serial[i:] + serial[:i]):
+                assert got.coefficients.tobytes() == want.coefficients.tobytes()
+                assert got.tail_bound == want.tail_bound
+
+    def test_retention_is_bounded(self):
+        state = kp_state_pt(1.75, KPLabel(xi=0.999, k=2), tail_eps=0.0,
+                            cap=3 * _TABLE_LEN)
+        assert state.size == 3 * _TABLE_LEN
+        for table in (_LOG_FACTORIAL, *_kp_tables(1.75, 1.75)):
+            assert table._values.size <= _TABLE_LEN
+        for i in range(_KP_TABLES_KEPT + 2):
+            kp_state_pt(1.0 + 0.125 * i, KPLabel(xi=0.5))
+        assert _kp_tables.cache_info().currsize <= _KP_TABLES_KEPT
 
 
 # ---------------------------------------------------------------------------
