@@ -335,9 +335,20 @@ def cmd_moments(args) -> int:
 # pt
 # ---------------------------------------------------------------------------
 
+def _pt_format(args, formats) -> None:
+    """Set args.format to the first of the `formats` this pt action renders,
+    unless --format named one; any other format is a domain error."""
+    if args.format is None:
+        args.format = formats[0]
+    elif args.format not in formats:
+        raise DomainError(f"pt renders this action as {' or '.join(formats)}, "
+                          f"not {args.format}")
+
+
 def cmd_pt(args) -> int:
     p = ptm.PTParams(args.kappa, args.kappa_prime, args.box_scale)
     if args.eigenfunction is not None or args.partner is not None:
+        _pt_format(args, ("csv", "json"))
         n = args.eigenfunction if args.eigenfunction is not None else args.partner
         fn = ptm.eigenfunction if args.eigenfunction is not None \
             else ptm.partner_eigenfunction
@@ -361,6 +372,7 @@ def cmd_pt(args) -> int:
         return EXIT_OK
 
     if args.u_block is not None:
+        _pt_format(args, ("json",))
         n_max, m_max = args.u_block
         block = ptm.u_matrix(p, n_max, m_max)
         payload = {
@@ -505,8 +517,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--partner", type=int, metavar="N")
     sp.add_argument("--u-block", type=int, nargs=2, metavar=("N", "M"))
     sp.add_argument("--points", type=int, default=200)
-    _add_common(sp, ("csv", "json", "text"), spectrum=False)
-    sp.set_defaults(func=cmd_pt)
+    _add_common(sp, ("csv", "json"), spectrum=False)
+    sp.set_defaults(func=cmd_pt, format=None)  # the default depends on the action
 
     sp = sub.add_parser("verify", help="run verification suites")
     sp.add_argument("--suite",

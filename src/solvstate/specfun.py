@@ -66,26 +66,45 @@ def beta(mu: float, nu: float) -> float:
 # Signed/log-scaled accumulation helpers
 # ---------------------------------------------------------------------------
 
-def signed_log_sum(log_mags, signs) -> tuple[float, float]:
+def signed_log_sum(log_mags, signs):
     """Combine terms sign_i * exp(log_mag_i) into (log|sum|, sign of sum).
 
-    Positive and negative parts are reduced separately (logsumexp) before the
-    single cancelling subtraction, so the result is as accurate as the data
-    allows; the caller can compare log|sum| against max(log_mag) to detect
-    catastrophic cancellation.
+    log_mags holds the terms along its last axis: one row, or a 2-D stack of
+    rows that share the sign vector `signs`. Positive and negative parts are
+    reduced separately (logsumexp) before the single cancelling subtraction,
+    so the result is as accurate as the data allows; the caller can compare
+    log|sum| against max(log_mag) to detect catastrophic cancellation. A
+    sum that cancels exactly is (-inf, 0.0).
+
+    Each row is reduced on its own: its max, one pairwise np.sum over the
+    contiguous row, then math.log and math.expm1, so a row gives the same
+    floats alone or in a stack. A 1-D log_mags returns two floats, a stack
+    two arrays with one entry per row.
     """
     log_mags = np.asarray(log_mags, dtype=float)
     signs = np.asarray(signs, dtype=float)
-    pos = log_mags[signs > 0]
-    neg = log_mags[signs < 0]
+    rows = np.atleast_2d(log_mags)
+    sums = [_signed_pair(lp, ln) for lp, ln in
+            zip(_row_log_sum_exp(rows[:, signs > 0]),
+                _row_log_sum_exp(rows[:, signs < 0]))]
+    if log_mags.ndim == 1:
+        return sums[0]
+    log_abs, sign = np.array(sums, dtype=float).T
+    return log_abs, sign
 
-    def _lse(v):
-        if v.size == 0:
-            return -math.inf
-        m = v.max()
-        return m + math.log(np.exp(v - m).sum())
 
-    lp, ln = _lse(pos), _lse(neg)
+def _row_log_sum_exp(v: np.ndarray) -> list:
+    """log sum exp of each row of v, -inf for an empty row."""
+    if v.shape[-1] == 0:
+        return [-math.inf] * len(v)
+    v = np.ascontiguousarray(v)
+    m = v.max(axis=-1)
+    s = np.exp(v - m[:, None]).sum(axis=-1)
+    return [mi + math.log(si) for mi, si in zip(m.tolist(), s.tolist())]
+
+
+def _signed_pair(lp: float, ln: float) -> tuple[float, float]:
+    """(log|P - N|, sign) from lp = log P and ln = log N."""
     if ln == -math.inf:
         return lp, 1.0
     if lp == -math.inf:

@@ -482,19 +482,26 @@ class KPGeneralResult:
 def _nested_log_sums(spec: Spectrum, n_max: int, j_max: int) -> np.ndarray:
     """log S_j(n) for j = 0..j_max, n = 0..n_max.
 
-    S_0 = 1 and S_j(n) = g_j(n+1) where g_j(m) = sum_{i=1..m} E_i g_{j-1}(i+1)
-    (each level consumes one index of headroom, hence the oversized grid).
+    S_0 = 1 and S_j(n) = g_j(n+1) where g_j(m) = sum_{i=1..m} E_i g_{j-1}(i+1).
+    Each level reads one index of g_{j-1} past the last it writes, so level
+    j scans m = 1..n_max+1+(j_max-j) only, in place in one of two swapping
+    buffers. A running sum's prefix does not depend on where it stops, so
+    these are the floats of a scan over every m.
     """
-    m_big = n_max + j_max + 2
-    log_e = np.concatenate([[-math.inf], np.log(spec.levels(1, m_big + 2)[0])])
-    out = np.full((j_max + 1, n_max + 1), -math.inf)
-    out[0, :] = 0.0
-    log_g = np.zeros(m_big + 2)  # g_0(m) = 1, index m = 0..m_big+1
+    width = n_max + 1 + j_max  # g_0(m) = 1 is read for m <= width
+    # a finite table must hold levels to width + 2, three past those read:
+    # that is the documented size limit of the nested sums on a table
+    log_e = np.log(spec.levels(1, width + 3)[0])  # log_e[i-1] = log E_i
+    out = np.empty((j_max + 1, n_max + 1))
+    out[0] = 0.0
+    prev, cur = np.zeros(width + 1), np.empty(width + 1)  # index m
     for j in range(1, j_max + 1):
-        contrib = log_e[1:m_big + 1] + log_g[2:m_big + 2]
-        acc = np.logaddexp.accumulate(contrib)
-        log_g = np.concatenate([[-math.inf], acc, [-math.inf]])
-        out[j, :] = log_g[1:n_max + 2]
+        w = width - j
+        scan = cur[1:w + 1]
+        np.add(log_e[:w], prev[2:w + 2], out=scan)  # log E_i g_{j-1}(i+1)
+        np.logaddexp.accumulate(scan, out=scan)
+        out[j] = scan[:n_max + 1]
+        prev, cur = cur, prev
     return out
 
 
@@ -502,8 +509,12 @@ def kp_state_general(spec: Spectrum, Z: complex, alpha: float = 0.0, k: int = 0,
                      n_max: int | None = None) -> KPGeneralResult:
     """Displacement-type state from the nested-sum energy expansion.
 
-    For each level the alternating series over j is truncated after
-    j = 120; the worst last-term/partial-sum ratio across levels is
+    The coefficient of level n+k is Z^n sqrt(E_0(n+k)) b_n (times the energy
+    phases), with b_n = sum_j (-1)^j |Z|^{2j} S_j(n) / (n+2j)! and S_j the
+    nested energy sums of `_nested_log_sums`. The alternating series over j
+    is truncated after j = 120, and all levels' series are one stacked
+    `signed_log_sum` call; the result is byte-identical to summing each
+    level alone. The worst last-term/partial-sum ratio across levels is
     reported, and j_converged is False when it exceeds 1e-12 (small |Z|
     keeps this well behaved, large |Z| may not converge at all depending on
     the spectrum). Without n_max the level count doubles from 48 until the
@@ -527,7 +538,7 @@ def kp_state_general(spec: Spectrum, Z: complex, alpha: float = 0.0, k: int = 0,
             n_max *= 2
 
     u = abs(Z) ** 2
-    log_u = math.log(u)
+    log_u = math.log(u) if u else 2.0 * math.log(abs(Z))  # u underflows below 1e-162
     log_s = _nested_log_sums(spec, n_max, _NESTED_J_MAX)
 
     lg = _LOG_FACTORIAL.slice(0, n_max + 2 * _NESTED_J_MAX + 1)  # lg[m] = log m!
@@ -535,7 +546,7 @@ def kp_state_general(spec: Spectrum, Z: complex, alpha: float = 0.0, k: int = 0,
     signs = np.where(j % 2 == 0, 1.0, -1.0)
     j = j[:, None]
     log_terms = j * log_u + log_s - lg[np.arange(n_max + 1) + 2 * j]  # [j, n]
-    log_b, sign_b = np.array([signed_log_sum(col, signs) for col in log_terms.T]).T
+    log_b, sign_b = signed_log_sum(log_terms.T, signs)  # one row per level
     sign_b[sign_b == 0.0] = 1.0
     worst = float(np.max(np.exp(log_terms[-1] - log_b)))  # last term / sum, per level
     converged = worst <= _NESTED_REL_TOL

@@ -166,6 +166,13 @@ class TestStateCommand:
         assert code == EXIT_CONVERGENCE
         assert "convergence" in err
 
+    def test_unbounded_term_ratio_exit_code(self, capsys):
+        code, out, err = run_cli(capsys, "state", "kp", "--Z", "0.9", "--k", "3",
+                                 "--lambda", "7", "--nested")
+        assert code == EXIT_CONVERGENCE
+        assert out == ""
+        assert "worst term ratio inf" in err
+
     def test_deterministic_output(self, capsys):
         _, out1, _ = run_cli(capsys, "state", "gk", "--z", "0.5+0.1i",
                              "--k", "1", "--lambda", "4")
@@ -438,6 +445,30 @@ class TestPTCommand:
     def test_requires_an_action(self, capsys):
         code, _, err = run_cli(capsys, "pt")
         assert code == EXIT_DOMAIN
+
+    @pytest.mark.parametrize("argv, default", [
+        (("pt", "--u-block", "2", "2"), "json"),
+        (("pt", "--eigenfunction", "2", "--points", "5"), "csv"),
+        (("pt", "--partner", "1", "--points", "5"), "csv"),
+    ])
+    def test_each_action_has_its_own_default(self, capsys, argv, default):
+        _, implicit, _ = run_cli(capsys, *argv)
+        code, explicit, _ = run_cli(capsys, *argv, "--format", default)
+        assert code == EXIT_OK
+        assert implicit == explicit
+
+    def test_u_block_renders_no_csv(self, capsys):
+        code, out, err = run_cli(capsys, "pt", "--u-block", "2", "2", "--format", "csv")
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert "json" in err
+
+    def test_text_is_refused(self, capsys):
+        for action in (("--u-block", "2", "2"), ("--eigenfunction", "1")):
+            with pytest.raises(SystemExit) as exc:
+                main(["pt", *action, "--format", "text"])
+            assert exc.value.code == EXIT_DOMAIN
+            assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("argv", [
         ("pt", "--eigenfunction", "2", "--points", "-3"),

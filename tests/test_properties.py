@@ -21,6 +21,7 @@ from hypothesis import strategies as hs
 from solvstate import (
     GKLabel,
     HarmonicSpectrum,
+    FockState,
     KPLabel,
     PoschlTellerSpectrum,
     displace_ground,
@@ -31,6 +32,7 @@ from solvstate import (
     gk_state,
     kp_norm_constant_pt,
     kp_overlap_pt,
+    kp_state_general,
     kp_state_pt,
 )
 from solvstate.states import _gk_family, _kp_family
@@ -122,6 +124,31 @@ def test_kp_evolve_is_alpha_shift(lam, k, xi, alpha, t):
     s0 = kp_state_pt(lam, KPLabel(xi=xi, alpha=alpha, k=k), tail_eps=1e-24)
     rebuilt = kp_state_pt(lam, KPLabel(xi=xi, alpha=alpha + t, k=k), tail_eps=1e-24)
     assert _max_dev(evolve(s0, spec, t), rebuilt) <= 2e-13
+
+
+def _agarwal_tara(Z, alpha, k, size):
+    """Photon-added coherent state of the oscillator (Agarwal & Tara, Phys.
+    Rev. A 43, 492, 1991): coefficients on |n+k> proportional to
+    Z^n sqrt((n+k)!) / n! e^{-i alpha (n+k)}."""
+    n = np.arange(size)
+    log_m = np.array([m * math.log(abs(Z)) + 0.5 * math.lgamma(m + k + 1.0)
+                      - math.lgamma(m + 1.0) for m in range(size)])
+    c = np.exp(log_m - log_m.max()) * np.exp(1j * n * cmath.phase(Z) - 1j * alpha * (n + k))
+    return FockState(k, c / np.linalg.norm(c), alpha, 0.0)
+
+
+# the nested-sum route against the closed forms, at label_sweep's tolerance
+@SETTINGS
+@given(hs.one_of(hs.none(), hs.floats(0.5, 8.0)), ks,
+       _label_values(0.0, 0.3).filter(lambda Z: Z != 0), alphas)
+def test_nested_sums_match_the_closed_forms(lam, k, Z, alpha):
+    res = kp_state_general(_spectrum(lam), Z, alpha, k)
+    assert res.j_converged
+    if lam is None:
+        ref = _agarwal_tara(Z, alpha, k, res.state.size)
+    else:
+        ref = kp_state_pt(lam, KPLabel(Z=Z, alpha=alpha, k=k), tail_eps=1e-24)
+    assert coeff_distance(res.state, ref) <= 1e-8
 
 
 # a stop on the total tail instead of the edge mass misses near |Z| = 0.8

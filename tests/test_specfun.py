@@ -558,6 +558,46 @@ class TestSignedLogSum:
         assert sign == 0.0
 
 
+class TestBatchedSignedLogSum:
+    """A stack of rows sharing one sign vector gives, row by row, the same
+    floats as the 1-D call on that row."""
+
+    @staticmethod
+    def _assert_rows_match(stack, signs):
+        log_abs, sign = signed_log_sum(stack, signs)
+        assert log_abs.shape == sign.shape == (len(stack),)
+        for row, got_log, got_sign in zip(stack, log_abs, sign):
+            one = signed_log_sum(row, signs)
+            assert np.float64(got_log).tobytes() == np.float64(one[0]).tobytes()
+            assert got_sign == one[1]
+
+    def test_random_rows(self):
+        rng = np.random.default_rng(2024)
+        for length in [*rng.integers(1, 401, 25), 1, 8, 128, 129, 400]:
+            signs = rng.choice([-1.0, 1.0], length)
+            stack = rng.normal(0.0, rng.uniform(0.1, 50.0), (int(rng.integers(1, 12)), length))
+            self._assert_rows_match(stack, signs)
+            self._assert_rows_match(np.asfortranarray(stack), signs)  # strided rows
+
+    def test_one_sided_rows(self):
+        rng = np.random.default_rng(5)
+        for length in (1, 3, 60, 400):
+            stack = rng.normal(0.0, 10.0, (4, length))
+            for value in (1.0, -1.0):
+                signs = np.full(length, value)
+                self._assert_rows_match(stack, signs)
+                assert np.all(signed_log_sum(stack, signs)[1] == value)
+
+    def test_exact_cancellation_within_a_stack(self):
+        stack = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-2.5, -2.5]])
+        log_abs, sign = signed_log_sum(stack, [1.0, -1.0])
+        assert log_abs[0] == log_abs[3] == -math.inf
+        assert sign[0] == sign[3] == 0.0
+        assert log_abs[1] == log_abs[2] == 1.0 + math.log(-math.expm1(-1.0))  # log(e - 1)
+        assert sign.tolist() == [0.0, 1.0, -1.0, 0.0]
+        self._assert_rows_match(stack, [1.0, -1.0])
+
+
 def test_series_control_validation():
     with pytest.raises(DomainError):
         SeriesControl(rel_tol=0.0)

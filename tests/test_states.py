@@ -34,8 +34,9 @@ from solvstate import (
     kp_state_pt,
     photon_statistics,
 )
+from solvstate import states
 from solvstate.fockspace import apply
-from solvstate.specfun import block_end
+from solvstate.specfun import block_end, signed_log_sum
 from solvstate.states import (
     _KP_TABLES_KEPT,
     _LOG_FACTORIAL,
@@ -597,6 +598,150 @@ class TestKPGeneral:
     def test_non_finite_input_rejected(self, Z, alpha):
         with pytest.raises(DomainError):
             kp_state_general(SPEC, Z, alpha)
+
+    def test_underflowing_displacement_builds_the_added_level(self):
+        # |Z|^2 underflows to 0 below |Z| ~ 1e-162; the state is then |k>
+        res = kp_state_general(SPEC, 1e-200, alpha=0.3, k=2)
+        assert res.j_converged
+        assert res.state.offset == 2
+        assert abs(res.state.coefficients[0]) == 1.0
+
+    def test_nonconverging_j_series_reports_an_infinite_ratio(self):
+        # the CLI's `state kp --Z 0.9 --k 3 --lambda 7 --nested` (exit 3)
+        res = kp_state_general(PoschlTellerSpectrum(3.5, 3.5), 0.9, k=3)
+        assert not res.j_converged
+        assert res.worst_term_ratio == math.inf
+
+
+# The nested sums as they were computed before the triangular in-place level
+# recursion and the batched signed sum, kept verbatim as the reference: every
+# kp_state_general result must equal, byte for byte, the one built from these.
+
+def _reference_nested_log_sums(spec, n_max: int, j_max: int) -> np.ndarray:
+    """log S_j(n) for j = 0..j_max, n = 0..n_max.
+
+    S_0 = 1 and S_j(n) = g_j(n+1) where g_j(m) = sum_{i=1..m} E_i g_{j-1}(i+1)
+    (each level consumes one index of headroom, hence the oversized grid).
+    """
+    m_big = n_max + j_max + 2
+    log_e = np.concatenate([[-math.inf], np.log(spec.levels(1, m_big + 2)[0])])
+    out = np.full((j_max + 1, n_max + 1), -math.inf)
+    out[0, :] = 0.0
+    log_g = np.zeros(m_big + 2)  # g_0(m) = 1, index m = 0..m_big+1
+    for j in range(1, j_max + 1):
+        contrib = log_e[1:m_big + 1] + log_g[2:m_big + 2]
+        acc = np.logaddexp.accumulate(contrib)
+        log_g = np.concatenate([[-math.inf], acc, [-math.inf]])
+        out[j, :] = log_g[1:n_max + 2]
+    return out
+
+
+def _reference_signed_log_sum(log_mags, signs) -> tuple[float, float]:
+    """Combine terms sign_i * exp(log_mag_i) into (log|sum|, sign of sum).
+
+    Positive and negative parts are reduced separately (logsumexp) before the
+    single cancelling subtraction, so the result is as accurate as the data
+    allows; the caller can compare log|sum| against max(log_mag) to detect
+    catastrophic cancellation.
+    """
+    log_mags = np.asarray(log_mags, dtype=float)
+    signs = np.asarray(signs, dtype=float)
+    pos = log_mags[signs > 0]
+    neg = log_mags[signs < 0]
+
+    def _lse(v):
+        if v.size == 0:
+            return -math.inf
+        m = v.max()
+        return m + math.log(np.exp(v - m).sum())
+
+    lp, ln = _lse(pos), _lse(neg)
+    if ln == -math.inf:
+        return lp, 1.0
+    if lp == -math.inf:
+        return ln, -1.0
+    hi, lo, sign = (lp, ln, 1.0) if lp >= ln else (ln, lp, -1.0)
+    diff = -math.expm1(lo - hi)  # 1 - exp(lo-hi), accurate near cancellation
+    if diff <= 0.0:
+        return -math.inf, 0.0
+    return hi + math.log(diff), sign
+
+
+def _reference_level_loop(log_terms_t, signs):
+    """The per-level loop: one 1-D signed sum per level."""
+    return np.array([_reference_signed_log_sum(col, signs) for col in log_terms_t]).T
+
+
+def _nested_outcome(spec, Z, alpha, k, n_max):
+    """What a caller sees of one nested build, as comparable bytes."""
+    try:
+        res = kp_state_general(spec, Z, alpha, k, n_max)
+    except DomainError as exc:
+        return str(exc)
+    return (res.state.coefficients.tobytes(), res.state.size,
+            np.float64(res.state.tail_bound).tobytes(),
+            np.float64(res.worst_term_ratio).tobytes(), res.j_converged)
+
+
+def _reference_outcome(spec, Z, alpha, k, n_max):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(states, "_nested_log_sums", _reference_nested_log_sums)
+        mp.setattr(states, "signed_log_sum", _reference_level_loop)
+        return _nested_outcome(spec, Z, alpha, k, n_max)
+
+
+NESTED_SPECTRA = {
+    **{f"pt-{lam:.3g}": PoschlTellerSpectrum(lam / 2.0, lam / 2.0)
+       for lam in (1.0 / 3.0, 1.0, 2.5, 4.0, 7.0)},
+    "harmonic": HarmonicSpectrum(),
+    "rule": CustomSpectrum(rule=lambda n: n ** 1.5 + 0.5 * n),
+}
+NESTED_MODULI = (0.05, 0.25, 0.3, 1.2, 2.5)
+
+
+class TestNestedAgainstReference:
+    @pytest.mark.parametrize("name", NESTED_SPECTRA)
+    @pytest.mark.parametrize("shift, n_max", enumerate([24, 48, 96, 384, 500, None]))
+    def test_bytes_equal_the_reference(self, name, shift, n_max):
+        # k turns with the grid, so each spectrum meets every (|Z|, k) pair
+        spec = NESTED_SPECTRA[name]
+        for i, modulus in enumerate(NESTED_MODULI):
+            k = (i + shift) % 4
+            args = (spec, cmath.rect(modulus, 0.7 * i + 1.3 * k), 0.1 * k, k, n_max)
+            assert _nested_outcome(*args) == _reference_outcome(*args), (modulus, k)
+
+    def test_nonconverging_series_equals_the_reference(self):
+        args = (PoschlTellerSpectrum(3.5, 3.5), 0.9, 0.0, 3, None)
+        new = _nested_outcome(*args)
+        assert new == _reference_outcome(*args)
+        assert new[4] is False
+        assert np.frombuffer(new[3])[0] == math.inf
+
+    def test_finite_table_ends_at_the_same_sizes(self):
+        # 150 levels: the nested sums request levels up to n_max + 123
+        table = CustomSpectrum(energies=[n * (n + 1.5) for n in range(150)])
+        outcomes = [_nested_outcome(table, 0.2, 0.0, 1, n_max) for n_max in range(22, 31)]
+        assert outcomes == [_reference_outcome(table, 0.2, 0.0, 1, n_max)
+                            for n_max in range(22, 31)]
+        assert outcomes[4][0] and outcomes[5] == \
+            "custom spectrum table has 150 levels, level 150 requested"
+
+    def test_nested_log_sums_equal_the_reference(self):
+        for spec in NESTED_SPECTRA.values():
+            for n_max in (0, 1, 24, 97):
+                assert (states._nested_log_sums(spec, n_max, 120).tobytes()
+                        == _reference_nested_log_sums(spec, n_max, 120).tobytes())
+            assert (states._nested_log_sums(spec, 30, 7).tobytes()
+                    == _reference_nested_log_sums(spec, 30, 7).tobytes())
+
+    def test_one_row_signed_sum_equals_the_reference(self):
+        # u_matrix keeps its per-entry 1-D calls
+        rng = np.random.default_rng(11)
+        for length in (1, 2, 7, 8, 9, 127, 128, 129, 400, 625, 3000):
+            log_mags = rng.normal(0.0, 30.0, length)
+            signs = rng.choice([-1.0, 1.0], length)
+            assert (repr(signed_log_sum(log_mags, signs))
+                    == repr(tuple(map(float, _reference_signed_log_sum(log_mags, signs)))))
 
 
 # ---------------------------------------------------------------------------
