@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the input check that raises one."""
+"""Exception types shared across the package, and the input checks that raise one."""
 
 import cmath
 
@@ -26,3 +26,12 @@ def require_finite(**values) -> None:
     for name, value in values.items():
         if value is not None and not cmath.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value}")
+
+
+def require_photon_number(k) -> None:
+    """Raise DomainError unless k is a nonnegative integer (an int or an
+    integral float): the number of added excitations."""
+    if k < 0:
+        raise DomainError(f"photon number k must be nonnegative, got {k}")
+    if not float(k).is_integer():
+        raise DomainError(f"photon number k must be an integer, got {k}")

@@ -10,16 +10,22 @@ bidiagonal, carried by the one diagonal m_n = sqrt(E_n) e^{i alpha (E_n -
 E_{n-1})} of a-; this is the only place the ladder signs and phases are
 written, for every spectrum, Poschl-Teller included. `build_ladder` spreads
 it into dense a- and a+ for the identity checks (`apply` is a plain matvec
-on those); the displacement oracle never forms a matrix and acts with the
-two diagonals of its tridiagonal generator, O(N) work per Taylor term. It
-makes one Taylor pass on a window of levels that doubles whenever the
-packet puts more than eps^2 on its top levels, sizes each substep by the
-generator on the window, and runs once over the whole space of a finite
-energy table.
+on those); the displacement oracle never forms a matrix. Its generator G =
+Z a+ - conj(Z) a- is tridiagonal with Z conj(m_n) below and -conj(Z) m_n
+above the diagonal, and G = D R D^-1 for the real antisymmetric R with
+|Z m_n| below and -|Z m_n| above and the unit phases D = diag(d), d_0 = 1,
+d_n = d_{n-1} (Z/|Z|) conj(m_n/|m_n|). So exp(G)|psi_0> = D exp(R) e_0:
+the Taylor pass runs on real vectors, three numpy calls per term into
+buffers that live as long as the window, and the phases of m_n enter once
+at the end. It makes one Taylor pass on a window of levels that doubles
+whenever the packet puts more than eps^2 on its top levels, sizes each
+substep by the generator on the window, and runs once over the whole space
+of a finite energy table.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -166,34 +172,58 @@ def apply(op: np.ndarray, state: FockState) -> FockState:
 
 
 def _window(spec, Z, alpha, L):
-    """Generator Z a+ - conj(Z) a- on levels 0..L as its two off-diagonals,
-    Z conj(m_n) below and -conj(Z) m_n above (O(L) work per Taylor term), and
-    norm = 2 max|sub|, a bound on its spectral norm (|sub| == |sup|)."""
+    """Generator Z a+ - conj(Z) a- on levels 0..L in the real gauge G = D R
+    D^-1: R is the real antisymmetric tridiagonal with r_n = |Z conj(m_n)| at
+    [n, n-1] and -r_n at [n-1, n], D = diag(d) with d_0 = 1 and d_n = d_{n-1}
+    (Z/|Z|) conj(m_n/|m_n|). Returns r padded to (0, r_1..r_L, 0), d, and
+    norm = 2 max r_n, a bound on the spectral norm of G."""
     m = _lowering_diagonal(spec.levels(0, L + 1)[0], alpha)
-    sub = Z * np.conj(m)
-    return sub, -(np.conj(Z) * m), 2.0 * np.max(np.abs(sub), initial=0.0)
+    r = np.abs(Z * np.conj(m))
+    # the two unit factors apart: sub/|sub| is 0/0 once Z conj(m_n) underflows
+    phase = cmath.exp(1j * cmath.phase(Z)) * np.exp(-1j * np.angle(m))
+    d = np.cumprod(np.concatenate([[1.0 + 0.0j], phase]))
+    return np.concatenate([[0.0], r, [0.0]]), d, 2.0 * np.max(r, initial=0.0)
 
 
-def _taylor_step(v, sub, sup):
-    """exp(G) v by its plain Taylor series, G the tridiagonal with zero
-    diagonal and off-diagonals sub (below) and sup (above). With |G| <= ~5 no
-    partial sum grows past ~e^5, so the series' cancellation stays harmless."""
-    term, acc, small = v, v.copy(), 0
+def _padded(size):
+    """A zero real buffer of `size` levels plus one guard at each end, with
+    its views (whole, levels, one level down, one level up)."""
+    buf = np.zeros(size + 2)
+    return buf, buf[1:-1], buf[:-2], buf[2:]
+
+
+def _taylor_step(v, out, rows, work, check):
+    """out = exp(h R) v by its plain Taylor series, v and out real vectors on
+    levels 0..L with a zero guard at each end (entries 1..L+1 hold the
+    levels), so term j is rows[j-1][0] * (term j-1)[:-2] + rows[j-1][1] *
+    (term j-1)[2:] with no edge case. rows[j-1] = (h a/j, h b/j) for the
+    window's coefficients a below and b above the diagonal, built on first
+    use from rows[0]; work holds two `_padded` term buffers and one buffer
+    of L+1 levels. Term norms are compared from term `check` on: the first
+    five small terms in a row stop the series, so a later start can only add
+    terms. Returns the last term index. With |hG| <= ~5 no partial sum grows
+    past ~e^5, so the series' cancellation stays harmless."""
+    np.copyto(out, v)
+    down, up, tmp, small = v[:-2], v[2:], work[2], 0
     for j in range(1, 120):
-        nxt = np.empty_like(term)
-        np.multiply(sup, term[1:], out=nxt[:-1])
-        nxt[-1] = 0.0
-        nxt[1:] += sub * term[:-1]
-        nxt /= j
-        term = nxt
-        acc += term
-        tn = math.sqrt(np.vdot(term, term).real)
+        if j > len(rows):
+            rows.append((rows[0][0] / j, rows[0][1] / j))
+        lo, hi = rows[j - 1]
+        term, inner, nxt_down, nxt_up = work[j & 1]
+        np.multiply(lo, down, out=inner)
+        np.multiply(hi, up, out=tmp)
+        inner += tmp
+        out += term
+        down, up = nxt_down, nxt_up
+        if j < check:
+            continue
+        tn = math.sqrt(np.dot(term, term))
         if not math.isfinite(tn):
             break
-        if tn < 1e-16 * math.sqrt(np.vdot(acc, acc).real):
+        if tn < 1e-16 * math.sqrt(np.dot(out, out)):
             small += 1
             if small >= 5:
-                return acc
+                return j
         else:
             small = 0
     raise ConvergenceError("displacement Taylor series went non-finite or "
@@ -226,21 +256,27 @@ def displace_ground(spec: Spectrum, Z: complex, alpha: float = 0.0,
     cap = _truncation(tail_eps, cap)
     finite = math.isfinite(spec.max_level)
     L = min(int(spec.max_level), cap) if finite else min(_WINDOW, cap)
-    v = np.zeros(L + 1, dtype=complex)
-    v[0] = 1.0
+    v = np.zeros(L + 3)  # levels 0..L at 1..L+1, zero guards at both ends
+    v[1] = 1.0
     t, edge, grow, grown = 0.0, 0.0, not finite, None  # grown: t of last growth
-    sub, sup, norm = _window(spec, Z, alpha, L)
+    window = _window(spec, Z, alpha, L)
     while True:
+        r, phases, norm = window
         left = 1.0 - t
         need = norm * left / 5.0
         if not need <= _MAX_STEPS:
             raise ConvergenceError(f"displacement by |Z| = {abs(Z):.3g} needs more "
                                    f"than {_MAX_STEPS} Taylor substeps")
         steps = max(1, math.ceil(need))
-        h_sub, h_sup = sub * left / steps, sup * left / steps
+        # buffers and the h/j coefficient rows of this window, reused by
+        # every substep on it
+        rows = [(r[:-1] * left / steps, -r[1:] * left / steps)]
+        work = (_padded(L + 1), _padded(L + 1), np.empty(L + 1))
+        w, check = np.empty(L + 3), 1
         for i in range(steps):
-            w = _taylor_step(v, h_sub, h_sup)
-            top = float(np.sum(np.abs(w[-3:]) ** 2))
+            # the stop lies near the last one: check from a few terms before
+            check = max(1, _taylor_step(v, w, rows, work, check) - 6)
+            top = float(np.dot(w[-4:-1], w[-4:-1]))
             if top > _EDGE_EPS and grow:
                 now = t + i * left / steps
                 # 1 - now <= dt log2(2 cap / L): the projection stays in reach
@@ -248,14 +284,14 @@ def displace_ground(spec: Spectrum, Z: complex, alpha: float = 0.0,
                     now - grown) * math.log2(2 * cap / L))
                 wide = _window(spec, Z, alpha, 2 * L) if grow else None
                 if grow and wide[2] * (1.0 - now) / 5.0 <= _MAX_STEPS:
-                    sub, sup, norm = wide
-                    v = np.concatenate([v, np.zeros(L, dtype=complex)])
+                    window, v = wide, np.concatenate([v[:-1], np.zeros(L + 1)])
                     L, t, grown = 2 * L, now, now
                     break
                 grow = False
-            v, edge = w, max(edge, top)
+            v, w, edge = w, v, max(edge, top)
         else:
             break
-    rounding = abs(1.0 - float(np.vdot(v, v).real))
+    v = v[1:-1]
+    rounding = abs(1.0 - float(np.dot(v, v)))
     tail = min(rounding + (edge if L < spec.max_level else 0.0), 1.0)
-    return FockState(0, v / np.linalg.norm(v), float(alpha), tail)
+    return FockState(0, phases * (v / np.linalg.norm(v)), float(alpha), tail)

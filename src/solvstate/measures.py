@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, require_finite
+from .errors import DomainError, require_finite, require_photon_number
 from .spectrum import PoschlTellerSpectrum
 from .specfun import (
     QuadratureRule,
@@ -121,6 +121,7 @@ def kp_weight_unit_disk(lam: float, k: int, reading: str = "a_b_b") -> WeightCan
                          elementary moments).
     """
     require_finite(lam=lam)
+    require_photon_number(k)
     log_norm = log_gamma(lam + 2.0 * k + 1.0)
 
     if reading == "a_b_b":
@@ -209,6 +210,7 @@ def gk_radial_moment_log(lam: float, k: int, n: int) -> float:
     E_k(n) * (lam+1)_k, i.e. it carries the same benign n-independent
     constant as the hypergeometric normalization closed form.
     """
+    require_photon_number(k)
     return (2.0 * log_gamma(n + 1.0) + 2.0 * log_pochhammer(lam + 1.0, n)
             - log_gamma(n + k + 1.0) - log_pochhammer(lam + k + 1.0, n))
 
@@ -217,6 +219,7 @@ def mellin_weight_moment_log(lam: float, k: int, n: int) -> float:
     """log of the n-th moment of the claimed GK Meijer-G weight, evaluated
     through its defining Gamma-ratio Mellin transform at s = n+1 (no
     pointwise G evaluation anywhere)."""
+    require_photon_number(k)
     s = n + 1.0
     return (log_gamma(lam + k + 1.0) - 2.0 * log_gamma(lam + 1.0)
             + 2.0 * log_gamma(s) + 2.0 * log_gamma(lam + s)
@@ -226,6 +229,7 @@ def mellin_weight_moment_log(lam: float, k: int, n: int) -> float:
 def kp_moment_target_log(lam: float, k: int, n: int) -> float:
     """log of the published KP unit-disk moment target
     Gamma(n+1)^2 / (Gamma(n+k+1) Gamma(n+lam+k+1))."""
+    require_photon_number(k)
     return (2.0 * log_gamma(n + 1.0) - log_gamma(n + k + 1.0)
             - log_gamma(n + lam + k + 1.0))
 
@@ -333,6 +337,7 @@ def mellin_gamma_check_pt(lam: float, k: int, n_max: int) -> MomentReport:
     require_finite(lam=lam)
     if lam <= 0.0:
         raise DomainError(f"lam must be positive, got {lam}")
+    require_photon_number(k)
     _require_moments(n_max, 0)
     report = MomentReport(
         title=f"Mellin-level weight check (lam={lam}, k={k})",
@@ -382,6 +387,7 @@ def kp_moment_residuals(lam: float, k: int, candidate: WeightCandidate,
     quadrature-vs-analytic agreement (within 1e-9) and quadrature
     convergence; target mismatches are tallied in notes/errata.
     """
+    require_photon_number(k)
     _require_moments(n_max, 1)
     report = MomentReport(
         title=f"unit-disk moment residuals (lam={lam}, k={k})",
@@ -444,6 +450,7 @@ def gk_measure_selfconsistency(lam: float, k: int, n_max: int) -> MomentReport:
     is the convention offset shared by the closed-form normalization, and it
     cancels exactly here.
     """
+    require_photon_number(k)
     _require_moments(n_max, 0)
     report = MomentReport(
         title=f"GK identity-resolution diagonal (lam={lam}, k={k})",

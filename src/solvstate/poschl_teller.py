@@ -16,7 +16,12 @@ The ladder phases of the spectrum n(n+lam) come from the generic
 `fockspace.build_ladder`, like those of any other spectrum.
 
 `eigenfunctions` gives levels 0..n_max as rows of one Jacobi recurrence;
-`eigenfunction` is one row of it.
+`eigenfunction` is one row of it. `lowered_eigenfunctions` gives A- psi_n
+for n = 0..n_max the same way, from that table and one table of the
+shifted family P^{(k+1/2, k'+1/2)} that carries the derivatives;
+`eigenfunction_deriv` and `apply_lowering` are rows of it. `u_matrix`
+evaluates the log-Gamma values of a block once and every entry reads them
+by index.
 """
 
 from __future__ import annotations
@@ -28,13 +33,7 @@ import numpy as np
 
 from .errors import DomainError, require_finite
 from .spectrum import PoschlTellerSpectrum
-from .specfun import (
-    jacobi_poly,
-    jacobi_poly_deriv,
-    jacobi_table,
-    log_gamma,
-    signed_log_sum,
-)
+from .specfun import jacobi_table, log_gamma, signed_log_sum
 
 __all__ = [
     "PTParams",
@@ -45,6 +44,7 @@ __all__ = [
     "eigenfunction",
     "eigenfunctions",
     "partner_eigenfunction",
+    "lowered_eigenfunctions",
     "eigenfunction_deriv",
     "apply_lowering",
     "u_matrix_element",
@@ -132,20 +132,33 @@ def norm_constant_log(p: PTParams, n: int) -> float:
             - math.log(2.0 * n + k + kp))
 
 
+def _check_level(n: int) -> None:
+    if n < 0:
+        raise DomainError(f"level index must be nonnegative, got {n}")
+
+
+def _prefactors(p: PTParams, n_max: int, ndim: int) -> np.ndarray:
+    """c_n^{-1/2} for n = 0..n_max, a column against ndim position axes."""
+    return np.array([math.exp(-0.5 * norm_constant_log(p, n))
+                     for n in range(n_max + 1)]).reshape((-1,) + (1,) * ndim)
+
+
+def _normalized_rows(p: PTParams, x: np.ndarray, pref, polys) -> np.ndarray:
+    """pref_n cos^{k'}(x/2a) sin^{k}(x/2a) times row n of `polys`."""
+    u = x / (2.0 * p.a)
+    return pref * np.cos(u) ** p.kappa_prime * np.sin(u) ** p.kappa * polys
+
+
 def eigenfunctions(p: PTParams, n_max: int, x) -> np.ndarray:
     """Normalized eigenfunctions c_n^{-1/2} cos^{k'}(x/2a) sin^{k}(x/2a)
     P_n^{(k-1/2, k'-1/2)}(cos(x/a)) of the lower partner Hamiltonian, rows
     n = 0..n_max of one Jacobi recurrence; shape (n_max+1,) + shape of x."""
-    if n_max < 0:
-        raise DomainError(f"level index must be nonnegative, got {n_max}")
+    _check_level(n_max)
     x = np.asarray(x, dtype=float)
     if not np.all((x >= 0.0) & (x <= p.box)):
         raise DomainError(f"x must lie in [0, {p.box:.6g}]")
-    u = x / (2.0 * p.a)
-    pref = np.array([math.exp(-0.5 * norm_constant_log(p, n))
-                     for n in range(n_max + 1)]).reshape((-1,) + (1,) * x.ndim)
-    return pref * np.cos(u) ** p.kappa_prime * np.sin(u) ** p.kappa \
-        * jacobi_table(n_max, p.kappa - 0.5, p.kappa_prime - 0.5, np.cos(x / p.a))
+    return _normalized_rows(p, x, _prefactors(p, n_max, x.ndim), jacobi_table(
+        n_max, p.kappa - 0.5, p.kappa_prime - 0.5, np.cos(x / p.a)))
 
 
 def eigenfunction(p: PTParams, n: int, x):
@@ -160,25 +173,46 @@ def partner_eigenfunction(p: PTParams, n: int, x):
     return eigenfunction(p.partner(), n, x)
 
 
-def eigenfunction_deriv(p: PTParams, n: int, x):
-    """Analytic d/dx of `eigenfunction` via the Jacobi derivative identity."""
+def _lowered_tables(p: PTParams, n_max: int, x):
+    """Rows n = 0..n_max of d/dx psi_n and W psi_n inside the well,
+    from one P_n^{(k-1/2, k'-1/2)} table and, through dP_n/dy =
+    ((n+k+k')/2) P_{n-1}^{(k+1/2, k'+1/2)}, one table of the shifted family."""
+    _check_level(n_max)
     x = _check_open_interval(p, x)
-    u = x / (2.0 * p.a)
+    alpha, beta_ = p.kappa - 0.5, p.kappa_prime - 0.5
     y = np.cos(x / p.a)
-    pref = math.exp(-0.5 * norm_constant_log(p, n))
+    polys = jacobi_table(n_max, alpha, beta_, y)
+    dpolys = np.zeros_like(polys)
+    if n_max > 0:
+        coef = np.array([0.5 * (n + alpha + beta_ + 1.0) for n in range(1, n_max + 1)])
+        dpolys[1:] = coef.reshape((-1,) + (1,) * x.ndim) * jacobi_table(
+            n_max - 1, alpha + 1.0, beta_ + 1.0, y)
+    u = x / (2.0 * p.a)
+    pref = _prefactors(p, n_max, x.ndim)
     envelope = np.cos(u) ** p.kappa_prime * np.sin(u) ** p.kappa
-    pn = jacobi_poly(n, p.kappa - 0.5, p.kappa_prime - 0.5, y)
-    dpn = jacobi_poly_deriv(n, p.kappa - 0.5, p.kappa_prime - 0.5, y)
     log_deriv = (p.kappa / np.tan(u) - p.kappa_prime * np.tan(u)) / (2.0 * p.a)
-    val = pref * envelope * (log_deriv * pn - np.sin(x / p.a) / p.a * dpn)
+    deriv = pref * envelope * (log_deriv * polys - np.sin(x / p.a) / p.a * dpolys)
+    return deriv, superpotential(p, x) * _normalized_rows(p, x, pref, polys)
+
+
+def lowered_eigenfunctions(p: PTParams, n_max: int, x) -> np.ndarray:
+    """(A- psi_n)(x) with A- = d/dx + W for n = 0..n_max, rows of one pair of
+    Jacobi tables; shape (n_max+1,) + shape of x. A- annihilates the ground
+    state and maps level n+1 onto sqrt(E_{n+1}) times partner level n."""
+    deriv, w_psi = _lowered_tables(p, n_max, x)
+    return deriv + w_psi
+
+
+def eigenfunction_deriv(p: PTParams, n: int, x):
+    """Analytic d/dx of `eigenfunction` via the Jacobi derivative identity,
+    row n of the derivative rows behind `lowered_eigenfunctions`."""
+    val = _lowered_tables(p, n, x)[0][n]
     return val if np.ndim(val) else float(val)
 
 
 def apply_lowering(p: PTParams, n: int, x):
-    """(A- psi_n)(x) with A- = d/dx + W; annihilates the ground state and
-    maps level n+1 onto sqrt(E_{n+1}) times partner level n."""
-    x = _check_open_interval(p, x)
-    val = eigenfunction_deriv(p, n, x) + superpotential(p, x) * eigenfunction(p, n, x)
+    """(A- psi_n)(x), row n of `lowered_eigenfunctions`."""
+    val = lowered_eigenfunctions(p, n, x)[n]
     return val if np.ndim(val) else float(val)
 
 
@@ -208,8 +242,13 @@ _U_INDEX_CAP = 24
 def _u_tables(p: PTParams, ns, ms):
     """Shared pieces of the u double sum for rows ns and columns ms: per row
     the log binomials in p and the norm constant, per column those in p',
-    and a memo of log-Gamma values keyed by their exact argument, so an
-    entry reads the same floats as when summed alone."""
+    and the log-Gamma values of the Beta factor's two arguments over the
+    block, read by index. A memo keyed by exact argument gives every entry
+    the same floats as when summed alone.
+
+    The first argument n+m+k+1-p-p' is s - (p+p') with s = n+m+k+1: the
+    subtractions of integers from s < 2^52 are exact, so it is one value per
+    (n+m, p+p'). The second, k'+p+p'+1, rounds per (p, p')."""
     memo = {}
 
     def lg(x):
@@ -227,18 +266,23 @@ def _u_tables(p: PTParams, ns, ms):
     cols = {m: (binoms(m + kap + 0.5, range(m + 1)),
                 binoms(m + kpp + 0.5, range(m, -1, -1)),
                 norm_constant_log(partner, m)) for m in ms}
-    return np.vectorize(lg, otypes=[float]), rows, cols
+    q, qq = np.arange(max(ns) + 1)[:, None], np.arange(max(ms) + 1)
+    lg_left = {nm: np.array([lg(nm + kap + 1.0 - d) for d in range(nm + 1)])
+               for nm in {n + m for n in ns for m in ms}}
+    lg_right = np.array([[lg(x) for x in row]
+                         for row in (kpp + q + qq + 1.0).tolist()])
+    return lg, rows, cols, lg_left, lg_right, q + qq
 
 
 def _u_entry(p: PTParams, n: int, m: int, tables) -> UMatrixEntry:
     """The double sum of `u_matrix_element` from `_u_tables` pieces."""
-    lg, rows, cols = tables
+    lg, rows, cols, lg_left, lg_right, d = tables
     (r1, r2, norm_n), (c1, c2, norm_m) = rows[n], cols[m]
     kap, kpp = p.kappa, p.kappa_prime
-    q, qq = np.arange(n + 1)[:, None], np.arange(m + 1)
-    log_mags = ((r1 + r2)[:, None] + c1 + c2 + lg(n + m + kap + 1.0 - q - qq)
-                + lg(kpp + q + qq + 1.0) - lg(n + m + kap + kpp + 2.0)).ravel()
-    signs = np.where((n + m - q - qq) % 2 == 0, 1.0, -1.0).ravel()
+    d = d[:n + 1, :m + 1]
+    log_mags = ((r1 + r2)[:, None] + c1 + c2 + lg_left[n + m][d]
+                + lg_right[:n + 1, :m + 1] - lg(n + m + kap + kpp + 2.0)).ravel()
+    signs = np.where((n + m - d) % 2 == 0, 1.0, -1.0).ravel()
     log_sum, sign = signed_log_sum(log_mags, signs)
     log_pref = math.log(p.a) - 0.5 * (norm_n + norm_m)
     max_term = float(np.max(log_mags))

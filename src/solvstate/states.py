@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, require_finite
+from .errors import ConvergenceError, DomainError, require_finite, require_photon_number
 from .fockspace import _MAX_N, FockState, _truncation
 from .spectrum import PoschlTellerSpectrum, Spectrum
 from .specfun import (
@@ -88,8 +88,7 @@ class GKLabel:
     k: int = 0
 
     def __post_init__(self):
-        if self.k < 0:
-            raise DomainError(f"photon number k must be nonnegative, got {self.k}")
+        require_photon_number(self.k)
         object.__setattr__(self, "z", complex(self.z))
         require_finite(z=self.z, alpha=self.alpha)
 
@@ -107,8 +106,7 @@ class KPLabel:
     def __post_init__(self):
         if (self.xi is None) == (self.Z is None):
             raise DomainError("provide exactly one of xi or Z")
-        if self.k < 0:
-            raise DomainError(f"photon number k must be nonnegative, got {self.k}")
+        require_photon_number(self.k)
         if self.xi is not None:
             object.__setattr__(self, "xi", complex(self.xi))
         if self.Z is not None:
@@ -520,8 +518,7 @@ def kp_state_general(spec: Spectrum, Z: complex, alpha: float = 0.0, k: int = 0,
     the spectrum). Without n_max the level count doubles from 48 until the
     top four levels hold below 1e-14 of the norm, or reaches 384.
     """
-    if k < 0:
-        raise DomainError(f"photon number k must be nonnegative, got {k}")
+    require_photon_number(k)
     Z = complex(Z)
     require_finite(Z=Z, alpha=alpha)
     if Z == 0:

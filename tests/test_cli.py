@@ -128,6 +128,15 @@ class TestStateCommand:
         assert out == ""
         assert "must be positive" in err
 
+    @pytest.mark.parametrize("check", ["kp-weights", "mellin", "gk-diag", "all"])
+    def test_negative_photon_number_exit_code(self, capsys, check):
+        # a report for photon number -1 is no report
+        code, out, err = run_cli(capsys, "moments", "--check", check,
+                                 "--k", "-1", "--lambda", "4")
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert "photon number k must be nonnegative" in err
+
     @pytest.mark.parametrize("family, label", [("gk", "--z"), ("kp", "--xi")])
     @pytest.mark.parametrize("eps", ["nan", "-1e-12"])
     def test_bad_tail_budget_exit_code(self, capsys, family, label, eps):

@@ -414,3 +414,30 @@ class TestMomentTable:
         # 11 + 9 + 7 moments of the k = 0, a_b_b and a_b_lam2k weights; one
         # integral per entry, with the lam-scaled k = 0 weight again, was 69
         assert len(calls) == 27
+
+
+class TestPhotonNumber:
+    # every entry point that takes k rejects a k that no photon-added state
+    # has, with the message of the state builders
+    @pytest.mark.parametrize("build", [
+        lambda k: kp_weight_unit_disk(LAM, k),
+        lambda k: kp_weight_unit_disk(LAM, k, reading="a_b_lam2k"),
+        lambda k: gk_radial_moment_log(LAM, k, 3),
+        lambda k: mellin_weight_moment_log(LAM, k, 3),
+        lambda k: kp_moment_target_log(LAM, k, 3),
+        lambda k: mellin_gamma_check_pt(LAM, k, 5),
+        lambda k: gk_measure_selfconsistency(LAM, k, 5),
+        lambda k: kp_moment_residuals(LAM, k, kp_weight_k0(LAM), 4),
+    ])
+    @pytest.mark.parametrize("k, message", [
+        (-1, "photon number k must be nonnegative"),
+        (-3, "photon number k must be nonnegative"),
+        (1.5, "photon number k must be an integer"),
+        (float("nan"), "photon number k must be an integer"),
+    ])
+    def test_rejected(self, build, k, message):
+        with pytest.raises(DomainError, match=message):
+            build(k)
+
+    def test_integral_float_is_the_integer(self):
+        assert kp_moment_target_log(LAM, 2.0, 3) == kp_moment_target_log(LAM, 2, 3)

@@ -12,6 +12,7 @@ from solvstate.poschl_teller import (
     eigenfunction,
     eigenfunction_deriv,
     eigenfunctions,
+    lowered_eigenfunctions,
     norm_constant_log,
     partner_eigenfunction,
     potential,
@@ -20,7 +21,8 @@ from solvstate.poschl_teller import (
     u_matrix_element,
 )
 from solvstate.specfun import (QuadratureRule, beta, integrate, jacobi_poly,
-                               jacobi_table)
+                               jacobi_poly_deriv, jacobi_table, log_gamma,
+                               signed_log_sum)
 
 P_SYM = PTParams(2.0, 2.0, 1.0)
 P_ASYM = PTParams(1.2, 3.4, 1.0)
@@ -325,3 +327,118 @@ class TestLadderAction:
     def test_negative_level_rejected(self):
         with pytest.raises(DomainError):
             build_ladder(P_SYM.spectrum(), 0.0, -1)
+
+
+# ---------------------------------------------------------------------------
+# The table-driven forms against the per-entry and per-level formulas they
+# replace, byte for byte
+# ---------------------------------------------------------------------------
+
+WELLS = [PTParams(2.0, 2.0), PTParams(1.2, 3.4), PTParams(0.7, 5.3, a=2.3),
+         PTParams(0.51, 0.6, a=0.4)]
+WELL_IDS = ["sym", "asym", "wide_box", "near_half"]
+
+
+def _reference_u_tables(p, ns, ms):
+    """Per-entry log-Gamma lookups: a memo keyed by exact argument behind
+    np.vectorize, called on each entry's own argument arrays."""
+    memo = {}
+
+    def lg(x):
+        if x not in memo:
+            memo[x] = log_gamma(x)
+        return memo[x]
+
+    def binoms(x, js):
+        return np.array([lg(x + 1.0) - lg(j + 1.0) - lg(x - j + 1.0) for j in js])
+
+    kap, kpp, partner = p.kappa, p.kappa_prime, p.partner()
+    rows = {n: (binoms(n + kap - 0.5, range(n + 1)),
+                binoms(n + kpp - 0.5, range(n, -1, -1)),
+                norm_constant_log(p, n)) for n in ns}
+    cols = {m: (binoms(m + kap + 0.5, range(m + 1)),
+                binoms(m + kpp + 0.5, range(m, -1, -1)),
+                norm_constant_log(partner, m)) for m in ms}
+    return np.vectorize(lg, otypes=[float]), rows, cols
+
+
+def _reference_u_entry(p, n, m, tables):
+    """(value, condition, flagged) of one entry of the double sum."""
+    lg, rows, cols = tables
+    (r1, r2, norm_n), (c1, c2, norm_m) = rows[n], cols[m]
+    kap, kpp = p.kappa, p.kappa_prime
+    q, qq = np.arange(n + 1)[:, None], np.arange(m + 1)
+    log_mags = ((r1 + r2)[:, None] + c1 + c2 + lg(n + m + kap + 1.0 - q - qq)
+                + lg(kpp + q + qq + 1.0) - lg(n + m + kap + kpp + 2.0)).ravel()
+    signs = np.where((n + m - q - qq) % 2 == 0, 1.0, -1.0).ravel()
+    log_sum, sign = signed_log_sum(log_mags, signs)
+    if log_sum == -math.inf:
+        return 0.0, math.inf, True
+    max_term = float(np.max(log_mags))
+    return (sign * math.exp(math.log(p.a) - 0.5 * (norm_n + norm_m) + log_sum),
+            math.exp(max_term - log_sum), math.exp(log_sum - max_term) < 1e-10)
+
+
+def _reference_deriv(p, n, x):
+    """d/dx psi_n at one level through jacobi_poly and jacobi_poly_deriv."""
+    x = np.asarray(x, dtype=float)
+    u = x / (2.0 * p.a)
+    y = np.cos(x / p.a)
+    pref = math.exp(-0.5 * norm_constant_log(p, n))
+    envelope = np.cos(u) ** p.kappa_prime * np.sin(u) ** p.kappa
+    pn = jacobi_poly(n, p.kappa - 0.5, p.kappa_prime - 0.5, y)
+    dpn = jacobi_poly_deriv(n, p.kappa - 0.5, p.kappa_prime - 0.5, y)
+    log_deriv = (p.kappa / np.tan(u) - p.kappa_prime * np.tan(u)) / (2.0 * p.a)
+    val = pref * envelope * (log_deriv * pn - np.sin(x / p.a) / p.a * dpn)
+    return val if np.ndim(val) else float(val)
+
+
+def _reference_lowering(p, n, x):
+    val = _reference_deriv(p, n, x) + superpotential(p, x) * eigenfunction(p, n, x)
+    return val if np.ndim(val) else float(val)
+
+
+def _same_bytes(a, b):
+    return type(a) is type(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestAgainstPerEntryReference:
+    @pytest.mark.parametrize("p", WELLS, ids=WELL_IDS)
+    @pytest.mark.parametrize("n_max, m_max", [(24, 24), (18, 4), (6, 6), (0, 0),
+                                              (3, 24)])
+    def test_u_block_entries(self, p, n_max, m_max):
+        ref = _reference_u_tables(p, range(n_max + 1), range(m_max + 1))
+        block = u_matrix(p, n_max, m_max)
+        for n in range(n_max + 1):
+            for m in range(m_max + 1):
+                e = block[n][m]
+                got = (e.value, e.condition, e.flagged)
+                assert _same_bytes(got, _reference_u_entry(p, n, m, ref)), (n, m)
+
+    @pytest.mark.parametrize("p", WELLS, ids=WELL_IDS)
+    @pytest.mark.parametrize("n, m", [(0, 0), (5, 7), (13, 2), (24, 24)])
+    def test_single_u_entry(self, p, n, m):
+        e = u_matrix_element(p, n, m)
+        ref = _reference_u_entry(p, n, m, _reference_u_tables(p, [n], [m]))
+        assert _same_bytes((e.value, e.condition, e.flagged), ref)
+
+    @pytest.mark.parametrize("p", WELLS, ids=WELL_IDS)
+    @pytest.mark.parametrize("where", ["array", "scalar", "one_point", "grid"])
+    def test_lowering_and_derivative_rows(self, p, where):
+        x = {"array": np.linspace(0.01 * p.box, 0.99 * p.box, 37),
+             "scalar": 0.3 * p.box,
+             "one_point": np.array([0.5 * p.box]),
+             "grid": np.linspace(0.1, 0.9, 12).reshape(3, 4) * p.box}[where]
+        n_max = 12
+        rows = lowered_eigenfunctions(p, n_max, x)
+        assert rows.shape == (n_max + 1,) + np.shape(x)
+        for n in range(n_max + 1):
+            lowered = _reference_lowering(p, n, x)
+            assert _same_bytes(apply_lowering(p, n, x), lowered), n
+            assert _same_bytes(eigenfunction_deriv(p, n, x), _reference_deriv(p, n, x)), n
+            assert np.asarray(rows[n]).tobytes() == np.asarray(lowered).tobytes(), n
+
+    def test_negative_level_rejected(self):
+        for fn in (lowered_eigenfunctions, eigenfunction_deriv, apply_lowering):
+            with pytest.raises(DomainError, match="nonnegative"):
+                fn(P_SYM, -1, 1.0)

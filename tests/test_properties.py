@@ -17,6 +17,7 @@ import mpmath
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as hs
+from scipy.linalg import expm
 
 from solvstate import (
     GKLabel,
@@ -24,6 +25,7 @@ from solvstate import (
     FockState,
     KPLabel,
     PoschlTellerSpectrum,
+    build_ladder,
     displace_ground,
     evolve,
     gk_norm_constant,
@@ -162,6 +164,24 @@ def test_displacement_oracle_matches_closed_form(lam, modulus, phase):
     oracle = displace_ground(_spectrum(lam), Z)
     closed = kp_state_pt(lam, KPLabel(Z=Z, alpha=0.0, k=0), tail_eps=1e-24)
     assert coeff_distance(oracle, closed) <= 1e-10
+
+
+# The suites and the property above displace at alpha = 0 only; here the
+# ladder's alpha phases and the phase of Z meet in the oracle's real gauge.
+# cap = 64 is the first window alone, so the reference is the exact
+# exponential of the same truncated generator, from the dense ladder.
+@SETTINGS
+@given(hs.floats(0.3, 8.0), hs.floats(0.0, 1.5), phases,
+       hs.floats(0.0, 2.0 * math.pi, exclude_max=True))
+def test_displacement_oracle_matches_dense_expm(lam, modulus, phase, alpha):
+    spec = _spectrum(lam)
+    Z = cmath.rect(modulus, phase)
+    state = displace_ground(spec, Z, alpha, cap=64)
+    lad = build_ladder(spec, alpha, 64)
+    column = expm(Z * lad.a_plus - np.conj(Z) * lad.a_minus)[:, 0]
+    column /= np.linalg.norm(column)
+    assert state.size == 65
+    assert np.max(np.abs(state.coefficients - column)) < 1e-13
 
 
 # ---------------------------------------------------------------------------
