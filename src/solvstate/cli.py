@@ -42,9 +42,10 @@ def parse_complex(text: str) -> complex:
 
 
 def _sig(x, digits):
+    """x to `digits` significant digits; a non-finite float is None (null)."""
     if isinstance(x, float):
         if not math.isfinite(x):
-            return x
+            return None
         return float(f"{x:.{digits}g}")
     return x
 
@@ -59,7 +60,8 @@ def _round_floats(obj, digits=15):
 
 def _emit(args, payload: dict, text_renderer=None, csv_renderer=None) -> None:
     renderer = {"csv": csv_renderer, "text": text_renderer}.get(args.format)
-    out = renderer(payload) if renderer else json.dumps(_round_floats(payload), indent=2)
+    out = renderer(payload) if renderer else json.dumps(
+        _round_floats(payload), indent=2, allow_nan=False)
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(out + ("\n" if not out.endswith("\n") else ""))

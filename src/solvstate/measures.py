@@ -360,18 +360,21 @@ def mellin_gamma_check_pt(lam: float, k: int, n_max: int) -> MomentReport:
     return report
 
 
-def _power_moment(candidate: WeightCandidate, power: int):
-    """Adaptive quadrature of h(r) r^power over (0, 1), or None where the
-    integral diverges at r = 0."""
-    left = candidate.left_exponent + power
-    if left <= -1.0:
-        return None
-    right = candidate.right_exponent
+def _moment_table(candidate: WeightCandidate, n_max: int):
+    """(p_min, one vector integral of h(r) r^p over (0, 1) for the powers
+    p = p_min..n_max convergent at r = 0, under the lowest one's rule), with
+    None for the integral when no power converges."""
+    p_min = max(0, math.floor(-1.0 - candidate.left_exponent) + 1)
+    if p_min > n_max:
+        return p_min, None
+    left, right = candidate.left_exponent + p_min, candidate.right_exponent
     rule = QuadratureRule(
         nodes=24, panels=4, rel_tol=1e-12, abs_tol=1e-16,
         left_exponent=left if left != int(left) or left < 0 else None,
         right_exponent=right if right != int(right) or right < 0 else None)
-    return integrate(lambda r: candidate.evaluate(r) * r ** power, 0.0, 1.0, rule)
+    powers = np.arange(p_min, n_max + 1)[:, None]
+    return p_min, integrate(lambda r: candidate.evaluate(r) * r ** powers,
+                            0.0, 1.0, rule)
 
 
 def kp_moment_residuals(lam: float, k: int, candidate: WeightCandidate,
@@ -379,13 +382,15 @@ def kp_moment_residuals(lam: float, k: int, candidate: WeightCandidate,
     """Quadrature moments of a candidate unit-disk weight, both power
     conventions, against the published KP moment targets.
 
-    One table holds the moments of h(r) r^p over (0,1), p = 0..n_max, each
-    integrated once; for n = 1..n_max the r^{n-1} and r^n conventions read
-    entries p = n-1 and p = n of it. Each is compared against the published
+    One table holds the moments of h(r) r^p over (0,1), p = 0..n_max, as one
+    vector integral that evaluates the weight once per abscissa; for
+    n = 1..n_max the r^{n-1} and r^n conventions read entries p = n-1 and
+    p = n of it. Each is compared against the published
     Gamma-ratio target (within 1e-8) and, where the candidate is
     Beta-reducible, against its analytic value. `passed` asserts only
     quadrature-vs-analytic agreement (within 1e-9) and quadrature
-    convergence; target mismatches are tallied in notes/errata.
+    convergence; target mismatches are tallied in notes/errata. Convergence
+    is one flag per table: if one power misses, every entry is indeterminate.
     """
     require_photon_number(k)
     _require_moments(n_max, 1)
@@ -394,18 +399,18 @@ def kp_moment_residuals(lam: float, k: int, candidate: WeightCandidate,
         candidate=candidate.id,
         tolerance=_MATCH_TOLERANCE,
     )
-    moments = [_power_moment(candidate, p) for p in range(n_max + 1)]
+    p_min, res = _moment_table(candidate, n_max)
     match_count = {n_power: 0 for n_power in ("n-1", "n")}
     for n in range(1, n_max + 1):
         target = kp_moment_target_log(lam, k, n)
         for power in (n - 1, n):
-            res = moments[power]
-            if res is None:
+            if power < p_min:
                 report.entries.append(MomentEntry(
                     n, power, target, None, math.inf, 0.0, None, None,
                     "divergent"))
                 continue
-            computed_log = math.log(res.value) if res.value > 0 else -math.inf
+            value = float(res.value[power - p_min])
+            computed_log = math.log(value) if value > 0 else -math.inf
             rel_resid = _rel_from_logs(computed_log, target)
             analytic_log = None
             quad_vs_analytic = None
@@ -424,7 +429,7 @@ def kp_moment_residuals(lam: float, k: int, candidate: WeightCandidate,
                 verdict = "fail"
             report.entries.append(MomentEntry(
                 n, power, target, computed_log, rel_resid,
-                res.error, analytic_log, quad_vs_analytic, verdict))
+                float(res.error[power - p_min]), analytic_log, quad_vs_analytic, verdict))
 
     for key, label in (("n-1", "r^(n-1)"), ("n", "r^n")):
         report.notes.append(

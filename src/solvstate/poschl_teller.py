@@ -19,9 +19,10 @@ The ladder phases of the spectrum n(n+lam) come from the generic
 `eigenfunction` is one row of it. `lowered_eigenfunctions` gives A- psi_n
 for n = 0..n_max the same way, from that table and one table of the
 shifted family P^{(k+1/2, k'+1/2)} that carries the derivatives;
-`eigenfunction_deriv` and `apply_lowering` are rows of it. `u_matrix`
-evaluates the log-Gamma values of a block once and every entry reads them
-by index.
+`eigenfunction_deriv` and `apply_lowering` are rows of it.
+`gauss_jacobi_integral` integrates products of these tables exactly.
+`u_matrix` evaluates the log-Gamma values of a block once and every entry
+reads them by index.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ __all__ = [
     "lowered_eigenfunctions",
     "eigenfunction_deriv",
     "apply_lowering",
+    "gauss_jacobi_integral",
     "u_matrix_element",
     "u_matrix",
 ]
@@ -214,6 +216,22 @@ def apply_lowering(p: PTParams, n: int, x):
     """(A- psi_n)(x), row n of `lowered_eigenfunctions`."""
     val = lowered_eigenfunctions(p, n, x)[n]
     return val if np.ndim(val) else float(val)
+
+
+def gauss_jacobi_integral(p: PTParams, f, alpha: float, beta: float,
+                          nodes: int) -> np.ndarray:
+    """Integral over the well of f(x), a block of eigenfunction products of
+    shape (K, len(x)) or (len(x),), by the `nodes`-node Gauss-Jacobi rule in
+    y = cos(x/a): sum_j w_j a f(x_j) / ((1-y_j)^(alpha+1/2) (1+y_j)^(beta+1/2))
+    with x_j = a arccos y_j. Exact when f(x) dx is (1-y)^alpha (1+y)^beta dy
+    times a polynomial of degree below 2*nodes, as products of the envelopes
+    sin^k cos^k' are, e.g. (k-1/2, k'-1/2) for the lower Gram matrix; any
+    other integrand is integrated wrongly, not approximately."""
+    from scipy.special import roots_jacobi  # scipy stays off the cold start
+
+    y, w = roots_jacobi(nodes, alpha, beta)
+    weights = p.a * w / ((1.0 - y) ** (alpha + 0.5) * (1.0 + y) ** (beta + 0.5))
+    return np.asarray(f(p.a * np.arccos(y))) @ weights
 
 
 @dataclass(frozen=True)

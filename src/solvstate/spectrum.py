@@ -66,18 +66,18 @@ class Spectrum:
         if n < len(self._energies):
             return
         with self._lock:
-            while len(self._energies) <= n:
-                m = len(self._energies)
+            energies, log_e0 = self._energies, self._log_e0
+            for m in range(len(energies), n + 1):
                 e = float(self._energy(m))
-                require_finite(**{f"E_{m}": e})
-                prev = self._energies[-1]
-                if e <= prev:
+                if not math.isfinite(e):
+                    require_finite(**{f"E_{m}": e})
+                if e <= energies[-1]:
                     raise DomainError(
                         f"spectrum is not strictly increasing: E_{m} = {e} "
-                        f"<= E_{m - 1} = {prev}"
+                        f"<= E_{m - 1} = {energies[-1]}"
                     )
-                self._energies.append(e)
-                self._log_e0.append(self._log_e0[-1] + math.log(e))
+                energies.append(e)
+                log_e0.append(log_e0[-1] + math.log(e))
 
     def energy(self, n: int) -> float:
         """E_n; the ground level is pinned to exactly 0."""

@@ -20,7 +20,6 @@ from . import states as st
 from .errors import DomainError
 from .fockspace import build_ladder, displace_ground
 from .spectrum import CustomSpectrum, HarmonicSpectrum, PoschlTellerSpectrum
-from .specfun import QuadratureRule, integrate
 
 __all__ = ["CheckResult", "SuiteReport", "run_suite", "SUITES",
            "coeff_distance"]
@@ -408,15 +407,13 @@ def suite_measures(lam: float = 4.0, k: int = 2) -> SuiteReport:
 # ---------------------------------------------------------------------------
 
 def _orthonormality_error(p: pt.PTParams, n_max: int) -> float:
-    rule = QuadratureRule(nodes=32, panels=6, rel_tol=1e-12, abs_tol=1e-13,
-                          left_exponent=2.0 * p.kappa,
-                          right_exponent=2.0 * p.kappa_prime)
-    n, m = np.triu_indices(n_max + 1)  # the Gram matrix as one vector integral
+    n, m = np.triu_indices(n_max + 1)  # the Gram matrix, exact under (k-1/2, k'-1/2)
 
     def products(x):
         rows = pt.eigenfunctions(p, n_max, x)
         return rows[n] * rows[m]
-    gram = integrate(products, 0.0, p.box, rule).value
+    gram = pt.gauss_jacobi_integral(p, products, p.kappa - 0.5,
+                                    p.kappa_prime - 0.5, n_max + 1)
     return float(np.max(np.abs(gram - (n == m))))
 
 
@@ -463,33 +460,29 @@ def suite_pt() -> SuiteReport:
         rep.add(f"schrodinger_residual[{tag}]", worst, 1e-6,
                 "levels 0..4 on the interior grid")
 
-        # lower x partner products: the intertwining and the u overlaps
-        rule = QuadratureRule(nodes=32, panels=6, rel_tol=1e-12,
-                              left_exponent=2.0 * p.kappa + 1.0,
-                              right_exponent=2.0 * p.kappa_prime + 1.0)
-
-        # intertwining: A- maps level n+1 onto sqrt(E_{n+1}) x partner level n
-        val = integrate(
-            lambda x_: pt.eigenfunctions(p.partner(), 4, x_)
+        # intertwining: A- maps level n+1 onto sqrt(E_{n+1}) x partner level
+        # n; the products are exact under the weight (k+1/2, k'+1/2)
+        val = pt.gauss_jacobi_integral(
+            p, lambda x_: pt.eigenfunctions(p.partner(), 4, x_)
             * pt.lowered_eigenfunctions(p, 5, x_)[1:],
-            0.0, p.box, rule)
+            p.kappa + 0.5, p.kappa_prime + 0.5, 5)
         worst = max(abs(abs(v) / math.sqrt(p.energy(n + 1)) - 1.0)
-                    for n, v in enumerate(val.value))
+                    for n, v in enumerate(val))
         rep.add(f"susy_intertwining[{tag}]", worst, 1e-7,
                 "|<psi_n^+, A- psi_{n+1}^->| / sqrt(E_{n+1}) = 1")
 
-        # closed-form overlaps vs quadrature
-        block = pt.u_matrix(p, 6, 6)
-        entries = [e for row in block for e in row]
+        # closed-form overlaps vs quadrature under the weight (k, k'), from
+        # one block that the column-norm check below reads too
+        block = pt.u_matrix(p, 18, 6)
+        entries = [e for row in block[:7] for e in row]
         kept = [e for e in entries if not e.flagged]
         n_flagged = len(entries) - len(kept)
         n, m = [e.n for e in kept], [e.m for e in kept]
-        quad = integrate(
-            lambda x_: pt.eigenfunctions(p, 6, x_)[n]
+        quad = pt.gauss_jacobi_integral(
+            p, lambda x_: pt.eigenfunctions(p, 6, x_)[n]
             * pt.eigenfunctions(p.partner(), 6, x_)[m],
-            0.0, p.box, rule)
-        worst = float(np.max(np.abs([e.value for e in kept] - quad.value),
-                             initial=0.0))
+            p.kappa, p.kappa_prime, 7)
+        worst = float(np.max(np.abs([e.value for e in kept] - quad), initial=0.0))
         rep.add(f"u_closed_vs_quadrature[{tag}]", worst, 1e-8,
                 f"n,m <= 6; {n_flagged} entries flagged for cancellation")
         rep.add(f"u00_positive[{tag}]",
@@ -498,9 +491,8 @@ def suite_pt() -> SuiteReport:
                 larger_is_fail=False)
 
         # truncated column norms approach 1 monotonically
-        columns = pt.u_matrix(p, 18, 4)
         defects = np.array([[abs(1.0 - sum(row[m].value * row[m].value
-                                           for row in columns[:cutoff + 1]))
+                                           for row in block[:cutoff + 1]))
                              for cutoff in (6, 10, 14, 18)] for m in range(5)])
         rep.add(f"u_column_norms_monotone[{tag}]",
                 float(np.max(np.diff(defects, axis=1))), 0.0,

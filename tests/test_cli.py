@@ -451,6 +451,25 @@ class TestPTCommand:
         assert block[0][0]["value"] == pytest.approx(0.9918, abs=1e-3)
         assert block[0][1]["flagged"] is True  # parity zero for kappa=kappa'
 
+    @pytest.mark.parametrize("argv, nulls", [
+        (("pt", "--u-block", "6", "6"), 7),
+        (("pt", "--u-block", "24", "24", "--kappa", "2", "--kappa-prime", "2"), 119),
+        (("moments", "--check", "all", "--lambda", "4", "--k", "2"), 3),
+    ])
+    def test_json_has_no_bare_infinity(self, capsys, argv, nulls):
+        # RFC 8259 has no Infinity or NaN: a non-finite number prints as null
+        def refuse(name):
+            raise ValueError(f"bare {name} in JSON output")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        doc = json.loads(out, parse_constant=refuse)
+        if argv[0] == "pt":
+            conditions = [e["condition"] for row in doc["u_block"] for e in row]
+        else:
+            conditions = [e["rel_residual"] for r in doc["reports"]
+                          for e in r["entries"]]
+        assert conditions.count(None) == nulls
+
     def test_requires_an_action(self, capsys):
         code, _, err = run_cli(capsys, "pt")
         assert code == EXIT_DOMAIN

@@ -12,6 +12,7 @@ from solvstate.poschl_teller import (
     eigenfunction,
     eigenfunction_deriv,
     eigenfunctions,
+    gauss_jacobi_integral,
     lowered_eigenfunctions,
     norm_constant_log,
     partner_eigenfunction,
@@ -228,6 +229,46 @@ class TestEigenfunctionTable:
     def test_non_finite_positions_rejected(self, fn, x):
         with pytest.raises(DomainError):
             fn(P_SYM, x)
+
+
+class TestGaussJacobiIntegral:
+    """Eigenfunction products are Jacobi weights times polynomials in
+    y = cos(x/a), so floor(degree/2) + 1 Gauss-Jacobi nodes are exact."""
+
+    @pytest.mark.parametrize("p", [P_SYM, P_ASYM, PTParams(0.7, 5.3, 2.3)])
+    def test_gram_of_41_levels(self, p):
+        n, m = np.triu_indices(41)
+
+        def products(x):
+            rows = eigenfunctions(p, 40, x)
+            return rows[n] * rows[m]
+        gram = gauss_jacobi_integral(p, products, p.kappa - 0.5,
+                                     p.kappa_prime - 0.5, 41)
+        assert np.max(np.abs(gram - (n == m))) <= 1e-13
+
+    @pytest.mark.parametrize("p", [P_SYM, P_ASYM])
+    def test_u_products_match_adaptive_quadrature(self, p):
+        n, m = (idx.ravel() for idx in np.indices((13, 13)))
+
+        def products(x):
+            return eigenfunctions(p, 12, x)[n] * eigenfunctions(p.partner(), 12, x)[m]
+        exact = gauss_jacobi_integral(p, products, p.kappa, p.kappa_prime, 13)
+        adaptive = integrate(products, 0.0, p.box, overlap_rule(p, extra=1.0))
+        assert adaptive.converged
+        assert np.max(np.abs(exact - adaptive.value)) <= 1e-13
+
+    @pytest.mark.parametrize("p", [P_SYM, P_ASYM])
+    def test_wrong_envelope_exponent_misses(self, p):
+        # kappa + 1/4 in the envelope leaves sqrt(sin(x/2a)) in every product,
+        # which no polynomial in y matches
+        n, m = np.triu_indices(9)
+
+        def products(x):
+            rows = eigenfunctions(p, 8, x) * np.sin(x / (2.0 * p.a)) ** 0.25
+            return rows[n] * rows[m]
+        gram = gauss_jacobi_integral(p, products, p.kappa - 0.5,
+                                     p.kappa_prime - 0.5, 9)
+        assert np.max(np.abs(gram - (n == m))) > 1e-6
 
 
 class TestUMatrix:

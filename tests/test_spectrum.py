@@ -131,6 +131,16 @@ def test_levels_match_scalar_accessors(spec):
     assert spec.levels(0, 1)[0].tolist() == [0.0]
 
 
+@pytest.mark.parametrize("spec", [PoschlTellerSpectrum(0.6, 1.7), HarmonicSpectrum()])
+def test_log_products_are_the_sequential_sum(spec):
+    energies, log_e0 = spec.levels(0, 3001)
+    total, expected = 0.0, [0.0]
+    for e in energies[1:].tolist():
+        total += math.log(e)
+        expected.append(total)
+    assert log_e0.tolist() == expected
+
+
 def test_levels_validation():
     with pytest.raises(DomainError):
         HarmonicSpectrum().levels(-1, 3)
