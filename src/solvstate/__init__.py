@@ -9,7 +9,14 @@ oracles.
 """
 
 from .errors import ConvergenceError, DomainError
-from .fockspace import FockState, LadderRep, apply, build_ladder, displace_ground
+from .fockspace import (
+    FockState,
+    LadderRep,
+    apply,
+    build_ladder,
+    displace_ground,
+    displacement_path,
+)
 from .spectrum import (
     CustomSpectrum,
     HarmonicSpectrum,

@@ -20,7 +20,13 @@ buffers that live as long as the window, and the phases of m_n enter once
 at the end. It makes one Taylor pass on a window of levels that doubles
 whenever the packet puts more than eps^2 on its top levels, sizes each
 substep by the generator on the window, and runs once over the whole space
-of a finite energy table.
+of a finite energy table. Each substep's series stops on a proven bound:
+with rho >= ||h G|| the remainder after a term j with j+1 >= 2 rho is at
+most that term, so the first such term below 1e-16 of the sum ends it.
+The pass visits exp(t G)|psi_0> for every t in [0, 1], the displaced
+state at amplitude t Z, so `displacement_path` returns the states at
+several fractions of one ray from one pass, and `displace_ground` is its
+t = 1 end.
 """
 
 from __future__ import annotations
@@ -34,7 +40,8 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, require_finite
 from .spectrum import Spectrum
 
-__all__ = ["LadderRep", "FockState", "build_ladder", "displace_ground", "apply"]
+__all__ = ["LadderRep", "FockState", "build_ladder", "displace_ground",
+           "displacement_path", "apply"]
 
 # Edge mass below which truncation moves no coefficient by more than one
 # unit roundoff of the unit-norm vector.
@@ -192,19 +199,22 @@ def _padded(size):
     return buf, buf[1:-1], buf[:-2], buf[2:]
 
 
-def _taylor_step(v, out, rows, work, check):
+def _taylor_step(v, out, rows, work, rho):
     """out = exp(h R) v by its plain Taylor series, v and out real vectors on
     levels 0..L with a zero guard at each end (entries 1..L+1 hold the
     levels), so term j is rows[j-1][0] * (term j-1)[:-2] + rows[j-1][1] *
     (term j-1)[2:] with no edge case. rows[j-1] = (h a/j, h b/j) for the
     window's coefficients a below and b above the diagonal, built on first
     use from rows[0]; work holds two `_padded` term buffers and one buffer
-    of L+1 levels. Term norms are compared from term `check` on: the first
-    five small terms in a row stop the series, so a later start can only add
-    terms. Returns the last term index. With |hG| <= ~5 no partial sum grows
-    past ~e^5, so the series' cancellation stays harmless."""
+    of L+1 levels. rho bounds ||h R||, so ||term j+1|| <= rho ||term j|| /
+    (j+1): once j+1 >= 2 rho every later ratio is at most 1/2 and the whole
+    remainder after term j is at most ||term j||. The series stops at the
+    first such j whose term is below 1e-16 of the partial sum; no term norm
+    is taken before j = ceil(2 rho) - 1. Returns that j. With rho <= 5 no
+    partial sum grows past ~e^5, so the series' cancellation stays harmless."""
     np.copyto(out, v)
-    down, up, tmp, small = v[:-2], v[2:], work[2], 0
+    down, up, tmp = v[:-2], v[2:], work[2]
+    first = max(1, math.ceil(2.0 * rho) - 1)
     for j in range(1, 120):
         if j > len(rows):
             rows.append((rows[0][0] / j, rows[0][1] / j))
@@ -215,70 +225,74 @@ def _taylor_step(v, out, rows, work, check):
         inner += tmp
         out += term
         down, up = nxt_down, nxt_up
-        if j < check:
+        if j < first:
             continue
         tn = math.sqrt(np.dot(term, term))
         if not math.isfinite(tn):
             break
         if tn < 1e-16 * math.sqrt(np.dot(out, out)):
-            small += 1
-            if small >= 5:
-                return j
-        else:
-            small = 0
+            return j
     raise ConvergenceError("displacement Taylor series went non-finite or "
                            "missed its stop")
 
 
-def displace_ground(spec: Spectrum, Z: complex, alpha: float = 0.0,
-                    tail_eps: float = 1e-12, cap: int | None = None) -> FockState:
-    """exp(Z a+ - conj(Z) a-) |psi_0> by one Taylor pass along the path
-    exp(t G) |psi_0>, t from 0 to 1, on a window of levels 0..L.
+def displacement_path(spec: Spectrum, Z: complex, fractions, alpha: float = 0.0,
+                      cap: int | None = None) -> list[FockState]:
+    """exp(t G) |psi_0> for each t in `fractions`, G = Z a+ - conj(Z) a-, from
+    one Taylor pass along t from 0 to 1 on a window of levels 0..L; the state
+    at t is the displaced ground state at amplitude t Z.
 
-    L starts at 64 (clamped to the cap). The rest of the path, a fraction
-    `left`, is cut into ceil(norm * left / 5) substeps, norm the generator
-    bound on the current window. After a substep whose top three levels hold
-    more than eps^2, the window doubles and only that substep is redone,
-    unless 2L passes the cap, the rest of the path at 2L needs more than 4000
-    substeps, or the doubling interval dt since the last growth projects past
-    the cap (L 2^(left/dt) > 2 cap); then it never grows again. The generator
-    is anti-Hermitian, so the exact result is unit norm: tail_bound is the
-    norm deficit (Taylor rounding) plus the edge, the largest accepted top
-    mass. Each intermediate vector is the displaced state at a smaller |Z|
+    `fractions` must increase strictly inside (0, 1] and end at 1.0, else
+    DomainError. L starts at 64 (clamped to the cap). Each segment from the
+    current t to the next fraction is cut into ceil(norm * segment / 5)
+    substeps, norm the generator bound on the current window, and the
+    substeps stop on `_taylor_step`'s proven remainder bound. After a
+    substep whose top three levels hold more than eps^2, the window doubles
+    and only that substep is redone, unless 2L passes the cap, the rest of
+    the path to t = 1 at 2L needs more than 4000 substeps, or the doubling
+    interval dt since the last growth projects past the cap (L 2^((1 - t)/dt)
+    > 2 cap); then it never grows again. The generator is anti-Hermitian, so
+    each exact state is unit norm: its tail_bound is its own norm deficit
+    (Taylor rounding) plus the edge, the largest top mass accepted up to its
+    t. Each intermediate vector is the displaced state at a smaller |Z|
     (for Poschl-Teller and the oscillator), so the edge also sees a packet
     that reached the top and was reflected back below it. A finite table of
     M levels is the whole space: one window of min(M - 1, cap) levels, whose
-    tail is the rounding alone when the table fits. tail_eps is checked but
-    steers nothing: callers compare tail_bound with their own budget.
+    tail is the rounding alone when the table fits. Every state spans the
+    window it was reached on.
     """
     Z = complex(Z)
     require_finite(Z=Z, alpha=alpha)
-    cap = _truncation(tail_eps, cap)
+    cap = _truncation(0.0, cap)
+    stops = [float(f) for f in fractions]
+    if not stops or stops[-1] != 1.0 or not all(
+            f < g for f, g in zip([0.0] + stops, stops)):
+        raise DomainError(f"fractions must increase inside (0, 1] and end at 1.0, "
+                          f"got {stops}")
     finite = math.isfinite(spec.max_level)
     L = min(int(spec.max_level), cap) if finite else min(_WINDOW, cap)
     v = np.zeros(L + 3)  # levels 0..L at 1..L+1, zero guards at both ends
     v[1] = 1.0
     t, edge, grow, grown = 0.0, 0.0, not finite, None  # grown: t of last growth
     window = _window(spec, Z, alpha, L)
-    while True:
+    states = []
+    while len(states) < len(stops):
         r, phases, norm = window
-        left = 1.0 - t
-        need = norm * left / 5.0
-        if not need <= _MAX_STEPS:
+        seg = stops[len(states)] - t
+        if not norm * (1.0 - t) / 5.0 <= _MAX_STEPS:
             raise ConvergenceError(f"displacement by |Z| = {abs(Z):.3g} needs more "
                                    f"than {_MAX_STEPS} Taylor substeps")
-        steps = max(1, math.ceil(need))
-        # buffers and the h/j coefficient rows of this window, reused by
-        # every substep on it
-        rows = [(r[:-1] * left / steps, -r[1:] * left / steps)]
+        steps = max(1, math.ceil(norm * seg / 5.0))
+        # buffers and the h/j coefficient rows of this segment, reused by
+        # every substep of it
+        rows = [(r[:-1] * seg / steps, -r[1:] * seg / steps)]
         work = (_padded(L + 1), _padded(L + 1), np.empty(L + 1))
-        w, check = np.empty(L + 3), 1
+        w = np.empty(L + 3)
         for i in range(steps):
-            # the stop lies near the last one: check from a few terms before
-            check = max(1, _taylor_step(v, w, rows, work, check) - 6)
+            _taylor_step(v, w, rows, work, norm * seg / steps)
             top = float(np.dot(w[-4:-1], w[-4:-1]))
             if top > _EDGE_EPS and grow:
-                now = t + i * left / steps
+                now = t + i * seg / steps
                 # 1 - now <= dt log2(2 cap / L): the projection stays in reach
                 grow = 2 * L <= cap and (grown is None or 1.0 - now <= (
                     now - grown) * math.log2(2 * cap / L))
@@ -290,8 +304,21 @@ def displace_ground(spec: Spectrum, Z: complex, alpha: float = 0.0,
                 grow = False
             v, w, edge = w, v, max(edge, top)
         else:
-            break
-    v = v[1:-1]
-    rounding = abs(1.0 - float(np.dot(v, v)))
-    tail = min(rounding + (edge if L < spec.max_level else 0.0), 1.0)
-    return FockState(0, phases * (v / np.linalg.norm(v)), float(alpha), tail)
+            t = stops[len(states)]
+            levels = v[1:-1]
+            rounding = abs(1.0 - float(np.dot(levels, levels)))
+            tail = min(rounding + (edge if L < spec.max_level else 0.0), 1.0)
+            states.append(FockState(0, phases * (levels / np.linalg.norm(levels)),
+                                    float(alpha), tail))
+    return states
+
+
+def displace_ground(spec: Spectrum, Z: complex, alpha: float = 0.0,
+                    tail_eps: float = 1e-12, cap: int | None = None) -> FockState:
+    """exp(Z a+ - conj(Z) a-) |psi_0>: the t = 1 end of `displacement_path`,
+    one Taylor pass with the same window growth, substeps, proven stop and
+    tail_bound (norm deficit plus edge). tail_eps is checked but steers
+    nothing: callers compare tail_bound with their own budget.
+    """
+    _truncation(tail_eps, cap)
+    return displacement_path(spec, Z, (1.0,), alpha, cap)[0]

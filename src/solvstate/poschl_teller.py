@@ -21,8 +21,9 @@ for n = 0..n_max the same way, from that table and one table of the
 shifted family P^{(k+1/2, k'+1/2)} that carries the derivatives;
 `eigenfunction_deriv` and `apply_lowering` are rows of it.
 `gauss_jacobi_integral` integrates products of these tables exactly.
-`u_matrix` evaluates the log-Gamma values of a block once and every entry
-reads them by index.
+`u_matrix` evaluates every term of a block's double sums in one broadcast
+and reduces them in a few stacks; `u_matrix_element` is the same code on a
+1x1 block.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import DomainError, require_finite
 from .spectrum import PoschlTellerSpectrum
-from .specfun import jacobi_table, log_gamma, signed_log_sum
+from .specfun import _row_log_sum_exp, _signed_pair, jacobi_table, log_gamma
 
 __all__ = [
     "PTParams",
@@ -257,16 +258,20 @@ _U_THRESHOLD = 1e-10
 _U_INDEX_CAP = 24
 
 
-def _u_tables(p: PTParams, ns, ms):
-    """Shared pieces of the u double sum for rows ns and columns ms: per row
-    the log binomials in p and the norm constant, per column those in p',
-    and the log-Gamma values of the Beta factor's two arguments over the
-    block, read by index. A memo keyed by exact argument gives every entry
-    the same floats as when summed alone.
+def _u_block(p: PTParams, ns, ms) -> list:
+    """Entries of the u double sum for rows ns and columns ms, from one
+    broadcast over (n, m, p, p').
 
-    The first argument n+m+k+1-p-p' is s - (p+p') with s = n+m+k+1: the
-    subtractions of integers from s < 2^52 are exact, so it is one value per
-    (n+m, p+p'). The second, k'+p+p'+1, rounds per (p, p')."""
+    Per row the log binomials in p and the norm constant, per column those
+    in p', and the log-Gamma values of the Beta factor's two arguments come
+    from a memo keyed by exact argument, so every entry gets the same floats
+    as when summed alone. The first argument n+m+k+1-p-p' is s - (p+p') with
+    s = n+m+k+1: the subtractions of integers from s < 2^52 are exact, so it
+    is one value per (n+m, p+p'). The second, k'+p+p'+1, rounds per (p, p').
+    Slots with p > n or p' > m hold finite fillers and are masked out. Each
+    entry's positive and negative terms, in row-major (p, p') order, are
+    reduced as rows of one `_row_log_sum_exp` stack per row length, which
+    gives the floats of one `signed_log_sum` call per entry."""
     memo = {}
 
     def lg(x):
@@ -274,42 +279,62 @@ def _u_tables(p: PTParams, ns, ms):
             memo[x] = log_gamma(x)
         return memo[x]
 
-    def binoms(x, js):  # log C(x, j), x - j > -1
-        return np.array([lg(x + 1.0) - lg(j + 1.0) - lg(x - j + 1.0) for j in js])
+    def binoms(x, js, width):  # log C(x, j), x - j > -1, zero-padded to width
+        out = np.zeros(width)
+        out[:len(js)] = [lg(x + 1.0) - lg(j + 1.0) - lg(x - j + 1.0) for j in js]
+        return out
 
     kap, kpp, partner = p.kappa, p.kappa_prime, p.partner()
-    rows = {n: (binoms(n + kap - 0.5, range(n + 1)),
-                binoms(n + kpp - 0.5, range(n, -1, -1)),
-                norm_constant_log(p, n)) for n in ns}
-    cols = {m: (binoms(m + kap + 0.5, range(m + 1)),
-                binoms(m + kpp + 0.5, range(m, -1, -1)),
-                norm_constant_log(partner, m)) for m in ms}
-    q, qq = np.arange(max(ns) + 1)[:, None], np.arange(max(ms) + 1)
-    lg_left = {nm: np.array([lg(nm + kap + 1.0 - d) for d in range(nm + 1)])
-               for nm in {n + m for n in ns for m in ms}}
-    lg_right = np.array([[lg(x) for x in row]
-                         for row in (kpp + q + qq + 1.0).tolist()])
-    return lg, rows, cols, lg_left, lg_right, q + qq
+    ns, ms = list(ns), list(ms)
+    P, Q = max(ns) + 1, max(ms) + 1
+    r12 = np.array([binoms(n + kap - 0.5, range(n + 1), P)
+                    + binoms(n + kpp - 0.5, range(n, -1, -1), P) for n in ns])
+    c1 = np.array([binoms(m + kap + 0.5, range(m + 1), Q) for m in ms])
+    c2 = np.array([binoms(m + kpp + 0.5, range(m, -1, -1), Q) for m in ms])
+    q, qq = np.arange(P)[:, None], np.arange(Q)
+    d = q + qq
+    nm = np.add.outer(ns, ms)
+    sums = sorted(set(nm.ravel().tolist()))
+    lg_left = np.zeros((len(sums), P + Q - 1))
+    for i, s in enumerate(sums):
+        lg_left[i, :s + 1] = [lg(s + kap + 1.0 - j) for j in range(s + 1)]
+    lg_right = np.array([[lg(x) for x in row] for row in (kpp + q + qq + 1.0).tolist()])
+    lg_last = np.array([[lg(n + m + kap + kpp + 2.0) for m in ms] for n in ns])
+    log_mags = ((((r12[:, None, :, None] + c1[None, :, None, :]) + c2[None, :, None, :])
+                 + lg_left[np.searchsorted(sums, nm)[:, :, None, None], d])
+                + lg_right) - lg_last[:, :, None, None]
+    valid = (q <= np.array(ns)[:, None, None, None]) & (qq <= np.array(ms)[:, None, None])
+    even = (nm[:, :, None, None] - d) % 2 == 0
 
+    # every entry's positive row, then every entry's negative row
+    parts = (valid & even, valid & ~even)
+    terms = np.concatenate([log_mags[part] for part in parts])
+    counts = np.concatenate([part.sum(axis=(2, 3)).ravel() for part in parts])
+    starts = np.cumsum(counts) - counts
+    lse = np.empty(len(counts))
+    for length in np.unique(counts).tolist():
+        sel = np.flatnonzero(counts == length)
+        lse[sel] = _row_log_sum_exp(terms[starts[sel][:, None] + np.arange(length)])
+    log_pos, log_neg = lse.reshape(2, len(ns), len(ms)).tolist()
+    max_terms = np.max(np.where(valid, log_mags, -math.inf), axis=(2, 3)).tolist()
 
-def _u_entry(p: PTParams, n: int, m: int, tables) -> UMatrixEntry:
-    """The double sum of `u_matrix_element` from `_u_tables` pieces."""
-    lg, rows, cols, lg_left, lg_right, d = tables
-    (r1, r2, norm_n), (c1, c2, norm_m) = rows[n], cols[m]
-    kap, kpp = p.kappa, p.kappa_prime
-    d = d[:n + 1, :m + 1]
-    log_mags = ((r1 + r2)[:, None] + c1 + c2 + lg_left[n + m][d]
-                + lg_right[:n + 1, :m + 1] - lg(n + m + kap + kpp + 2.0)).ravel()
-    signs = np.where((n + m - d) % 2 == 0, 1.0, -1.0).ravel()
-    log_sum, sign = signed_log_sum(log_mags, signs)
-    log_pref = math.log(p.a) - 0.5 * (norm_n + norm_m)
-    max_term = float(np.max(log_mags))
-    if log_sum == -math.inf:
-        return UMatrixEntry(n, m, 0.0, math.inf, True)
-    condition = math.exp(max_term - log_sum)
-    value = sign * math.exp(log_pref + log_sum)
-    flagged = math.exp(log_sum - max_term) < _U_THRESHOLD
-    return UMatrixEntry(n, m, value, condition, flagged)
+    log_a = math.log(p.a)
+    norms_m = [norm_constant_log(partner, m) for m in ms]
+    block = []
+    for i, n in enumerate(ns):
+        norm_n, row = norm_constant_log(p, n), []
+        for k, m in enumerate(ms):
+            log_sum, sign = _signed_pair(log_pos[i][k], log_neg[i][k])
+            if log_sum == -math.inf:
+                row.append(UMatrixEntry(n, m, 0.0, math.inf, True))
+                continue
+            max_term = max_terms[i][k]
+            log_pref = log_a - 0.5 * (norm_n + norms_m[k])
+            row.append(UMatrixEntry(n, m, sign * math.exp(log_pref + log_sum),
+                                    math.exp(max_term - log_sum),
+                                    math.exp(log_sum - max_term) < _U_THRESHOLD))
+        block.append(row)
+    return block
 
 
 def _check_u_indices(n: int, m: int) -> None:
@@ -330,18 +355,23 @@ def u_matrix_element(p: PTParams, n: int, m: int) -> UMatrixEntry:
     summed in log-magnitude + sign form. The alternating terms grow with
     n+m and eventually eat all significant digits, so indices above 24 raise
     DomainError; each entry carries a condition estimate and is flagged
-    when the sum falls below 1e-10 of its largest term.
+    when the sum falls below 1e-10 of its largest term. This is the entry of
+    the 1x1 block (rows [n], columns [m]) of `u_matrix`'s broadcast, so it
+    equals the block's entry to the bit.
     """
     _check_u_indices(n, m)
-    return _u_entry(p, n, m, _u_tables(p, [n], [m]))
+    return _u_block(p, [n], [m])[0][0]
 
 
 def u_matrix(p: PTParams, n_max: int, m_max: int) -> list:
-    """All entries for n <= n_max, m <= m_max (row-major list of lists); the
-    log-Gamma values and binomial rows and columns are built once per block."""
+    """All entries for n <= n_max, m <= m_max (row-major list of lists).
+
+    The log-Gamma values and binomial rows and columns are built once per
+    block, the log terms of every (n, m, p, p') in one broadcast with the
+    operation order of the single sum, and the signed sums of all entries in
+    one log-sum-exp stack per row length. Each entry is byte-identical to
+    its own `u_matrix_element`."""
     if n_max < 0 or m_max < 0:
         raise DomainError(f"block sizes must be nonnegative, got ({n_max}, {m_max})")
     _check_u_indices(n_max, m_max)
-    tables = _u_tables(p, range(n_max + 1), range(m_max + 1))
-    return [[_u_entry(p, n, m, tables) for m in range(m_max + 1)]
-            for n in range(n_max + 1)]
+    return _u_block(p, range(n_max + 1), range(m_max + 1))

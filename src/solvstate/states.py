@@ -487,9 +487,8 @@ def _nested_log_sums(spec: Spectrum, n_max: int, j_max: int) -> np.ndarray:
     these are the floats of a scan over every m.
     """
     width = n_max + 1 + j_max  # g_0(m) = 1 is read for m <= width
-    # a finite table must hold levels to width + 2, three past those read:
-    # that is the documented size limit of the nested sums on a table
-    log_e = np.log(spec.levels(1, width + 3)[0])  # log_e[i-1] = log E_i
+    # E_1..E_{width-1} are read, so a finite table must hold levels to n_max + j_max
+    log_e = np.log(spec.levels(1, width)[0])  # log_e[i-1] = log E_i
     out = np.empty((j_max + 1, n_max + 1))
     out[0] = 0.0
     prev, cur = np.zeros(width + 1), np.empty(width + 1)  # index m

@@ -18,7 +18,7 @@ from . import measures as msr
 from . import poschl_teller as pt
 from . import states as st
 from .errors import DomainError
-from .fockspace import build_ladder, displace_ground
+from .fockspace import build_ladder, displace_ground, displacement_path
 from .spectrum import CustomSpectrum, HarmonicSpectrum, PoschlTellerSpectrum
 
 __all__ = ["CheckResult", "SuiteReport", "run_suite", "SUITES",
@@ -247,10 +247,13 @@ def suite_kp(lams=(1.0, 4.0)) -> SuiteReport:
     t0 = time.perf_counter()
     for lam in lams:
         spec = PoschlTellerSpectrum(lam / 2.0, lam / 2.0)
+        # the four amplitudes of one ray from one oracle pass
+        moduli = (0.2, 0.4, 0.8, 1.5)
+        ray = displacement_path(spec, 1.5 * np.exp(0.4j),
+                                [m / 1.5 for m in moduli[:-1]] + [1.0])
         worst = 0.0
-        for Zmag in (0.2, 0.4, 0.8, 1.5):
+        for Zmag, oracle in zip(moduli, ray):
             Z = Zmag * np.exp(0.4j)
-            oracle = displace_ground(spec, Z, alpha=0.0)
             closed = st.kp_state_pt(lam, st.KPLabel(Z=Z, alpha=0.0, k=0),
                                     tail_eps=1e-24)
             worst = max(worst, coeff_distance(oracle, closed))

@@ -27,6 +27,7 @@ from solvstate import (
     PoschlTellerSpectrum,
     build_ladder,
     displace_ground,
+    displacement_path,
     evolve,
     gk_norm_constant,
     gk_norm_constant_pt_closed,
@@ -182,6 +183,25 @@ def test_displacement_oracle_matches_dense_expm(lam, modulus, phase, alpha):
     column /= np.linalg.norm(column)
     assert state.size == 65
     assert np.max(np.abs(state.coefficients - column)) < 1e-13
+
+
+# The same reference at two random interior points of one path: the states
+# along a single Taylor pass are the displaced states at t Z.
+@SETTINGS
+@given(hs.floats(0.3, 8.0), hs.floats(0.0, 1.5), phases,
+       hs.floats(0.0, 2.0 * math.pi, exclude_max=True),
+       hs.lists(hs.floats(0.01, 0.99), min_size=2, max_size=2, unique=True))
+def test_displacement_path_matches_dense_expm(lam, modulus, phase, alpha, inner):
+    spec = _spectrum(lam)
+    Z = cmath.rect(modulus, phase)
+    fractions = sorted(inner) + [1.0]
+    lad = build_ladder(spec, alpha, 64)
+    G = Z * lad.a_plus - np.conj(Z) * lad.a_minus
+    for t, state in zip(fractions, displacement_path(spec, Z, fractions, alpha, cap=64)):
+        column = expm(t * G)[:, 0]
+        column /= np.linalg.norm(column)
+        assert state.size == 65
+        assert np.max(np.abs(state.coefficients - column)) < 1e-13, t
 
 
 # ---------------------------------------------------------------------------

@@ -621,10 +621,11 @@ def _reference_nested_log_sums(spec, n_max: int, j_max: int) -> np.ndarray:
     """log S_j(n) for j = 0..j_max, n = 0..n_max.
 
     S_0 = 1 and S_j(n) = g_j(n+1) where g_j(m) = sum_{i=1..m} E_i g_{j-1}(i+1)
-    (each level consumes one index of headroom, hence the oversized grid).
+    (each level consumes one index of headroom, so g_1 runs to m = n_max + j_max
+    and reads E_1..E_{n_max+j_max}).
     """
-    m_big = n_max + j_max + 2
-    log_e = np.concatenate([[-math.inf], np.log(spec.levels(1, m_big + 2)[0])])
+    m_big = n_max + j_max
+    log_e = np.concatenate([[-math.inf], np.log(spec.levels(1, m_big + 1)[0])])
     out = np.full((j_max + 1, n_max + 1), -math.inf)
     out[0, :] = 0.0
     log_g = np.zeros(m_big + 2)  # g_0(m) = 1, index m = 0..m_big+1
@@ -718,12 +719,12 @@ class TestNestedAgainstReference:
         assert np.frombuffer(new[3])[0] == math.inf
 
     def test_finite_table_ends_at_the_same_sizes(self):
-        # 150 levels: the nested sums request levels up to n_max + 123
+        # 150 levels: the nested sums request levels up to n_max + 120
         table = CustomSpectrum(energies=[n * (n + 1.5) for n in range(150)])
         outcomes = [_nested_outcome(table, 0.2, 0.0, 1, n_max) for n_max in range(22, 31)]
         assert outcomes == [_reference_outcome(table, 0.2, 0.0, 1, n_max)
                             for n_max in range(22, 31)]
-        assert outcomes[4][0] and outcomes[5] == \
+        assert outcomes[7][0] and outcomes[8] == \
             "custom spectrum table has 150 levels, level 150 requested"
 
     def test_nested_log_sums_equal_the_reference(self):
@@ -735,7 +736,7 @@ class TestNestedAgainstReference:
                     == _reference_nested_log_sums(spec, 30, 7).tobytes())
 
     def test_one_row_signed_sum_equals_the_reference(self):
-        # u_matrix keeps its per-entry 1-D calls
+        # the 1-D form, whose floats the u block's per-length stacks reproduce
         rng = np.random.default_rng(11)
         for length in (1, 2, 7, 8, 9, 127, 128, 129, 400, 625, 3000):
             log_mags = rng.normal(0.0, 30.0, length)
