@@ -56,6 +56,54 @@ _MATCH_TOLERANCE = 1e-8
 _IDENTITY_TOLERANCE = 1e-12
 _NONNEGATIVITY_GRID = 1000
 
+# Cephes psi as scipy.special.digamma evaluates it for x > 0: the same
+# constants, branches and operation order give the same floats, so the
+# a_b_lam2k weight's connection expansion prints the same digits with or
+# without scipy installed
+_EULER = 0.577215664901532860606512090082402431
+_PSI_ASY = (8.33333333333333333333E-2, -2.10927960927960927961E-2,
+            7.57575757575757575758E-3, -4.16666666666666666667E-3,
+            3.96825396825396825397E-3, -8.33333333333333333333E-3,
+            8.33333333333333333333E-2)
+_PSI_P = (-0.0020713321167745952, -0.045251321448739056, -0.28919126444774784,
+          -0.65031853770896507, -0.32555031186804491, 0.25479851061131551)
+_PSI_Q = (-0.55789841321675513e-6, 0.0021284987017821144, 0.054151797245674225,
+          0.43593529692665969, 1.4606242909763515, 2.0767117023730469, 1.0)
+
+
+def _horner(x: float, coefs: tuple) -> float:
+    acc = coefs[0]
+    for c in coefs[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def _digamma(x: float) -> float:
+    """psi(x) for x > 0: harmonic sums at integers up to 10, a rational
+    approximation on [1, 2] reached by recurrence below 10, the asymptotic
+    series above."""
+    if x <= 10.0 and x == math.floor(x):
+        y = 0.0
+        for i in range(1, int(x)):
+            y += 1.0 / i
+        return y - _EULER
+    y = 0.0
+    if x < 1.0:
+        y -= 1.0 / x
+        x += 1.0
+    elif x < 10.0:
+        while x > 2.0:
+            x -= 1.0
+            y += 1.0 / x
+    if 1.0 <= x <= 2.0:
+        g = x - 1569415565.0 / 1073741824.0
+        g -= (381566830.0 / 1073741824.0) / 1073741824.0
+        g -= 0.9016312093258695918615325266959189453125e-19
+        r = _horner(x - 1.0, _PSI_P) / _horner(x - 1.0, _PSI_Q)
+        return y + (g * 0.99558162689208984375 + g * r)
+    z = 1.0 / (x * x)  # Cephes drops this term from 1e17 on, where it is below an ulp
+    return y + (math.log(x) - 0.5 / x - z * _horner(z, _PSI_ASY))
+
 
 # ---------------------------------------------------------------------------
 # Weight candidates
@@ -149,10 +197,9 @@ def kp_weight_unit_disk(lam: float, k: int, reading: str = "a_b_b") -> WeightCan
     if reading == "a_b_lam2k":
         a, b = float(k), lam + k
         if k > 0:  # digamma table of the connection expansion, at most 200 terms
-            from scipy.special import digamma
-
             s = np.arange(200.0)
-            psi = 2.0 * digamma(s + 1.0) - digamma(a + s) - digamma(b + s)
+            psi = np.array([2.0 * _digamma(j + 1.0) - _digamma(a + j) - _digamma(b + j)
+                            for j in s.tolist()])
             ratio = (a + s) * (b + s) / ((s + 1.0) ** 2)
             pref = math.exp(log_gamma(a + b) - log_gamma(a) - log_gamma(b))
 

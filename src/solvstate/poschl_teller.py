@@ -18,9 +18,9 @@ The ladder phases of the spectrum n(n+lam) come from the generic
 `eigenfunctions` gives levels 0..n_max as rows of one Jacobi recurrence;
 `eigenfunction` is one row of it. `lowered_eigenfunctions` gives A- psi_n
 for n = 0..n_max the same way, from that table and one table of the
-shifted family P^{(k+1/2, k'+1/2)} that carries the derivatives;
-`eigenfunction_deriv` and `apply_lowering` are rows of it.
-`gauss_jacobi_integral` integrates products of these tables exactly.
+shifted family P^{(k+1/2, k'+1/2)} that carries the derivatives.
+`gauss_jacobi_integral` integrates products of these tables exactly, with
+Gauss-Jacobi rules built by Golub-Welsch in numpy.
 `u_matrix` evaluates every term of a block's double sums in one broadcast
 and reduces them in a few stacks; `u_matrix_element` is the same code on a
 1x1 block.
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,8 +48,6 @@ __all__ = [
     "eigenfunctions",
     "partner_eigenfunction",
     "lowered_eigenfunctions",
-    "eigenfunction_deriv",
-    "apply_lowering",
     "gauss_jacobi_integral",
     "u_matrix_element",
     "u_matrix",
@@ -206,17 +205,45 @@ def lowered_eigenfunctions(p: PTParams, n_max: int, x) -> np.ndarray:
     return deriv + w_psi
 
 
-def eigenfunction_deriv(p: PTParams, n: int, x):
-    """Analytic d/dx of `eigenfunction` via the Jacobi derivative identity,
-    row n of the derivative rows behind `lowered_eigenfunctions`."""
-    val = _lowered_tables(p, n, x)[0][n]
-    return val if np.ndim(val) else float(val)
+@lru_cache(maxsize=64)
+def _gauss_jacobi_rule(nodes: int, alpha: float, beta: float) -> tuple:
+    """Nodes and weights of the `nodes`-point Gauss-Jacobi rule for
+    (1-y)^alpha (1+y)^beta on [-1, 1], alpha, beta > -1 and alpha + beta
+    != -1, by Golub-Welsch. The nodes are the eigenvalues of the Jacobi
+    matrix, refined by one Newton step on the degree-`nodes` orthonormal
+    polynomial; the weights are the Christoffel numbers
+    mu_0 / sum_{k<nodes} p_k(y_j)^2 of the orthonormal three-term recurrence
+    (p_0 = 1), which keep their digits where eigenvector first components
+    lose them. Both arrays are read-only, shared by every caller."""
+    s = alpha + beta
+    n = np.arange(1.0, nodes + 1.0)
+    t = 2.0 * n + s
+    diag = np.empty(nodes)
+    diag[0] = (beta - alpha) / (s + 2.0)
+    diag[1:] = (beta * beta - alpha * alpha) / (t[:-1] * (t[:-1] + 2.0))
+    off = np.sqrt(4.0 * n * (n + alpha) * (n + beta) * (n + s)
+                  / (t * t * (t + 1.0) * (t - 1.0)))  # off[k-1] couples p_{k-1}, p_k
+    y = np.linalg.eigvalsh(np.diag(diag) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1))
 
+    def recurrence(y):
+        """sum_{k<nodes} p_k(y)^2, p_nodes(y) and p_nodes'(y)."""
+        total = np.zeros_like(y)
+        prev, cur, dprev, dcur = 0.0, np.ones_like(y), 0.0, 0.0
+        for k in range(nodes):
+            total += cur * cur
+            back = off[k - 1] if k else 0.0
+            nxt = ((y - diag[k]) * cur - back * prev) / off[k]
+            dnxt = (cur + (y - diag[k]) * dcur - back * dprev) / off[k]
+            prev, cur, dprev, dcur = cur, nxt, dcur, dnxt
+        return total, cur, dcur
 
-def apply_lowering(p: PTParams, n: int, x):
-    """(A- psi_n)(x), row n of `lowered_eigenfunctions`."""
-    val = lowered_eigenfunctions(p, n, x)[n]
-    return val if np.ndim(val) else float(val)
+    _, p_n, dp_n = recurrence(y)
+    y = y - p_n / dp_n
+    mu0 = math.exp((s + 1.0) * math.log(2.0) + math.lgamma(alpha + 1.0)
+                   + math.lgamma(beta + 1.0) - math.lgamma(s + 2.0))
+    w = mu0 / recurrence(y)[0]
+    y.flags.writeable = w.flags.writeable = False
+    return y, w
 
 
 def gauss_jacobi_integral(p: PTParams, f, alpha: float, beta: float,
@@ -227,10 +254,9 @@ def gauss_jacobi_integral(p: PTParams, f, alpha: float, beta: float,
     with x_j = a arccos y_j. Exact when f(x) dx is (1-y)^alpha (1+y)^beta dy
     times a polynomial of degree below 2*nodes, as products of the envelopes
     sin^k cos^k' are, e.g. (k-1/2, k'-1/2) for the lower Gram matrix; any
-    other integrand is integrated wrongly, not approximately."""
-    from scipy.special import roots_jacobi  # scipy stays off the cold start
-
-    y, w = roots_jacobi(nodes, alpha, beta)
+    other integrand is integrated wrongly, not approximately. The rule comes
+    from `_gauss_jacobi_rule`."""
+    y, w = _gauss_jacobi_rule(nodes, alpha, beta)
     weights = p.a * w / ((1.0 - y) ** (alpha + 0.5) * (1.0 + y) ** (beta + 0.5))
     return np.asarray(f(p.a * np.arccos(y))) @ weights
 

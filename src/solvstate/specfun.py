@@ -29,7 +29,6 @@ __all__ = [
     "series_sum",
     "jacobi_poly",
     "jacobi_table",
-    "jacobi_poly_deriv",
     "integrate",
     "signed_log_sum",
 ]
@@ -392,15 +391,6 @@ def jacobi_poly(n: int, alpha: float, beta_: float, x):
     """P_n^(alpha,beta)(x), the last row of `jacobi_table`; x may be an ndarray."""
     p = jacobi_table(n, alpha, beta_, x)[-1]
     return p if p.ndim else float(p)
-
-
-def jacobi_poly_deriv(n: int, alpha: float, beta_: float, x):
-    """d/dx P_n^(alpha,beta)(x) = ((n+alpha+beta+1)/2) P_{n-1}^(alpha+1,beta+1)(x)."""
-    if n == 0:
-        x = np.asarray(x, dtype=float)
-        z = np.zeros_like(x)
-        return z if z.ndim else 0.0
-    return 0.5 * (n + alpha + beta_ + 1.0) * jacobi_poly(n - 1, alpha + 1.0, beta_ + 1.0, x)
 
 
 # ---------------------------------------------------------------------------

@@ -511,10 +511,12 @@ def kp_state_general(spec: Spectrum, Z: complex, alpha: float = 0.0, k: int = 0,
     nested energy sums of `_nested_log_sums`. The alternating series over j
     is truncated after j = 120, and all levels' series are one stacked
     `signed_log_sum` call; the result is byte-identical to summing each
-    level alone. The worst last-term/partial-sum ratio across levels is
-    reported, and j_converged is False when it exceeds 1e-12 (small |Z|
-    keeps this well behaved, large |Z| may not converge at all depending on
-    the spectrum). Without n_max the level count doubles from 48 until the
+    level alone. The worst ratio is the largest last j-term in coefficient
+    units, |Z|^n sqrt(E_0(n+k)) |t_last(n)|, over the state's norm, and
+    j_converged is False when it exceeds 1e-12 (small |Z| keeps this well
+    behaved, large |Z| may not converge at all depending on the spectrum).
+    A level whose series cancels to 0.0 is judged by its terms against the
+    state, not against its own sum. Without n_max the level count doubles from 48 until the
     top four levels hold below 1e-14 of the norm, or reaches 384.
     """
     require_photon_number(k)
@@ -544,20 +546,21 @@ def kp_state_general(spec: Spectrum, Z: complex, alpha: float = 0.0, k: int = 0,
     log_terms = j * log_u + log_s - lg[np.arange(n_max + 1) + 2 * j]  # [j, n]
     log_b, sign_b = signed_log_sum(log_terms.T, signs)  # one row per level
     sign_b[sign_b == 0.0] = 1.0
-    worst = float(np.max(np.exp(log_terms[-1] - log_b)))  # last term / sum, per level
-    converged = worst <= _NESTED_REL_TOL
 
     n_arr = np.arange(n_max + 1)
     energies, log_e0 = spec.levels(k, n_max + k + 1)
-    log_c = n_arr * math.log(abs(Z)) + 0.5 * log_e0 + log_b
+    log_unit = n_arr * math.log(abs(Z)) + 0.5 * log_e0  # b_n -> coefficient units
+    log_c = log_unit + log_b
     shift = log_c.max()
     mags = np.exp(log_c - shift) * sign_b
     phases = np.exp(1j * n_arr * np.angle(Z)) * np.exp(-1j * alpha * energies)
     c = mags * phases
     nrm = np.linalg.norm(c)
     c /= nrm
+    # every level's last j-term in coefficient units, against the norm
+    worst = float(np.max(np.exp(log_unit + log_terms[-1] - shift - math.log(nrm))))
     tail = float(np.sum(np.abs(c[-2:]) ** 2))
-    return KPGeneralResult(FockState(k, c, alpha, tail), converged, worst)
+    return KPGeneralResult(FockState(k, c, alpha, tail), worst <= _NESTED_REL_TOL, worst)
 
 
 # ---------------------------------------------------------------------------

@@ -426,9 +426,97 @@ def _w_prime(p: pt.PTParams, x) -> np.ndarray:
     return (p.kappa / np.sin(u) ** 2 + p.kappa_prime / np.cos(u) ** 2) / (4.0 * p.a ** 2)
 
 
-def suite_pt() -> SuiteReport:
-    from scipy.linalg import eigvalsh_tridiagonal
+_FD_NODES = 4000
 
+
+def _fd_hamiltonian(p: pt.PTParams, upper: bool) -> tuple:
+    """(nodes, diagonal, off-diagonal) of the 3-point finite-difference matrix
+    of the lower partner -d2/dx2 + V, or with upper=True of H+ = A- A+ =
+    -d2/dx2 + W^2 + W', isospectral to H- one level up, on _FD_NODES interior
+    nodes of the well."""
+    xs = np.linspace(0.0, p.box, _FD_NODES + 2)[1:-1]
+    h = xs[1] - xs[0]
+    vx = (pt.superpotential(p, xs) ** 2 + _w_prime(p, xs) if upper
+          else pt.potential(p, xs))
+    return xs, 2.0 / h ** 2 + vx, np.full(_FD_NODES - 1, -1.0 / h ** 2)
+
+
+def _sturm_count(diag, off, mu: float) -> int:
+    """Eigenvalues at or below mu of the symmetric tridiagonal matrix with
+    this diagonal and off-diagonal: the nonpositive pivots of the LDL^T
+    factorization of T - mu (Sylvester's law of inertia), with pivots below
+    pivmin in magnitude set to -pivmin as LAPACK's dstebz does."""
+    off2 = (np.asarray(off, dtype=float) ** 2).tolist()
+    pivmin = np.finfo(float).tiny * max([1.0] + off2)
+    count, q = 0, 1.0
+    for d, e2 in zip(np.asarray(diag, dtype=float).tolist(), [0.0] + off2):
+        q = d - e2 / q - mu
+        if abs(q) < pivmin:
+            q = -pivmin
+        if q <= 0.0:
+            count += 1
+    return count
+
+
+def _kato_temple(diag, off, rows, margin: float):
+    """Enclosures (lower, upper) of the len(rows) lowest eigenvalues of the
+    symmetric tridiagonal T = (diag, off) from approximate eigenvectors
+    `rows`, or a string naming the condition that failed.
+
+    Each normalized row x gives theta = x^T T x and r = ||T x - theta x||,
+    and [theta - r, theta + r] holds an eigenvalue. If these windows are
+    disjoint and ascending and one Sturm count finds exactly len(rows)
+    eigenvalues below mu = theta_last + r_last + margin, the i-th lowest
+    eigenvalue is the only one in (alpha_i, beta_i), with alpha_i the top of
+    window i-1 (-inf for i = 0) and beta_i the bottom of window i+1 (mu for
+    the last), and Kato-Temple (T. Kato, J. Phys. Soc. Japan 4, 334, 1949)
+    encloses it in [theta - r^2/(beta - theta), theta + r^2/(theta - alpha)].
+    Wrong rows widen or overlap the windows, so they fail the certificate
+    and never tighten it."""
+    x = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    tx = diag * x
+    tx[:, 1:] += off * x[:, :-1]
+    tx[:, :-1] += off * x[:, 1:]
+    theta = np.einsum("ij,ij->i", x, tx)
+    r = np.linalg.norm(tx - theta[:, None] * x, axis=1)
+    bottom, top = theta - r, theta + r
+    if not np.all(top[:-1] < bottom[1:]):
+        return "residual windows overlap or are out of order"
+    mu = top[-1] + margin
+    count = _sturm_count(diag, off, mu)
+    if count != len(rows):
+        return f"{count} eigenvalues below {mu:.6g}, not {len(rows)}"
+    alpha = np.concatenate([[-np.inf], top[:-1]])
+    beta = np.concatenate([bottom[1:], [mu]])
+    return theta - r * r / (beta - theta), theta + r * r / (theta - alpha)
+
+
+def _fd_isospectrality(p: pt.PTParams, upper: bool, well: pt.PTParams) -> tuple:
+    """(observed, detail) of the fd_isospectrality check of one partner of p:
+    the worst relative distance |lambda - E_i| / max(|E_i|, max(1, E_1)) of
+    either end of the Kato-Temple enclosures of the four lowest FD levels,
+    from the eigenfunctions of `well` (the partner's own well in the
+    suite), to the exact ladder; inf when the enclosure is not certified."""
+    xs, diag, off = _fd_hamiltonian(p, upper)
+    targets = [p.energy(n + int(upper)) for n in range(4)]
+    enclosure = _kato_temple(diag, off, pt.eigenfunctions(well, 3, xs),
+                             0.5 * (targets[3] - targets[2]))
+    if isinstance(enclosure, str):
+        return math.inf, f"no certified enclosure: {enclosure}"
+    scale = max(1.0, p.energy(1))
+    worst = max(abs(end - t) / max(abs(t), scale)
+                for ends in enclosure for end, t in zip(ends.tolist(), targets))
+    width = float(np.max(enclosure[1] - enclosure[0]))
+    return worst, (f"lowest 4 FD levels vs exact ladder ({_FD_NODES} nodes), "
+                   f"Kato-Temple enclosures at most {width:.1e} wide")
+
+
+def suite_pt() -> SuiteReport:
+    """Position-space checks on the wells (2, 2) and (1.2, 3.4): the SUSY
+    factorization, orthonormality, intertwining and u overlaps by exact
+    Gauss-Jacobi rules, the Schrodinger residual, the u column norms, and on
+    the first well the finite-difference isospectrality of both partners by
+    certified Kato-Temple enclosures (`_fd_isospectrality`), all in numpy."""
     rep = SuiteReport("pt")
     t0 = time.perf_counter()
     settings = [pt.PTParams(2.0, 2.0, 1.0), pt.PTParams(1.2, 3.4, 1.0)]
@@ -503,26 +591,9 @@ def suite_pt() -> SuiteReport:
 
     # finite-difference isospectrality on the default setting
     p = settings[0]
-    m_nodes = 4000
-    xs = np.linspace(0.0, p.box, m_nodes + 2)[1:-1]
-    h = xs[1] - xs[0]
-    for partner, label in ((False, "lower"), (True, "upper")):
-        if partner:
-            # H+ = A- A+ = -d2/dx2 + W^2 + W', isospectral to H- one level up
-            vx = pt.superpotential(p, xs) ** 2 + _w_prime(p, xs)
-            targets = [p.energy(n + 1) for n in range(4)]
-        else:
-            vx = pt.potential(p, xs)
-            targets = [p.energy(n) for n in range(4)]
-        diag = 2.0 / h ** 2 + vx
-        off = -np.ones(m_nodes - 1) / h ** 2
-        evals = eigvalsh_tridiagonal(diag, off, select="i",
-                                     select_range=(0, 3))
-        scale = max(1.0, p.energy(1))
-        worst = max(abs(evals[i] - targets[i]) / max(abs(targets[i]), scale)
-                    for i in range(4))
-        rep.add(f"fd_isospectrality[{label}]", worst, 1e-3,
-                f"lowest 4 FD levels vs exact ladder ({m_nodes} nodes)")
+    for upper, label in ((False, "lower"), (True, "upper")):
+        worst, detail = _fd_isospectrality(p, upper, p.partner() if upper else p)
+        rep.add(f"fd_isospectrality[{label}]", worst, 1e-3, detail)
 
     # the generic ladder of the spectrum n(n+lam) against its closed form
     lam = settings[0].lam

@@ -175,12 +175,21 @@ class TestStateCommand:
         assert code == EXIT_CONVERGENCE
         assert "convergence" in err
 
-    def test_unbounded_term_ratio_exit_code(self, capsys):
+    def test_divergent_j_series_exit_code(self, capsys):
         code, out, err = run_cli(capsys, "state", "kp", "--Z", "0.9", "--k", "3",
                                  "--lambda", "7", "--nested")
         assert code == EXIT_CONVERGENCE
         assert out == ""
-        assert "worst term ratio inf" in err
+        assert "worst term ratio 9.647e-01" in err
+
+    @pytest.mark.parametrize("label", [("--Z", "0.7", "--k", "2", "--lambda", "1"),
+                                       ("--Z", "0.7", "--k", "2", "--lambda", "4"),
+                                       ("--Z", "0.8", "--lambda", "4")])
+    def test_j_series_cancelling_to_zero_exits_0(self, capsys, label):
+        code, out, err = run_cli(capsys, "state", "kp", *label, "--nested")
+        assert code == EXIT_OK
+        assert err == ""
+        assert json.loads(out)["state"]["coefficients"]
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run_cli(capsys, "state", "gk", "--z", "0.5+0.1i",
@@ -610,9 +619,8 @@ def _child_env():
 
 
 def test_state_command_leaves_scipy_unloaded():
-    # scipy costs about 0.2 s of a cold start; only moments, pt and verify
-    # need it, so importing the CLI and building a state (the KP weight
-    # tables included) must not load it
+    # scipy costs about 0.2 s of a cold start: importing the CLI and
+    # building a state (the KP weight tables included) must not load it
     code = (
         "import contextlib, io, sys\n"
         "import solvstate.cli as cli\n"
@@ -621,6 +629,24 @@ def test_state_command_leaves_scipy_unloaded():
         "    assert cli.main(['state', 'gk', '--z', '0.5']) == 0\n"
         "    assert cli.main(['state', 'kp', '--xi', '0.5', '--lambda', '4']) == 0\n"
         "assert 'scipy' not in sys.modules, 'state gk and state kp'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_library_never_loads_scipy():
+    # the FD levels, Gauss-Jacobi rules and digamma are numpy or plain
+    # Python; scipy is a test reference only
+    code = (
+        "import contextlib, io, sys\n"
+        "import solvstate.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['verify', '--suite', 'all']) == 0\n"
+        "    assert cli.main(['moments', '--check', 'all', '--lambda', '4', '--k', '2',\n"
+        "                     '--paper-literal', '--format', 'json']) == 0\n"
+        "    assert cli.main(['pt', '--u-block', '6', '6']) == 0\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
                           capture_output=True, text=True, timeout=120)

@@ -294,6 +294,20 @@ class TestLogReadingArrays:
         assert [e.verdict for e in report.entries] == ["indeterminate"] * 4
 
 
+def test_digamma_port_equals_scipy_bitwise():
+    # the a_b_lam2k connection expansion reads digamma at integers and at
+    # lam + k + s; the golden moment tables print its quad_error digits
+    from scipy.special import digamma
+
+    from solvstate.measures import _digamma
+
+    rng = np.random.default_rng(2024)
+    xs = np.concatenate([np.arange(1.0, 401.0), rng.uniform(0.01, 300.0, 20000),
+                         rng.uniform(0.01, 2.5, 5000), [0.5, 1.5, 2.0, 9.5, 10.5]])
+    mine = np.array([_digamma(x) for x in xs.tolist()])
+    assert mine.tobytes() == digamma(xs).tobytes()
+
+
 def _reference_residuals(lam, k, candidate, n_max, quad_tolerance=1e-9,
                          match_tolerance=1e-8):
     """The per-entry loop `kp_moment_residuals` replaced: one quadrature for

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +9,8 @@ from hypothesis import strategies as hs
 from solvstate import DomainError, build_ladder
 from solvstate.poschl_teller import (
     PTParams,
-    apply_lowering,
+    _gauss_jacobi_rule,
     eigenfunction,
-    eigenfunction_deriv,
     eigenfunctions,
     gauss_jacobi_integral,
     lowered_eigenfunctions,
@@ -22,8 +22,7 @@ from solvstate.poschl_teller import (
     u_matrix_element,
 )
 from solvstate.specfun import (QuadratureRule, beta, integrate, jacobi_poly,
-                               jacobi_poly_deriv, jacobi_table, log_gamma,
-                               signed_log_sum)
+                               jacobi_table, log_gamma, signed_log_sum)
 
 P_SYM = PTParams(2.0, 2.0, 1.0)
 P_ASYM = PTParams(1.2, 3.4, 1.0)
@@ -116,7 +115,7 @@ class TestSuperpotential:
 
     def test_ground_state_is_annihilated(self):
         x = np.linspace(0.3, math.pi - 0.3, 31)
-        assert np.max(np.abs(apply_lowering(P_SYM, 0, x))) < 1e-12
+        assert np.max(np.abs(lowered_eigenfunctions(P_SYM, 0, x)[0])) < 1e-12
 
 
 class TestEigenfunctions:
@@ -174,9 +173,11 @@ class TestEigenfunctions:
         p = P_ASYM
         x = np.linspace(0.2, math.pi - 0.2, 17)
         h = 1e-6
+        # d/dx psi_n = A- psi_n - W psi_n
+        deriv = lowered_eigenfunctions(p, 4, x) - superpotential(p, x) * eigenfunctions(p, 4, x)
         for n in (1, 4):
             fd = (eigenfunction(p, n, x + h) - eigenfunction(p, n, x - h)) / (2 * h)
-            assert np.max(np.abs(eigenfunction_deriv(p, n, x) - fd)) < 1e-7
+            assert np.max(np.abs(deriv[n] - fd)) < 1e-7
 
     @pytest.mark.parametrize("p", [P_SYM, P_ASYM])
     def test_susy_intertwining(self, p):
@@ -184,7 +185,8 @@ class TestEigenfunctions:
         rule = overlap_rule(p, extra=1.0)
         for n in range(5):
             val = integrate(lambda x: partner_eigenfunction(p, n, x)
-                            * apply_lowering(p, n + 1, x), 0.0, p.box, rule)
+                            * lowered_eigenfunctions(p, n + 1, x)[n + 1], 0.0, p.box,
+                            rule)
             ratio = abs(val.value) / math.sqrt(p.energy(n + 1))
             assert ratio == pytest.approx(1.0, abs=1e-7)
 
@@ -223,12 +225,49 @@ class TestEigenfunctionTable:
     @pytest.mark.parametrize("fn", [potential, superpotential,
                                     lambda p, x: eigenfunction(p, 0, x),
                                     lambda p, x: eigenfunctions(p, 3, x),
-                                    lambda p, x: eigenfunction_deriv(p, 1, x),
-                                    lambda p, x: apply_lowering(p, 1, x)])
+                                    lambda p, x: lowered_eigenfunctions(p, 1, x),
+                                    lambda p, x: partner_eigenfunction(p, 1, x)])
     @pytest.mark.parametrize("x", [math.nan, [1.0, math.nan], math.inf])
     def test_non_finite_positions_rejected(self, fn, x):
         with pytest.raises(DomainError):
             fn(P_SYM, x)
+
+
+def _mp_gauss_jacobi(n, alpha, beta_, start):
+    """Gauss-Jacobi nodes and weights to 40 digits, independent of the
+    Jacobi-matrix route: one Newton step from `start` on P_n^(alpha, beta) by
+    its textbook recurrence (doubling the digits of a double start), and the
+    classical weights 2^(a+b+1) G(n+a+1) G(n+b+1) / (G(n+a+b+1) n!
+    (1-y^2) P_n'(y)^2) (Abramowitz & Stegun 25.4.33)."""
+    with mp.workdps(40):
+        a, b = mp.mpf(alpha), mp.mpf(beta_)
+        coefs = []
+        for m in range(2, n + 1):
+            s = 2 * m + a + b
+            c1 = 2 * m * (m + a + b) * (s - 2)
+            coefs.append(((s - 1) * s * (s - 2) / c1, (s - 1) * (a * a - b * b) / c1,
+                          2 * (m + a - 1) * (m + b - 1) * s / c1))
+
+        def p_dp(y):  # P_n(y) and P_n'(y)
+            p0, p1, d0, d1 = 1, (a + 1) + (a + b + 2) * (y - 1) / 2, 0, (a + b + 2) / 2
+            for u, v, w in coefs:
+                t = u * y + v
+                p0, p1, d0, d1 = p1, t * p1 - w * p0, d1, u * p1 + t * d1 - w * d0
+            return p1, d1
+
+        scale = (2 ** (a + b + 1) * mp.gamma(n + a + 1) * mp.gamma(n + b + 1)
+                 / (mp.gamma(n + a + b + 1) * mp.factorial(n)))
+        nodes, weights = [], []
+        for y in start:
+            y = mp.mpf(y)
+            y -= mp.fdiv(*p_dp(y))
+            dp = p_dp(y)[1]
+            nodes.append(y)
+            weights.append(scale / ((1 - y * y) * dp * dp))
+        # n distinct roots of a degree-n polynomial are all of its roots
+        assert all(lo < hi for lo, hi in zip(nodes, nodes[1:]))
+        return (np.array([float(y) for y in nodes]),
+                np.array([float(w) for w in weights]))
 
 
 class TestGaussJacobiIntegral:
@@ -269,6 +308,17 @@ class TestGaussJacobiIntegral:
         gram = gauss_jacobi_integral(p, products, p.kappa - 0.5,
                                      p.kappa_prime - 0.5, 9)
         assert np.max(np.abs(gram - (n == m))) > 1e-6
+
+    # the (alpha, beta) of every rule the pt suite builds, and a mirrored pair
+    @pytest.mark.parametrize("alpha, beta_", [(1.5, 1.5), (2.5, 2.5), (2.0, 2.0),
+                                              (0.7, 2.9), (1.7, 3.9), (1.2, 3.4),
+                                              (2.9, 0.7)])
+    def test_rule_against_40_digit_reference(self, alpha, beta_):
+        for n in range(1, 33):
+            y, w = _gauss_jacobi_rule(n, alpha, beta_)
+            ref_y, ref_w = _mp_gauss_jacobi(n, alpha, beta_, y.tolist())
+            assert np.max(np.abs(y - ref_y)) <= 2e-15, n
+            assert np.max(np.abs(w / ref_w - 1.0)) <= 1e-13, n
 
 
 class TestUMatrix:
@@ -421,14 +471,18 @@ def _reference_u_entry(p, n, m, tables):
 
 
 def _reference_deriv(p, n, x):
-    """d/dx psi_n at one level through jacobi_poly and jacobi_poly_deriv."""
+    """d/dx psi_n at one level through jacobi_poly and the derivative identity
+    dP_n/dy = ((n+alpha+beta+1)/2) P_{n-1}^(alpha+1, beta+1), the degree-(n-1)
+    row of a jacobi_table."""
     x = np.asarray(x, dtype=float)
     u = x / (2.0 * p.a)
     y = np.cos(x / p.a)
     pref = math.exp(-0.5 * norm_constant_log(p, n))
     envelope = np.cos(u) ** p.kappa_prime * np.sin(u) ** p.kappa
     pn = jacobi_poly(n, p.kappa - 0.5, p.kappa_prime - 0.5, y)
-    dpn = jacobi_poly_deriv(n, p.kappa - 0.5, p.kappa_prime - 0.5, y)
+    alpha, beta_ = p.kappa - 0.5, p.kappa_prime - 0.5
+    dpn = (0.5 * (n + alpha + beta_ + 1.0) * jacobi_table(n - 1, alpha + 1.0, beta_ + 1.0, y)[-1]
+           if n else np.zeros_like(y))
     log_deriv = (p.kappa / np.tan(u) - p.kappa_prime * np.tan(u)) / (2.0 * p.a)
     val = pref * envelope * (log_deriv * pn - np.sin(x / p.a) / p.a * dpn)
     return val if np.ndim(val) else float(val)
@@ -475,11 +529,10 @@ class TestAgainstPerEntryReference:
         assert rows.shape == (n_max + 1,) + np.shape(x)
         for n in range(n_max + 1):
             lowered = _reference_lowering(p, n, x)
-            assert _same_bytes(apply_lowering(p, n, x), lowered), n
-            assert _same_bytes(eigenfunction_deriv(p, n, x), _reference_deriv(p, n, x)), n
             assert np.asarray(rows[n]).tobytes() == np.asarray(lowered).tobytes(), n
+            assert _same_bytes(lowered_eigenfunctions(p, n, x)[n], rows[n]), n
 
     def test_negative_level_rejected(self):
-        for fn in (lowered_eigenfunctions, eigenfunction_deriv, apply_lowering):
+        for fn in (lowered_eigenfunctions, eigenfunctions):
             with pytest.raises(DomainError, match="nonnegative"):
                 fn(P_SYM, -1, 1.0)

@@ -606,11 +606,24 @@ class TestKPGeneral:
         assert res.state.offset == 2
         assert abs(res.state.coefficients[0]) == 1.0
 
-    def test_nonconverging_j_series_reports_an_infinite_ratio(self):
-        # the CLI's `state kp --Z 0.9 --k 3 --lambda 7 --nested` (exit 3)
+    def test_nonconverging_j_series_reports_its_term_ratio(self):
+        # the CLI's `state kp --Z 0.9 --k 3 --lambda 7 --nested` (exit 3): the
+        # last j-terms reach 0.96 of the state's norm
         res = kp_state_general(PoschlTellerSpectrum(3.5, 3.5), 0.9, k=3)
         assert not res.j_converged
-        assert res.worst_term_ratio == math.inf
+        assert 0.5 < res.worst_term_ratio < 1.0
+
+    @pytest.mark.parametrize("Z, k, lam", [(0.7, 2, 1.0), (0.7, 2, 4.0), (0.8, 0, 4.0)])
+    def test_levels_whose_series_cancel_to_zero_converge(self, Z, k, lam):
+        # the top levels' j-series (terms near e^-312) cancel to 0.0; measured
+        # against the state's norm their last terms are negligible
+        res = kp_state_general(PoschlTellerSpectrum(lam / 2.0, lam / 2.0), Z, k=k)
+        closed = kp_state_pt(lam, KPLabel(Z=Z, alpha=0.0, k=k), tail_eps=1e-24)
+        assert res.j_converged
+        assert res.worst_term_ratio <= 1e-12
+        # tail_bound is a probability, its root an amplitude; 1e-11 covers the
+        # j-series rounding
+        assert coeff_distance(res.state, closed) <= math.sqrt(res.state.tail_bound) + 1e-11
 
 
 # The nested sums as they were computed before the triangular in-place level
@@ -716,7 +729,7 @@ class TestNestedAgainstReference:
         new = _nested_outcome(*args)
         assert new == _reference_outcome(*args)
         assert new[4] is False
-        assert np.frombuffer(new[3])[0] == math.inf
+        assert 0.5 < np.frombuffer(new[3])[0] < 1.0
 
     def test_finite_table_ends_at_the_same_sizes(self):
         # 150 levels: the nested sums request levels up to n_max + 120
