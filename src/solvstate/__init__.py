@@ -28,8 +28,6 @@ from .spectrum import (
 from .specfun import (
     IntegralResult,
     PfqResult,
-    QuadratureRule,
-    SeriesControl,
     beta,
     hyper_pfq,
     integrate,

@@ -23,14 +23,7 @@ import numpy as np
 
 from .errors import DomainError, require_finite, require_photon_number
 from .spectrum import PoschlTellerSpectrum
-from .specfun import (
-    QuadratureRule,
-    SeriesControl,
-    hyper_pfq,
-    integrate,
-    log_gamma,
-    log_pochhammer,
-)
+from .specfun import hyper_pfq, integrate, log_gamma, log_pochhammer
 
 __all__ = [
     "WeightCandidate",
@@ -47,8 +40,9 @@ __all__ = [
     "nonnegativity_report",
 ]
 
-# series control of the a_b_lam2k weight's 2F1 in 1 - r
-_LOG_READING_SERIES = SeriesControl(max_terms=20000, rel_tol=1e-13)
+# term budget and tolerance of the a_b_lam2k weight's 2F1 in 1 - r
+_LOG_READING_MAX_TERMS = 20000
+_LOG_READING_REL_TOL = 1e-13
 # verdict tolerances: quadrature against analytic Beta moments, quadrature
 # against the published target, and the exact log-Gamma identities
 _QUAD_TOLERANCE = 1e-9
@@ -216,7 +210,7 @@ def kp_weight_unit_disk(lam: float, k: int, reading: str = "a_b_b") -> WeightCan
                 return out
             if far.any():
                 res = hyper_pfq([a, b], [lam + 2.0 * k], 1.0 - r[far],
-                                _LOG_READING_SERIES)
+                                _LOG_READING_MAX_TERMS, _LOG_READING_REL_TOL)
                 out[far] = res.value.real if res.converged else np.nan
             if not far.all():
                 near = r[~far, None]
@@ -415,13 +409,10 @@ def _moment_table(candidate: WeightCandidate, n_max: int):
     if p_min > n_max:
         return p_min, None
     left, right = candidate.left_exponent + p_min, candidate.right_exponent
-    rule = QuadratureRule(
-        nodes=24, panels=4, rel_tol=1e-12, abs_tol=1e-16,
-        left_exponent=left if left != int(left) or left < 0 else None,
-        right_exponent=right if right != int(right) or right < 0 else None)
     powers = np.arange(p_min, n_max + 1)[:, None]
-    return p_min, integrate(lambda r: candidate.evaluate(r) * r ** powers,
-                            0.0, 1.0, rule)
+    return p_min, integrate(lambda r: candidate.evaluate(r) * r ** powers, 0.0, 1.0,
+                            left if left != int(left) or left < 0 else None,
+                            right if right != int(right) or right < 0 else None)
 
 
 def kp_moment_residuals(lam: float, k: int, candidate: WeightCandidate,

@@ -141,8 +141,12 @@ def _check_level(n: int) -> None:
 
 def _prefactors(p: PTParams, n_max: int, ndim: int) -> np.ndarray:
     """c_n^{-1/2} for n = 0..n_max, a column against ndim position axes."""
-    return np.array([math.exp(-0.5 * norm_constant_log(p, n))
-                     for n in range(n_max + 1)]).reshape((-1,) + (1,) * ndim)
+    try:
+        pref = [math.exp(-0.5 * norm_constant_log(p, n)) for n in range(n_max + 1)]
+    except OverflowError:
+        raise DomainError(f"c_n^(-1/2) overflows at kappa = {p.kappa:.6g}, "
+                          f"kappa' = {p.kappa_prime:.6g}") from None
+    return np.array(pref).reshape((-1,) + (1,) * ndim)
 
 
 def _normalized_rows(p: PTParams, x: np.ndarray, pref, polys) -> np.ndarray:

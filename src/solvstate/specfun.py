@@ -18,9 +18,7 @@ import numpy as np
 from .errors import DomainError, require_finite
 
 __all__ = [
-    "SeriesControl",
     "PfqResult",
-    "QuadratureRule",
     "IntegralResult",
     "log_gamma",
     "log_pochhammer",
@@ -119,29 +117,10 @@ def _signed_pair(lp: float, ln: float) -> tuple[float, float]:
 # Generalized hypergeometric series
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SeriesControl:
-    """Stopping policy for infinite series.
-
-    `consecutive_small` successive terms below the relative tolerance are
-    required before the sum is accepted; hypergeometric terms can dip and
-    then grow again, so a single small term proves nothing.
-    """
-
-    max_terms: int = 5000
-    rel_tol: float = 1e-15
-    consecutive_small: int = 3
-
-    def __post_init__(self):
-        if self.rel_tol <= 0.0:
-            raise DomainError("rel_tol must be positive")
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be at least 1")
-        if self.consecutive_small < 2:
-            raise DomainError("consecutive_small must be at least 2")
-
-
-DEFAULT_SERIES_CONTROL = SeriesControl()
+# a series stops at the end of its first run of this many successive terms
+# below its tolerance: hypergeometric terms can dip and then grow again, so a
+# single small term proves nothing
+_SMALL_RUN = 3
 
 
 def block_end(lo: int, limit: int, last: float = math.inf) -> int:
@@ -177,7 +156,7 @@ class SeriesSum:
             return size, self.top + np.log(size), unit
 
 
-def series_sum(block, x, ctl: SeriesControl, limit: int,
+def series_sum(block, x, rel_tol: float, limit: int,
                last: float = math.inf, t=None) -> SeriesSum:
     """S = sum_n x^n w(n) e^{i t theta(n)} at every (x, t) of the sequences
     x and t (default t = 1).
@@ -186,17 +165,17 @@ def series_sum(block, x, ctl: SeriesControl, limit: int,
     and theta(n) (or None) for n = lo..hi-1, for all points at once, in
     blocks that double from 32. Each block re-sums a point's terms from n = 0
     as exp(log|term| - top), top the largest. A point stops at the end of its
-    first run of ctl.consecutive_small terms below ctl.rel_tol times the
-    larger of |partial sum| and the largest term, or after `limit` terms, and
-    leaves the batch; x = 0 (the n = 0 term) and a table with last index
-    `last` are summed exactly. Each result depends only on its own (x, t).
+    first run of _SMALL_RUN terms below rel_tol times the larger of |partial
+    sum| and the largest term, or after `limit` terms, and leaves the batch;
+    x = 0 (the n = 0 term) and a table with last index `last` are summed
+    exactly. Each result depends only on its own (x, t).
     """
     pts = x.tolist() if isinstance(x, np.ndarray) else list(x)
     t = [1.0] * len(pts) if t is None else t
     live = [i for i, v in enumerate(pts) if v]
     w, sign, theta = block(0, block_end(0, limit, last) if live else 1)
     real = theta is None and not any(v.imag for v in pts)
-    run, parts = ctl.consecutive_small, []  # (points, *SeriesSum fields)
+    run, parts = _SMALL_RUN, []  # (points, *SeriesSum fields)
     if len(live) < len(pts):
         zero = np.array([i for i, v in enumerate(pts) if not v])
         one = np.ones(zero.size)
@@ -231,8 +210,8 @@ def series_sum(block, x, ctl: SeriesControl, limit: int,
         partial = np.add.accumulate(term, axis=1)
         peak = np.maximum.accumulate(mags, axis=1)
         # a sum of positive terms is at least its largest term
-        small = mags < ctl.rel_tol * (partial if term is mags
-                                      else np.maximum(np.abs(partial), peak))
+        small = mags < rel_tol * (partial if term is mags
+                                  else np.maximum(np.abs(partial), peak))
         hit = small[:, run - 1:]  # hit[:, j]: terms j .. j+run-1 all small
         for j in range(1, run):
             hit = hit & small[:, run - 1 - j:hi - j]
@@ -282,10 +261,6 @@ class PfqResult:
     converged: bool
     achieved_tol: float
 
-    @property
-    def real(self) -> float:
-        return self.value.real
-
 
 _EPS = float(np.finfo(float).eps)
 
@@ -314,21 +289,25 @@ def _pfq_block(a: list, b: list):
     return block
 
 
-def hyper_pfq(a_params, b_params, x, ctl: SeriesControl | None = None) -> PfqResult:
+def hyper_pfq(a_params, b_params, x, max_terms: int = 5000,
+              rel_tol: float = 1e-15) -> PfqResult:
     """Generalized hypergeometric sum_n [prod (a_i)_n / prod (b_j)_n] x^n / n!.
 
     Summed by `series_sum`: log w(n) = sum log|(a_i)_n| - sum log|(b_j)_n| -
     log n! from the exact term ratio, with a sign for negative parameters, so
     parameters like (n+k)! cannot overflow the accumulation. At most
-    ctl.max_terms + 1 terms. achieved_tol is eps * max|term| / |sum|
+    max_terms + 1 terms. achieved_tol is eps * max|term| / |sum|
     (cancellation), or |last term| / |sum| if larger and the series is
     infinite; 0 for one term (x = 0). A sum with eps * max|term| >
-    ctl.rel_tol * |sum| is not converged, terminating or not. For an ndarray
+    rel_tol * |sum| is not converged, terminating or not. For an ndarray
     x each point stops as its scalar call would; value, log_abs, phase and
     achieved_tol are arrays shaped like x, terms_used the total and
     converged true only if every point converged.
     """
-    ctl = ctl or DEFAULT_SERIES_CONTROL
+    if rel_tol <= 0.0:
+        raise DomainError("rel_tol must be positive")
+    if max_terms < 1:
+        raise DomainError("max_terms must be at least 1")
     a = [float(v) for v in a_params]
     b = [float(v) for v in b_params]
     for bj in b:
@@ -348,12 +327,12 @@ def hyper_pfq(a_params, b_params, x, ctl: SeriesControl | None = None) -> PfqRes
             raise DomainError("series with p > q+1 diverges for x != 0")
 
     last = min((-ai for ai in a if ai <= 0.0 and ai == int(ai)), default=math.inf)
-    s = series_sum(_pfq_block(a, b), xs.ravel(), ctl, ctl.max_terms + 1, last)
+    s = series_sum(_pfq_block(a, b), xs.ravel(), rel_tol, max_terms + 1, last)
     size, log_abs, phase = s.polar()
     loss = np.where(s.end > 0, _EPS * s.peak, 0.0)  # one term has no rounding
     with np.errstate(divide="ignore", invalid="ignore"):
         achieved = np.maximum(np.where(s.exact, 0.0, s.last), loss) / size
-    ok = (s.stopped | s.exact) & (loss <= ctl.rel_tol * size)
+    ok = (s.stopped | s.exact) & (loss <= rel_tol * size)
     value = s.total * np.exp(s.top)
     if xs.ndim == 0:
         return PfqResult(complex(value[0]), float(log_abs[0]), complex(phase[0]),
@@ -397,35 +376,14 @@ def jacobi_poly(n: int, alpha: float, beta_: float, x):
 # Adaptive Gauss-Legendre quadrature
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Panel layout and endpoint handling for `integrate`.
-
-    `left_exponent` / `right_exponent` declare algebraic behaviour of the
-    integrand at the endpoints, f ~ (x-a)^gamma resp. (b-x)^gamma with
-    gamma > -1; the affected half-interval is then regularized by a power
-    substitution before the usual panels are applied.
-    """
-
-    nodes: int = 24
-    panels: int = 4
-    max_depth: int = 14
-    rel_tol: float = 1e-11
-    abs_tol: float = 1e-14
-    left_exponent: float | None = None
-    right_exponent: float | None = None
-
-    def __post_init__(self):
-        if self.nodes < 2:
-            raise DomainError("QuadratureRule needs at least 2 nodes per panel")
-        if self.panels < 1:
-            raise DomainError("QuadratureRule needs at least 1 panel")
-        for g in (self.left_exponent, self.right_exponent):
-            if g is not None and g <= -1.0:
-                raise DomainError("endpoint exponents must exceed -1 for integrability")
-
-
-DEFAULT_RULE = QuadratureRule()
+# the one rule of `integrate`: Gauss-Legendre nodes per panel, top panels per
+# piece, bisection depth below a top panel, and the relative and absolute
+# tolerances of an integral, max(_QUAD_ABS_TOL, _QUAD_REL_TOL * |rough sum|)
+_QUAD_NODES = 24
+_QUAD_PANELS = 4
+_QUAD_MAX_DEPTH = 14
+_QUAD_REL_TOL = 1e-12
+_QUAD_ABS_TOL = 1e-16
 
 _gl_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -443,9 +401,6 @@ class IntegralResult:
     converged: bool
     evaluations: int = 0
 
-    def __float__(self):
-        return self.value
-
 
 # Most values (abscissae times components) the integrand returns in one call.
 # A refinement level with more active panels is evaluated in several calls, so
@@ -453,10 +408,12 @@ class IntegralResult:
 _MAX_ABSCISSAE = 1 << 14
 
 
-def _gl_panels(f, lo, hi, n, counter, width):
-    """n-node Gauss-Legendre estimates over the panels [lo[i], hi[i]], shaped
-    (panels,) or (K, panels) as f is; f is called on the nodes of many panels
-    at once, at most `_MAX_ABSCISSAE` values for `width` components."""
+def _gl_panels(f, lo, hi, counter, width):
+    """_QUAD_NODES-node Gauss-Legendre estimates over the panels [lo[i],
+    hi[i]], shaped (panels,) or (K, panels) as f is; f is called on the nodes
+    of many panels at once, at most `_MAX_ABSCISSAE` values for `width`
+    components."""
+    n = _QUAD_NODES
     t, w = _gl_nodes(n)
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
@@ -470,14 +427,14 @@ def _gl_panels(f, lo, hi, n, counter, width):
     return np.concatenate(out, axis=-1)
 
 
-def _refine(g, lo, hi, coarse, tol, rule, counter, width):
+def _refine(g, lo, hi, coarse, tol, counter, width):
     """Breadth-first refinement of the panels [lo[i], hi[i]] whose one-panel
     estimates are `coarse` (shape (panels,) or (K, panels)); returns
     per-panel (value, error, converged) of that shape.
 
     Each level evaluates both halves of every active panel in one batch. A
     panel splits while some component misses |fine - coarse| <= tol (its
-    share, halved per level) with finite estimates and depth < `max_depth`;
+    share, halved per level) with finite estimates and depth < _QUAD_MAX_DEPTH;
     its halves become the next level's panels with the half estimates as
     their coarse values. A split panel's value is then left + right, summed
     back up level by level as a recursive bisection would.
@@ -488,12 +445,12 @@ def _refine(g, lo, hi, coarse, tol, rule, counter, width):
         mid = 0.5 * (lo + hi)
         lo2 = np.column_stack((lo, mid)).ravel()
         hi2 = np.column_stack((mid, hi)).ravel()
-        halves = _gl_panels(g, lo2, hi2, rule.nodes, counter, width)
+        halves = _gl_panels(g, lo2, hi2, counter, width)
         fine = halves[..., 0::2] + halves[..., 1::2]
         err = np.abs(fine - coarse)
         ok = err <= tol
         miss = ~ok & np.isfinite(fine) & np.isfinite(coarse)
-        split = miss.reshape(-1, lo.size).any(axis=0) & (depth < rule.max_depth)
+        split = miss.reshape(-1, lo.size).any(axis=0) & (depth < _QUAD_MAX_DEPTH)
         levels.append((fine, err, ok, split))
         keep = np.repeat(split, 2)
         lo, hi, coarse = lo2[keep], hi2[keep], halves[..., keep]
@@ -541,7 +498,8 @@ def _power_substitution(f, a, b, gamma, side):
     return g, t_wall, tail if tail.ndim else float(tail)
 
 
-def integrate(f, a: float, b: float, rule: QuadratureRule | None = None) -> IntegralResult:
+def integrate(f, a: float, b: float, left_exponent: float | None = None,
+              right_exponent: float | None = None) -> IntegralResult:
     """Adaptive panel-refined Gauss-Legendre integral of f over (a, b).
 
     f receives a 1-D ndarray holding the nodes of many panels at once and
@@ -551,41 +509,41 @@ def integrate(f, a: float, b: float, rule: QuadratureRule | None = None) -> Inte
     refined breadth first: one call evaluates all top panels of a piece, then
     one call per level the two halves of every panel still above its
     tolerance share. Each component has its scalar integral's tolerance,
-    max(abs_tol, rel_tol * |rough sum|), shared by the panels, and a panel
-    splits while any component misses its share, so each is refined at least
-    as far as it would be alone. Gauss nodes never touch the endpoints, so
+    max(_QUAD_ABS_TOL, _QUAD_REL_TOL * |rough sum|), shared by the panels,
+    and a panel splits while any component misses its share, so each is
+    refined at least as far as it would be alone. Gauss nodes never touch the endpoints, so
     integrable endpoint singularities are sampled but not evaluated at the
-    boundary; declaring them via the rule exponents additionally substitutes
-    them away. The reported error is the sum of last-refinement differences
-    (a conservative Richardson-style estimate), per component; `converged`
-    is one bool, False when some panel of some component hit the depth limit
-    without meeting its share or produced a non-finite estimate (such a
-    panel stops refining unless another component splits it).
-    `evaluations` counts the abscissae evaluated.
+    boundary. `left_exponent` / `right_exponent` declare algebraic behaviour
+    at an endpoint, f ~ (x-a)^gamma resp. (b-x)^gamma with gamma > -1; that
+    half-interval is then regularized by a power substitution before the
+    usual panels are applied. The reported error is the sum of
+    last-refinement differences (a conservative Richardson-style estimate),
+    per component; `converged` is one bool, False when some panel of some
+    component hit the depth limit without meeting its share or produced a
+    non-finite estimate (such a panel stops refining unless another
+    component splits it). `evaluations` counts the abscissae evaluated.
     """
     require_finite(a=a, b=b)
     if not a < b:
         raise DomainError(f"integrate requires a < b, got ({a}, {b})")
-    rule = rule or DEFAULT_RULE
+    for g in (left_exponent, right_exponent):
+        if g is not None and g <= -1.0:
+            raise DomainError("endpoint exponents must exceed -1 for integrability")
 
     pieces = []
     offset = 0.0
-    if rule.left_exponent is not None or rule.right_exponent is not None:
-        mid = 0.5 * (a + b)
-        if rule.left_exponent is not None:
-            g, t0, tail = _power_substitution(f, a, mid, rule.left_exponent, "left")
-            pieces.append((g, t0, 1.0))
-            offset += tail
-        else:
-            pieces.append((f, a, mid))
-        if rule.right_exponent is not None:
-            g, t0, tail = _power_substitution(f, mid, b, rule.right_exponent, "right")
-            pieces.append((g, t0, 1.0))
-            offset += tail
-        else:
-            pieces.append((f, mid, b))
-    else:
+    if left_exponent is None and right_exponent is None:
         pieces.append((f, a, b))
+    else:
+        mid = 0.5 * (a + b)
+        for lo, hi, gamma, side in ((a, mid, left_exponent, "left"),
+                                    (mid, b, right_exponent, "right")):
+            if gamma is None:
+                pieces.append((f, lo, hi))
+            else:
+                g, t0, tail = _power_substitution(f, lo, hi, gamma, side)
+                pieces.append((g, t0, 1.0))
+                offset += tail
 
     counter = [0]
     # every top panel is evaluated once: the sum sets the absolute tolerance,
@@ -594,21 +552,21 @@ def integrate(f, a: float, b: float, rule: QuadratureRule | None = None) -> Inte
     rough = offset
     width = 1
     for g, lo, hi in pieces:
-        step = (hi - lo) / rule.panels
-        i = np.arange(rule.panels)
+        step = (hi - lo) / _QUAD_PANELS
+        i = np.arange(_QUAD_PANELS)
         edges = (lo + i * step, lo + (i + 1) * step)
-        coarse = _gl_panels(g, *edges, rule.nodes, counter, width)
-        width = coarse.size // rule.panels or 1
+        coarse = _gl_panels(g, *edges, counter, width)
+        width = coarse.size // _QUAD_PANELS or 1
         for v in coarse.T:
             rough = rough + v
         tops.append((g, edges, coarse))
-    tol = np.fmax(rule.abs_tol, rule.rel_tol * np.abs(rough))
+    tol = np.fmax(_QUAD_ABS_TOL, _QUAD_REL_TOL * np.abs(rough))
 
     total, err_total, ok = offset, 0.0, True
-    n_panels = len(pieces) * rule.panels
+    n_panels = len(pieces) * _QUAD_PANELS
     for g, edges, coarse in tops:
         values, errors, conv = _refine(g, *edges, coarse, (tol / n_panels)[..., None],
-                                       rule, counter, width)
+                                       counter, width)
         for v, e in zip(values.T, errors.T):
             total = total + v
             err_total = err_total + e

@@ -255,22 +255,34 @@ def spectrum_from_json(source) -> Spectrum:
     """Build a spectrum from a JSON document (dict, JSON string, or path).
 
     Schema: {"kind": "poschl_teller", "kappa": ..., "kappa_prime": ...},
-    {"kind": "harmonic"}, or {"kind": "custom", "energies": [0, ...]}.
+    {"kind": "harmonic"}, or {"kind": "custom", "energies": [0, ...]}. A
+    document that cannot be read or does not fit the schema is a DomainError.
     """
-    if isinstance(source, dict):
-        obj = source
-    else:
+    obj = source
+    if not isinstance(source, dict):
         text = str(source)
-        if text.lstrip().startswith("{"):
-            obj = json.loads(text)
-        else:
-            with open(text, "r", encoding="utf-8") as fh:
-                obj = json.load(fh)
+        try:
+            if text.lstrip().startswith("{"):
+                obj = json.loads(text)
+            else:
+                with open(text, "r", encoding="utf-8") as fh:
+                    obj = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise DomainError(f"cannot read spectrum {text!r}: {exc}") from None
+    if not isinstance(obj, dict):
+        raise DomainError(f"a spectrum is a JSON object, got {obj!r}")
     kind = obj.get("kind")
-    if kind == "poschl_teller":
-        return PoschlTellerSpectrum(obj["kappa"], obj["kappa_prime"])
-    if kind in ("harmonic", "harmonic_oscillator"):
-        return HarmonicSpectrum()
-    if kind == "custom":
-        return CustomSpectrum(energies=obj["energies"])
+    try:
+        if kind == "poschl_teller":
+            return PoschlTellerSpectrum(obj["kappa"], obj["kappa_prime"])
+        if kind in ("harmonic", "harmonic_oscillator"):
+            return HarmonicSpectrum()
+        if kind == "custom":
+            return CustomSpectrum(energies=obj["energies"])
+    except DomainError:
+        raise
+    except KeyError as exc:
+        raise DomainError(f"a {kind} spectrum needs the field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"malformed {kind} spectrum {obj}: {exc}") from None
     raise DomainError(f"unknown spectrum kind: {kind!r}")

@@ -51,8 +51,6 @@ from .errors import ConvergenceError, DomainError, require_finite, require_photo
 from .fockspace import _MAX_N, FockState, _truncation
 from .spectrum import PoschlTellerSpectrum, Spectrum
 from .specfun import (
-    DEFAULT_SERIES_CONTROL,
-    SeriesControl,
     block_end,
     hyper_pfq,
     log_gamma,
@@ -239,7 +237,7 @@ def _state(fam: _Family, x: complex, alpha: float, tail_eps: float,
             shift = ln
         else:
             total += math.exp(2.0 * (ln - shift))
-        if n >= 4:
+        if n >= 4 and ln < logs[n - 1]:  # a growing term would overflow exp
             ratio = math.exp(2.0 * (ln - logs[n - 1]))
             if ratio < 1.0:  # geometric bound on the rest
                 tail_rel = math.exp(2.0 * (ln - shift)) * ratio / (1.0 - ratio) / total
@@ -259,44 +257,50 @@ def _state(fam: _Family, x: complex, alpha: float, tail_eps: float,
     return FockState(fam.k, c, alpha, min(tail_rel, 1.0))
 
 
-def _sum(fam: _Family, xs: list, d_alphas: list, ctl: SeriesControl):
+# the norm and kernel series: at most this many terms, each point stopping
+# at its first run of terms below this tolerance (`series_sum`)
+_SERIES_MAX_TERMS = 5000
+_SERIES_REL_TOL = 1e-15
+
+
+def _sum(fam: _Family, xs: list, d_alphas: list):
     """S = sum_n x^n w(n) e^{-i d_alpha E_{n+k}} at every (x, d_alpha), as
-    arrays (log|S|, S/|S|, converged), with at most ctl.max_terms terms."""
+    arrays (log|S|, S/|S|, converged), with at most _SERIES_MAX_TERMS terms."""
 
     def block(lo, hi):
         log_w, e = fam.terms(lo, hi)
         return log_w, None, -e if any(d_alphas) else None
 
-    s = series_sum(block, xs, ctl, ctl.max_terms, fam.last, d_alphas)
+    s = series_sum(block, xs, _SERIES_REL_TOL, _SERIES_MAX_TERMS, fam.last, d_alphas)
     return (*s.polar()[1:], s.stopped | s.exact)
 
 
-def _log_norm(fam: _Family, u: float, ctl: SeriesControl,
-              what: str = "normalization series", log_pref: float = 0.0) -> float:
+def _log_norm(fam: _Family, u: float, what: str = "normalization series",
+              log_pref: float = 0.0) -> float:
     """log_pref + log sum_n u^n w(n); a ConvergenceError carries that partial."""
-    log_s, _, ok = _sum(fam, [u], [0.0], ctl)
-    return _checked(ok, [log_pref + float(log_s[0])], what, ctl)[0]
+    log_s, _, ok = _sum(fam, [u], [0.0])
+    return _checked(ok, [log_pref + float(log_s[0])], what)[0]
 
 
-def _checked(ok, partials: list, what: str, ctl: SeriesControl) -> list:
+def _checked(ok, partials: list, what: str) -> list:
     """partials, or a ConvergenceError carrying the first whose ok is False."""
     if not ok.all():
         partial = partials[ok.tolist().index(False)]
-        raise ConvergenceError(f"{what} did not converge in {ctl.max_terms} terms",
+        raise ConvergenceError(f"{what} did not converge in {_SERIES_MAX_TERMS} terms",
                                partial=partial)
     return partials
 
 
 def _kernel(fam: _Family, x1: complex, x2: complex, d_alpha: float,
-            ctl: SeriesControl, what: str) -> complex:
+            what: str) -> complex:
     """S(conj(x1) x2, alpha2 - alpha1) over the square roots of both norms,
     all three summed in one call."""
     log_s, phase, ok = _sum(fam, [np.conj(x1) * x2, abs(x1) ** 2, abs(x2) ** 2],
-                            [d_alpha, 0.0, 0.0], ctl)
+                            [d_alpha, 0.0, 0.0])
     log_k, log_n1, log_n2 = log_s.tolist()
     phase_k = complex(phase[0])
-    _checked(ok[:1], [phase_k * math.exp(log_k)], f"{what} series", ctl)
-    _checked(ok[1:], [log_n1, log_n2], "normalization series", ctl)
+    _checked(ok[:1], [phase_k * math.exp(log_k)], f"{what} series")
+    _checked(ok[1:], [log_n1, log_n2], "normalization series")
     return complex(phase_k * math.exp(log_k - 0.5 * (log_n1 + log_n2)))
 
 
@@ -327,35 +331,31 @@ def gk_state(spec: Spectrum, label: GKLabel, tail_eps: float = 1e-12,
     return _state(_gk_family(spec, label.k), label.z, label.alpha, tail_eps, cap)
 
 
-def gk_norm_constant(spec: Spectrum, z_abs2: float, k: int,
-                     ctl: SeriesControl | None = None) -> float:
+def gk_norm_constant(spec: Spectrum, z_abs2: float, k: int) -> float:
     """log of the normalization series sum_n |z|^{2n} / E_k(n).
 
     Raises ConvergenceError (carrying the partial log-sum) when the stopping
-    rule is not met within ctl.max_terms.
+    rule is not met within _SERIES_MAX_TERMS terms.
     """
     if z_abs2 < 0:
         raise DomainError(f"|z|^2 must be nonnegative, got {z_abs2}")
     hint = spec.radius_hint(k)
     if math.isfinite(hint) and z_abs2 >= hint * hint:
         raise DomainError(f"|z|^2 = {z_abs2:.6g} is outside the radius {hint:.6g}")
-    return _log_norm(_gk_family(spec, k), z_abs2, ctl or DEFAULT_SERIES_CONTROL)
+    return _log_norm(_gk_family(spec, k), z_abs2)
 
 
-def gk_norm_constant_pt_closed(lam: float, z_abs2: float, k: int,
-                               ctl: SeriesControl | None = None) -> float:
+def gk_norm_constant_pt_closed(lam: float, z_abs2: float, k: int) -> float:
     """log of the hypergeometric closed form of the GK normalization,
     Gamma(k+1) (lam+1)_k 2F3(k+1, lam+k+1; 1, lam+1, lam+1; |z|^2), which
     matches `gk_norm_constant` on the Poschl-Teller spectrum."""
-    res = hyper_pfq([k + 1.0, lam + k + 1.0], [1.0, lam + 1.0, lam + 1.0],
-                    z_abs2, ctl)
+    res = hyper_pfq([k + 1.0, lam + k + 1.0], [1.0, lam + 1.0, lam + 1.0], z_abs2)
     if not res.converged:
         raise ConvergenceError("2F3 closed form did not converge", partial=res.log_abs)
     return log_gamma(k + 1.0) + res.log_abs + log_pochhammer(lam + 1.0, k)
 
 
-def gk_overlap(spec: Spectrum, label1: GKLabel, label2: GKLabel,
-               ctl: SeriesControl | None = None) -> complex:
+def gk_overlap(spec: Spectrum, label1: GKLabel, label2: GKLabel) -> complex:
     """<label1 | label2> for two photon-added GK states sharing k.
 
     Conjugate-linear in the first argument, so swapping the labels
@@ -366,7 +366,7 @@ def gk_overlap(spec: Spectrum, label1: GKLabel, label2: GKLabel,
     _check_gk_radius(spec, label1)
     _check_gk_radius(spec, label2)
     return _kernel(_gk_family(spec, label1.k), label1.z, label2.z,
-                   label2.alpha - label1.alpha, ctl or DEFAULT_SERIES_CONTROL, "overlap")
+                   label2.alpha - label1.alpha, "overlap")
 
 
 def gk_overlap_compact(spec: PoschlTellerSpectrum, label1: GKLabel,
@@ -392,6 +392,17 @@ def gk_overlap_compact(spec: PoschlTellerSpectrum, label1: GKLabel,
 # Klauder-Perelomov family, Poschl-Teller closed form (unit disk)
 # ---------------------------------------------------------------------------
 
+def _disk_point(label: KPLabel) -> complex:
+    """label.as_xi, which must lie inside the unit disk."""
+    xi = label.as_xi
+    if abs(xi) < 1.0:
+        return xi
+    if label.Z is not None:
+        raise DomainError(f"|Z| = {abs(label.Z):.6g} is off the unit-disk chart: "
+                          f"tanh|Z| rounds to 1")
+    raise DomainError(f"|xi| must be below 1, got {abs(xi):.6g}")
+
+
 def kp_state_pt(lam: float, label: KPLabel, tail_eps: float = 1e-12,
                 cap: int | None = None, exponent: str = "lambda") -> FockState:
     """Photon-added Klauder-Perelomov state of the Poschl-Teller spectrum.
@@ -405,14 +416,11 @@ def kp_state_pt(lam: float, label: KPLabel, tail_eps: float = 1e-12,
     if exponent not in ("lambda", "two_lambda"):
         raise DomainError(f"unknown exponent convention {exponent!r}")
     lam_w = lam if exponent == "lambda" else 2.0 * lam
-    xi = label.as_xi
-    if abs(xi) >= 1.0:
-        raise DomainError(f"|xi| must be below 1, got {abs(xi):.6g}")
-    return _state(_kp_family(lam, label.k, lam_w), xi, label.alpha, tail_eps, cap)
+    return _state(_kp_family(lam, label.k, lam_w), _disk_point(label), label.alpha,
+                  tail_eps, cap)
 
 
 def kp_norm_constant_pt(lam: float, xi_abs2: float, k: int,
-                        ctl: SeriesControl | None = None,
                         method: str = "closed") -> float:
     """log of the KP normalization constant on the unit disk.
 
@@ -426,23 +434,21 @@ def kp_norm_constant_pt(lam: float, xi_abs2: float, k: int,
     require_finite(lam=lam)
     if not 0.0 <= xi_abs2 < 1.0:
         raise DomainError(f"|xi|^2 must lie in [0, 1), got {xi_abs2}")
-    ctl = ctl or DEFAULT_SERIES_CONTROL
     log_pref = (lam + 1.0) * math.log1p(-xi_abs2)
     if method == "closed":
-        res = hyper_pfq([lam + k + 1.0, k + 1.0], [1.0], xi_abs2, ctl)
+        res = hyper_pfq([lam + k + 1.0, k + 1.0], [1.0], xi_abs2)
         if not res.converged:
             raise ConvergenceError("2F1 closed form did not converge",
                                    partial=res.log_abs)
         return (log_pref + log_gamma(k + 1.0) + log_gamma(lam + 1.0 + k)
                 - log_gamma(lam + 1.0) + res.log_abs)
     if method == "series":
-        return _log_norm(_kp_family(lam, k, lam), xi_abs2, ctl,
+        return _log_norm(_kp_family(lam, k, lam), xi_abs2,
                          "KP normalization series", log_pref)
     raise DomainError(f"unknown method {method!r}")
 
 
-def kp_overlap_pt(lam: float, label1: KPLabel, label2: KPLabel,
-                  ctl: SeriesControl | None = None) -> complex:
+def kp_overlap_pt(lam: float, label1: KPLabel, label2: KPLabel) -> complex:
     """Kernel <label1 | label2> of two Poschl-Teller KP states sharing k.
 
     Equal to the coefficient dot product of the two constructed states; for
@@ -450,12 +456,8 @@ def kp_overlap_pt(lam: float, label1: KPLabel, label2: KPLabel,
     """
     if label1.k != label2.k:
         raise DomainError("kernel requires a shared photon number k")
-    xi1, xi2 = label1.as_xi, label2.as_xi
-    for xi in (xi1, xi2):
-        if abs(xi) >= 1.0:
-            raise DomainError(f"|xi| must be below 1, got {abs(xi):.6g}")
-    return _kernel(_kp_family(lam, label1.k, lam), xi1, xi2,
-                   label2.alpha - label1.alpha, ctl or DEFAULT_SERIES_CONTROL, "kernel")
+    return _kernel(_kp_family(lam, label1.k, lam), _disk_point(label1),
+                   _disk_point(label2), label2.alpha - label1.alpha, "kernel")
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +504,8 @@ def _nested_log_sums(spec: Spectrum, n_max: int, j_max: int) -> np.ndarray:
     return out
 
 
-def kp_state_general(spec: Spectrum, Z: complex, alpha: float = 0.0, k: int = 0,
-                     n_max: int | None = None) -> KPGeneralResult:
+def kp_state_general(spec: Spectrum, Z: complex, alpha: float = 0.0,
+                     k: int = 0) -> KPGeneralResult:
     """Displacement-type state from the nested-sum energy expansion.
 
     The coefficient of level n+k is Z^n sqrt(E_0(n+k)) b_n (times the energy
@@ -516,7 +518,7 @@ def kp_state_general(spec: Spectrum, Z: complex, alpha: float = 0.0, k: int = 0,
     j_converged is False when it exceeds 1e-12 (small |Z| keeps this well
     behaved, large |Z| may not converge at all depending on the spectrum).
     A level whose series cancels to 0.0 is judged by its terms against the
-    state, not against its own sum. Without n_max the level count doubles from 48 until the
+    state, not against its own sum. The level count doubles from 48 until the
     top four levels hold below 1e-14 of the norm, or reaches 384.
     """
     require_photon_number(k)
@@ -525,16 +527,18 @@ def kp_state_general(spec: Spectrum, Z: complex, alpha: float = 0.0, k: int = 0,
     if Z == 0:
         return KPGeneralResult(FockState(k, np.array([1.0 + 0.0j]), alpha, 0.0),
                                True, 0.0)
-    if n_max is None:
-        n_max = 48
-        while True:
-            result = kp_state_general(spec, Z, alpha, k, n_max)
-            c = result.state.coefficients
-            edge = float(np.sum(np.abs(c[-4:]) ** 2))
-            if edge < 1e-14 or n_max >= 384:
-                return result
-            n_max *= 2
+    n_max = 48
+    while True:
+        result = _kp_general(spec, Z, alpha, k, n_max)
+        edge = float(np.sum(np.abs(result.state.coefficients[-4:]) ** 2))
+        if edge < 1e-14 or n_max >= 384:
+            return result
+        n_max *= 2
 
+
+def _kp_general(spec: Spectrum, Z: complex, alpha: float, k: int,
+                n_max: int) -> KPGeneralResult:
+    """`kp_state_general` on the levels k..k+n_max, for Z != 0."""
     u = abs(Z) ** 2
     log_u = math.log(u) if u else 2.0 * math.log(abs(Z))  # u underflows below 1e-162
     log_s = _nested_log_sums(spec, n_max, _NESTED_J_MAX)

@@ -149,9 +149,10 @@ def _gk_closed_coeffs(spec, label, size):
     return c / np.linalg.norm(c)
 
 
-def eigen_residual(spec, label, tail_eps=1e-28) -> float:
-    """|| a- |state> - z |state> || for a GK label (k = 0 is an eigenstate)."""
-    state = st.gk_state(spec, label, tail_eps=tail_eps)
+def eigen_residual(spec, label) -> float:
+    """|| a- |state> - z |state> || for a GK label (k = 0 is an eigenstate),
+    on a state built to a 1e-28 tail."""
+    state = st.gk_state(spec, label, tail_eps=1e-28)
     dim = state.offset + state.size + 1
     if math.isfinite(spec.max_level):
         dim = min(dim, int(spec.max_level) + 1)  # lowering stays in range

@@ -7,6 +7,7 @@ asserted where the criterion carries one.
 
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,8 +36,8 @@ from solvstate.measures import (
     kp_weight_unit_disk,
     mellin_weight_moment_log,
 )
-from solvstate.specfun import QuadratureRule, integrate
-from solvstate import poschl_teller as ptm
+from solvstate.specfun import integrate
+from solvstate import poschl_teller as ptm, specfun
 from solvstate.verify import coeff_distance, eigen_residual, run_suite
 
 
@@ -205,14 +206,18 @@ def test_07_moment_problem_errata_report():
 def test_08_position_space():
     t0 = time.perf_counter()
     p = ptm.PTParams(2.0, 2.0, 1.0)
-    rule = QuadratureRule(nodes=32, panels=6, rel_tol=1e-12,
-                          left_exponent=2.0 * p.kappa,
-                          right_exponent=2.0 * p.kappa_prime)
+
+    def overlap(f, extra):
+        # 32-node Gauss-Legendre on 6 panels, envelope exponents declared
+        with mock.patch.multiple(specfun, _QUAD_NODES=32, _QUAD_PANELS=6,
+                                 _QUAD_ABS_TOL=1e-14):
+            return integrate(f, 0.0, p.box, 2.0 * p.kappa + extra,
+                             2.0 * p.kappa_prime + extra)
     worst = 0.0
     for n in range(9):
         for m in range(n, 9):
-            val = integrate(lambda x: ptm.eigenfunction(p, n, x)
-                            * ptm.eigenfunction(p, m, x), 0.0, p.box, rule)
+            val = overlap(lambda x: ptm.eigenfunction(p, n, x)
+                          * ptm.eigenfunction(p, m, x), 0.0)
             worst = max(worst, abs(val.value - (1.0 if n == m else 0.0)))
     report(8, "orthonormality n,m<=8", worst, 1e-8, worst <= 1e-8)
 
@@ -230,18 +235,14 @@ def test_08_position_space():
         worst = max(worst, float(np.max(np.abs(resid))))
     report(8, "Schrodinger residual", worst, 1e-6, worst <= 1e-6)
 
-    rule_u = QuadratureRule(nodes=32, panels=6, rel_tol=1e-12,
-                            left_exponent=2.0 * p.kappa + 1.0,
-                            right_exponent=2.0 * p.kappa_prime + 1.0)
     worst = 0.0
     for n in range(7):
         for m in range(7):
             entry = ptm.u_matrix_element(p, n, m)
             if entry.flagged:
                 continue
-            quad = integrate(lambda x: ptm.eigenfunction(p, n, x)
-                             * ptm.partner_eigenfunction(p, m, x),
-                             0.0, p.box, rule_u)
+            quad = overlap(lambda x: ptm.eigenfunction(p, n, x)
+                           * ptm.partner_eigenfunction(p, m, x), 1.0)
             worst = max(worst, abs(entry.value - quad.value))
     report(8, "overlap matrix closed form vs quadrature", worst, 1e-8,
            worst <= 1e-8)

@@ -603,6 +603,41 @@ def test_csv_refused_where_no_csv_is_rendered(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("state", "gk", "--z", "0.5", "--spectrum", "{bad"), "cannot read spectrum"),
+    (("state", "gk", "--z", "0.5", "--spectrum", '{"kind":"custom"}'),
+     "needs the field 'energies'"),
+    (("state", "gk", "--z", "0.5", "--spectrum",
+      '{"kind":"poschl_teller","kappa":"x","kappa_prime":2}'), "malformed poschl_teller"),
+    (("state", "gk", "--z", "0.5", "--spectrum", '{"kind":"custom","energies":"abc"}'),
+     "malformed custom"),
+    (("state", "gk", "--z", "0.5", "--spectrum", "/nonexistent.json"),
+     "No such file"),
+    (("state", "gk", "--z", "0.5", "--spectrum", "[]"), "cannot read spectrum '[]'"),
+    (("state", "gk", "--z", "0.5", "--spectrum", "null"), "cannot read spectrum 'null'"),
+    (("pt", "--kappa", "1e4", "--kappa-prime", "1e4", "--eigenfunction", "0"),
+     "overflows at kappa = 10000, kappa' = 10000"),
+    (("state", "kp", "--Z", "30"),
+     "|Z| = 30 is off the unit-disk chart: tanh|Z| rounds to 1"),
+])
+def test_bad_input_is_a_domain_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert err.startswith("domain error: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_gk_state_growing_to_the_cap_exits_0_with_tail_bound_1(capsys):
+    # |c_n| grows through all 2048 levels, so no geometric tail bound applies
+    code, out, err = run_cli(capsys, "state", "gk", "--z", "1e200")
+    assert code == EXIT_OK
+    assert err == ""
+    state = json.loads(out)["state"]
+    assert state["tail_bound"] == 1.0
+    assert len(state["coefficients"]) == 2048
+
+
 def test_json_payload_uses_15_significant_digits(capsys):
     _, out, _ = run_cli(capsys, "state", "gk", "--z", "0.123456789123456789",
                         "--lambda", "4")

@@ -20,7 +20,7 @@ from solvstate.measures import (
     mellin_weight_moment_log,
     nonnegativity_report,
 )
-from solvstate.specfun import QuadratureRule, integrate, log_gamma, log_pochhammer
+from solvstate.specfun import integrate, log_gamma, log_pochhammer
 
 LAM = 4.0
 SPEC = PoschlTellerSpectrum(2.0, 2.0)
@@ -269,9 +269,9 @@ class TestLogReadingArrays:
         sizes = []
         series = msr.hyper_pfq
 
-        def counted(a, b, x, ctl=None):
+        def counted(a, b, x, *settings):
             sizes.append(np.size(x))
-            return series(a, b, x, ctl)
+            return series(a, b, x, *settings)
 
         monkeypatch.setattr(msr, "hyper_pfq", counted)
         r = np.linspace(0.01, 0.99, 99)
@@ -283,9 +283,8 @@ class TestLogReadingArrays:
 
     def test_unconverged_sum_is_nan_and_moments_indeterminate(self, monkeypatch):
         import solvstate.measures as msr
-        from solvstate.specfun import SeriesControl
 
-        monkeypatch.setattr(msr, "_LOG_READING_SERIES", SeriesControl(max_terms=5))
+        monkeypatch.setattr(msr, "_LOG_READING_MAX_TERMS", 5)
         cand = kp_weight_unit_disk(LAM, 2, "a_b_lam2k")
         values = cand.evaluate(np.array([0.1, 0.5, 0.9]))
         assert math.isfinite(values[0])  # the connection expansion sums no series
@@ -327,15 +326,10 @@ def _reference_residuals(lam, k, candidate, n_max, quad_tolerance=1e-9,
                     n, power, target, None, math.inf, 0.0, None, None,
                     "divergent"))
                 continue
-            rule = QuadratureRule(
-                nodes=24, panels=4, rel_tol=1e-12, abs_tol=1e-16,
-                left_exponent=eff_left if eff_left != int(eff_left) or eff_left < 0 else None,
-                right_exponent=(candidate.right_exponent
-                                if candidate.right_exponent != int(candidate.right_exponent)
-                                or candidate.right_exponent < 0 else None),
-            )
-            res = integrate(lambda r, _p=power: candidate.evaluate(r) * r ** _p,
-                            0.0, 1.0, rule)
+            right = candidate.right_exponent
+            res = integrate(lambda r, _p=power: candidate.evaluate(r) * r ** _p, 0.0, 1.0,
+                            eff_left if eff_left != int(eff_left) or eff_left < 0 else None,
+                            right if right != int(right) or right < 0 else None)
             computed_log = math.log(res.value) if res.value > 0 else -math.inf
             d = computed_log - target
             rel_resid = math.inf if abs(d) > 700.0 else abs(math.expm1(d))

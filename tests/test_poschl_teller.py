@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -21,17 +22,21 @@ from solvstate.poschl_teller import (
     u_matrix,
     u_matrix_element,
 )
-from solvstate.specfun import (QuadratureRule, beta, integrate, jacobi_poly,
+from solvstate import specfun
+from solvstate.specfun import (beta, integrate, jacobi_poly,
                                jacobi_table, log_gamma, signed_log_sum)
 
 P_SYM = PTParams(2.0, 2.0, 1.0)
 P_ASYM = PTParams(1.2, 3.4, 1.0)
 
 
-def overlap_rule(p, extra=0.0):
-    return QuadratureRule(nodes=32, panels=6, rel_tol=1e-12,
-                          left_exponent=2.0 * p.kappa + extra,
-                          right_exponent=2.0 * p.kappa_prime + extra)
+def overlap_integral(p, f, extra=0.0, abs_tol=1e-14):
+    """f integrated over the well by 32-node Gauss-Legendre on 6 panels, with
+    the envelope exponents 2 kappa + extra and 2 kappa' + extra declared."""
+    with mock.patch.multiple(specfun, _QUAD_NODES=32, _QUAD_PANELS=6,
+                             _QUAD_ABS_TOL=abs_tol):
+        return integrate(f, 0.0, p.box, 2.0 * p.kappa + extra,
+                         2.0 * p.kappa_prime + extra)
 
 
 class TestParams:
@@ -128,11 +133,10 @@ class TestEigenfunctions:
 
     @pytest.mark.parametrize("p", [P_SYM, P_ASYM])
     def test_orthonormality(self, p):
-        rule = overlap_rule(p)
         for n in range(0, 9, 2):
             for m in range(n, 9, 3):
-                val = integrate(lambda x: eigenfunction(p, n, x)
-                                * eigenfunction(p, m, x), 0.0, p.box, rule)
+                val = overlap_integral(p, lambda x: eigenfunction(p, n, x)
+                                       * eigenfunction(p, m, x))
                 assert abs(val.value - (1.0 if n == m else 0.0)) < 1e-8
 
     def test_normalization_constant_as_printed(self):
@@ -140,9 +144,7 @@ class TestEigenfunctions:
         # the unnormalized envelope
         p = P_ASYM
         for n in (0, 2, 5):
-            rule = overlap_rule(p)
-            val = integrate(lambda x: eigenfunction(p, n, x) ** 2, 0.0, p.box,
-                            rule)
+            val = overlap_integral(p, lambda x: eigenfunction(p, n, x) ** 2)
             assert val.value == pytest.approx(1.0, abs=1e-8)
 
     @pytest.mark.parametrize("p", [P_SYM, P_ASYM])
@@ -161,12 +163,10 @@ class TestEigenfunctions:
 
     @pytest.mark.parametrize("p", [P_SYM, P_ASYM])
     def test_partner_orthonormality(self, p):
-        rule = overlap_rule(p, extra=2.0)
         for n in range(0, 7, 2):
             for m in range(n, 7, 2):
-                val = integrate(lambda x: partner_eigenfunction(p, n, x)
-                                * partner_eigenfunction(p, m, x), 0.0, p.box,
-                                rule)
+                val = overlap_integral(p, lambda x: partner_eigenfunction(p, n, x)
+                                       * partner_eigenfunction(p, m, x), extra=2.0)
                 assert abs(val.value - (1.0 if n == m else 0.0)) < 1e-8
 
     def test_derivative_vs_finite_difference(self):
@@ -182,11 +182,10 @@ class TestEigenfunctions:
     @pytest.mark.parametrize("p", [P_SYM, P_ASYM])
     def test_susy_intertwining(self, p):
         # A- psi_{n+1}^- = sqrt(E_{n+1}) psi_n^+ up to a phase convention
-        rule = overlap_rule(p, extra=1.0)
         for n in range(5):
-            val = integrate(lambda x: partner_eigenfunction(p, n, x)
-                            * lowered_eigenfunctions(p, n + 1, x)[n + 1], 0.0, p.box,
-                            rule)
+            val = overlap_integral(p, lambda x: partner_eigenfunction(p, n, x)
+                                   * lowered_eigenfunctions(p, n + 1, x)[n + 1],
+                                   extra=1.0)
             ratio = abs(val.value) / math.sqrt(p.energy(n + 1))
             assert ratio == pytest.approx(1.0, abs=1e-7)
 
@@ -211,14 +210,11 @@ class TestEigenfunctionTable:
     def test_gram_by_one_vector_integral(self, kappa, kappa_prime):
         p = PTParams(kappa, kappa_prime)
         n, m = np.triu_indices(9)
-        rule = QuadratureRule(nodes=32, panels=6, rel_tol=1e-12, abs_tol=1e-13,
-                              left_exponent=2.0 * kappa,
-                              right_exponent=2.0 * kappa_prime)
 
         def products(x):
             rows = eigenfunctions(p, 8, x)
             return rows[n] * rows[m]
-        res = integrate(products, 0.0, p.box, rule)
+        res = overlap_integral(p, products, abs_tol=1e-13)
         assert res.converged
         assert np.max(np.abs(res.value - (n == m))) <= 1e-10
 
@@ -292,7 +288,7 @@ class TestGaussJacobiIntegral:
         def products(x):
             return eigenfunctions(p, 12, x)[n] * eigenfunctions(p.partner(), 12, x)[m]
         exact = gauss_jacobi_integral(p, products, p.kappa, p.kappa_prime, 13)
-        adaptive = integrate(products, 0.0, p.box, overlap_rule(p, extra=1.0))
+        adaptive = overlap_integral(p, products, extra=1.0)
         assert adaptive.converged
         assert np.max(np.abs(exact - adaptive.value)) <= 1e-13
 
@@ -336,13 +332,11 @@ class TestUMatrix:
 
     @pytest.mark.parametrize("p", [P_SYM, P_ASYM])
     def test_against_quadrature(self, p):
-        rule = overlap_rule(p, extra=1.0)
         for n in range(7):
             for m in range(7):
                 entry = u_matrix_element(p, n, m)
-                quad = integrate(lambda x: eigenfunction(p, n, x)
-                                 * partner_eigenfunction(p, m, x),
-                                 0.0, p.box, rule)
+                quad = overlap_integral(p, lambda x: eigenfunction(p, n, x)
+                                        * partner_eigenfunction(p, m, x), extra=1.0)
                 if entry.flagged:
                     # flagged entries are total cancellations; the true
                     # value must indeed be numerically negligible

@@ -1,4 +1,6 @@
 import math
+from dataclasses import dataclass
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -10,8 +12,6 @@ from scipy.special import eval_jacobi
 from solvstate import DomainError, specfun
 from solvstate.specfun import (
     IntegralResult,
-    QuadratureRule,
-    SeriesControl,
     beta,
     hyper_pfq,
     integrate,
@@ -132,7 +132,7 @@ class TestHyperPfq:
             res = hyper_pfq([-float(m), b], [c], x)
             assert res.value.real == pytest.approx(total, rel=max(1e-13, 10 * rounding))
             assert res.achieved_tol == pytest.approx(rounding, rel=1e-6)
-            assert res.converged == (res.achieved_tol <= SeriesControl().rel_tol)
+            assert res.converged == (res.achieved_tol <= 1e-15)  # the default rel_tol
 
     def test_cancelling_terminating_sum_is_flagged(self):
         # largest term 13,510 times the sum: off by 2.2e-13 relative, which
@@ -140,8 +140,7 @@ class TestHyperPfq:
         res = hyper_pfq([-10.0, 2.4], [1.7], 0.6)
         assert not res.converged
         assert res.achieved_tol == pytest.approx(13510 * np.finfo(float).eps, rel=1e-3)
-        assert hyper_pfq([-10.0, 2.4], [1.7], 0.6,
-                         SeriesControl(rel_tol=1e-11)).converged
+        assert hyper_pfq([-10.0, 2.4], [1.7], 0.6, rel_tol=1e-11).converged
         # one term is summed without rounding
         assert hyper_pfq([-10.0, 2.4], [1.7], 0.0).achieved_tol == 0.0
 
@@ -181,8 +180,7 @@ class TestHyperPfq:
         assert math.isfinite(res.log_abs)
 
     def test_nonconvergence_is_flagged(self):
-        ctl = SeriesControl(max_terms=10, rel_tol=1e-15)
-        res = hyper_pfq([0.5, 1.5], [1.0], 0.999, ctl)
+        res = hyper_pfq([0.5, 1.5], [1.0], 0.999, max_terms=10, rel_tol=1e-15)
         assert not res.converged
         assert res.terms_used == 11
 
@@ -240,11 +238,11 @@ class TestJacobi:
 
     def test_orthogonality_by_quadrature(self):
         alpha, beta_ = 1.5, 1.5
-        rule = QuadratureRule(nodes=32, panels=4, rel_tol=1e-13,
-                              left_exponent=beta_, right_exponent=alpha)
+        rule = Rule(nodes=32, panels=4, rel_tol=1e-13,
+                    left_exponent=beta_, right_exponent=alpha)
         for n in range(9):
             for m in range(n + 1, 9):
-                val = integrate(
+                val = integrate_by(
                     lambda x: (1.0 - x) ** alpha * (1.0 + x) ** beta_
                     * jacobi_poly(n, alpha, beta_, x)
                     * jacobi_poly(m, alpha, beta_, x),
@@ -274,11 +272,8 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("n,lam", [(1, 0.6), (2, 0.6), (3, 2.5), (5, 0.75)])
     def test_beta_integral_with_endpoint_singularity(self, n, lam):
-        rule = QuadratureRule(nodes=24, panels=4, rel_tol=1e-12,
-                              left_exponent=float(n - 1),
-                              right_exponent=lam - 1.0)
         res = integrate(lambda x: x ** (n - 1) * (1.0 - x) ** (lam - 1.0),
-                        0.0, 1.0, rule)
+                        0.0, 1.0, float(n - 1), lam - 1.0)
         assert res.value == pytest.approx(beta(float(n), lam), rel=1e-11)
 
     def test_sine_squared(self):
@@ -288,18 +283,17 @@ class TestIntegrate:
 
     def test_polynomial_exactness_per_panel(self):
         # an 8-node Gauss panel is exact through degree 15
-        rule = QuadratureRule(nodes=8, panels=1, max_depth=0)
+        rule = Rule(nodes=8, panels=1, max_depth=0)
         res = integrate(lambda x: 16.0 * x ** 15 - 3.0 * x ** 7 + x, 0.0, 1.0)
         exact = 1.0 - 3.0 / 8.0 + 0.5
         assert res.value == pytest.approx(exact, abs=1e-13)
-        res = integrate(lambda x: x ** 15, 0.0, 1.0, rule)
+        res = integrate_by(lambda x: x ** 15, 0.0, 1.0, rule)
         assert res.value == pytest.approx(1.0 / 16.0, abs=1e-13)
 
     def test_unconverged_flag(self):
-        rule = QuadratureRule(nodes=2, panels=1, max_depth=1, rel_tol=1e-15,
-                              abs_tol=1e-16)
-        res = integrate(lambda x: np.exp(-1000.0 * (x - 0.123) ** 2), 0.0, 1.0,
-                        rule)
+        rule = Rule(nodes=2, panels=1, max_depth=1, rel_tol=1e-15, abs_tol=1e-16)
+        res = integrate_by(lambda x: np.exp(-1000.0 * (x - 0.123) ** 2), 0.0, 1.0,
+                           rule)
         assert isinstance(res, IntegralResult)
         assert not res.converged
 
@@ -307,9 +301,31 @@ class TestIntegrate:
         with pytest.raises(DomainError):
             integrate(lambda x: x, 1.0, 0.0)
         with pytest.raises(DomainError):
-            QuadratureRule(left_exponent=-1.5)
+            integrate(lambda x: x, 0.0, 1.0, left_exponent=-1.5)
         with pytest.raises(DomainError):
-            QuadratureRule(nodes=1)
+            integrate(lambda x: x, 0.0, 1.0, right_exponent=-1.0)
+
+
+@dataclass(frozen=True)
+class Rule:
+    """A quadrature layout for `integrate_by`. The defaults are the looser
+    tolerances these engine tests were written against, not the library's."""
+
+    nodes: int = 24
+    panels: int = 4
+    max_depth: int = 14
+    rel_tol: float = 1e-11
+    abs_tol: float = 1e-14
+    left_exponent: float | None = None
+    right_exponent: float | None = None
+
+
+def integrate_by(f, a, b, rule):
+    """`integrate` with the rule's layout in place of specfun's constants."""
+    with mock.patch.multiple(specfun, _QUAD_NODES=rule.nodes, _QUAD_PANELS=rule.panels,
+                             _QUAD_MAX_DEPTH=rule.max_depth, _QUAD_REL_TOL=rule.rel_tol,
+                             _QUAD_ABS_TOL=rule.abs_tol):
+        return integrate(f, a, b, rule.left_exponent, rule.right_exponent)
 
 
 def _reference_integrate(f, a, b, rule):
@@ -393,21 +409,21 @@ def _counted(f):
 # dot), and a cancelling integral would magnify that last-bit rounding.
 _REFERENCE_CASES = {
     "smooth": (lambda x: np.exp(x) * (2.0 + np.cos(3.0 * x)), 0.0, 2.0,
-               QuadratureRule()),
+               Rule()),
     "both_endpoints": (lambda x: x ** -0.4 * (1.0 - x) ** 0.7
                        / (1e-3 + (x - 0.35) ** 2), 0.0, 1.0,
-                       QuadratureRule(left_exponent=-0.4, right_exponent=0.7)),
+                       Rule(left_exponent=-0.4, right_exponent=0.7)),
     "left_endpoint": (lambda x: np.sqrt(x) * np.exp(-x) * np.sin(20.0 * x) ** 2,
                       0.0, 3.0,
-                      QuadratureRule(nodes=16, panels=2, rel_tol=1e-12,
+                      Rule(nodes=16, panels=2, rel_tol=1e-12,
                                      left_exponent=0.5)),
     "right_endpoint": (lambda x: (2.0 - x) ** 1.3 / (1e-4 + (x - 1.7) ** 2),
                        0.0, 2.0,
-                       QuadratureRule(right_exponent=1.3)),
+                       Rule(right_exponent=1.3)),
     "peaked": (lambda x: np.exp(-1e4 * (x - 0.3) ** 2)
-               + 1.0 / (1e-6 + (x - 0.71) ** 2), 0.0, 1.0, QuadratureRule()),
+               + 1.0 / (1e-6 + (x - 0.71) ** 2), 0.0, 1.0, Rule()),
     "peaked_unconverged": (lambda x: np.exp(-1e5 * (x - 0.123) ** 2), 0.0, 1.0,
-                           QuadratureRule(nodes=8, panels=2, max_depth=3)),
+                           Rule(nodes=8, panels=2, max_depth=3)),
 }
 
 
@@ -416,7 +432,7 @@ class TestBreadthFirstQuadrature:
     def test_matches_depth_first_reference(self, case):
         f, a, b, rule = _REFERENCE_CASES[case]
         value, converged, refined, _ = _reference_integrate(f, a, b, rule)
-        res = integrate(f, a, b, rule)
+        res = integrate_by(f, a, b, rule)
         assert res.converged == converged
         assert converged == (case != "peaked_unconverged")
         assert res.value == pytest.approx(value, rel=1e-14, abs=0.0)
@@ -426,7 +442,7 @@ class TestBreadthFirstQuadrature:
         # every top panel once, then both halves of every refined panel
         f, a, b, rule = _REFERENCE_CASES[case]
         _, _, refined, levels = _reference_integrate(f, a, b, rule)
-        res = integrate(f, a, b, rule)
+        res = integrate_by(f, a, b, rule)
         assert res.evaluations == rule.nodes * (len(levels) * rule.panels
                                                 + 2 * refined)
 
@@ -437,16 +453,16 @@ class TestBreadthFirstQuadrature:
         f, a, b, rule = _REFERENCE_CASES[case]
         _, _, _, levels = _reference_integrate(f, a, b, rule)
         counted, sizes = _counted(f)
-        integrate(counted, a, b, rule)
+        integrate_by(counted, a, b, rule)
         tails = sum(g is not None
                     for g in (rule.left_exponent, rule.right_exponent))
         assert len(sizes) == sum(1 + n for n in levels) + tails
 
     def test_batch_bounded_for_a_never_converging_integrand(self):
         rng = np.random.default_rng(7)
-        rule = QuadratureRule(nodes=24, panels=4, max_depth=8)
+        rule = Rule(nodes=24, panels=4, max_depth=8)
         noise, sizes = _counted(lambda x: rng.standard_normal(np.shape(x)))
-        res = integrate(noise, 0.0, 1.0, rule)
+        res = integrate_by(noise, 0.0, 1.0, rule)
         assert not res.converged
         # every panel splits down to max_depth
         assert res.evaluations == 24 * (4 + 2 * 4 * (2 ** 9 - 1))
@@ -464,7 +480,7 @@ class TestBreadthFirstQuadrature:
         # NaN on (0.3, 1]: the three panels that reach it stop after their
         # first halves instead of refining down to max_depth
         counted, sizes = _counted(lambda x: np.where(x > 0.3, np.nan, x))
-        res = integrate(counted, 0.0, 1.0, QuadratureRule(max_depth=12))
+        res = integrate_by(counted, 0.0, 1.0, Rule(max_depth=12))
         assert math.isnan(res.value)
         assert not res.converged
         assert len(sizes) == 2
@@ -479,12 +495,12 @@ def _stacked(*fs):
 _VECTOR_CASES = {
     "smooth": (_stacked(_REFERENCE_CASES["smooth"][0], lambda x: np.sin(20.0 * x) ** 2,
                         lambda x: 1.0 / (1e-3 + (x - 0.7) ** 2), lambda x: x ** 3),
-               0.0, 2.0, QuadratureRule()),
+               0.0, 2.0, Rule()),
     "both_endpoints": (_stacked(_REFERENCE_CASES["both_endpoints"][0],
                                 lambda x: x ** -0.4 * (1.0 - x) ** 0.7,
                                 lambda x: (x ** -0.4 * (1.0 - x) ** 0.7
                                            * np.cos(30.0 * x))),
-                       0.0, 1.0, QuadratureRule(left_exponent=-0.4, right_exponent=0.7)),
+                       0.0, 1.0, Rule(left_exponent=-0.4, right_exponent=0.7)),
     "left_endpoint": (_stacked(_REFERENCE_CASES["left_endpoint"][0], np.sqrt,
                                lambda x: np.sqrt(x) / (1e-2 + (x - 2.5) ** 2)),
                       0.0, 3.0, _REFERENCE_CASES["left_endpoint"][3]),
@@ -496,7 +512,7 @@ class TestVectorQuadrature:
     def test_each_component_within_its_scalar_error(self, case):
         f, a, b, rule = _VECTOR_CASES[case]
         counted, sizes = _counted(f)
-        res = integrate(counted, a, b, rule)
+        res = integrate_by(counted, a, b, rule)
         k = len(f(np.array([0.5])))
         assert res.value.shape == res.error.shape == (k,)
         assert res.converged is True
@@ -504,7 +520,7 @@ class TestVectorQuadrature:
         tails = sum(g is not None for g in (rule.left_exponent, rule.right_exponent))
         assert sum(sizes) == res.evaluations + tails
         for i in range(k):
-            scalar = integrate(lambda x: f(x)[i], a, b, rule)
+            scalar = integrate_by(lambda x: f(x)[i], a, b, rule)
             assert scalar.converged
             assert abs(res.value[i] - scalar.value) <= (scalar.error
                                                         + 1e-15 * abs(scalar.value))
@@ -513,9 +529,9 @@ class TestVectorQuadrature:
 
     def test_one_unconverged_component_fails_the_integral(self):
         peaked, a, b, rule = _REFERENCE_CASES["peaked_unconverged"]
-        assert not integrate(peaked, a, b, rule).converged
-        assert integrate(lambda x: 1.0 + x, a, b, rule).converged
-        res = integrate(_stacked(lambda x: 1.0 + x, peaked), a, b, rule)
+        assert not integrate_by(peaked, a, b, rule).converged
+        assert integrate_by(lambda x: 1.0 + x, a, b, rule).converged
+        res = integrate_by(_stacked(lambda x: 1.0 + x, peaked), a, b, rule)
         assert res.converged is False
         assert res.value[0] == pytest.approx(1.5, rel=1e-14)
 
@@ -524,10 +540,10 @@ class TestVectorQuadrature:
         # power-of-two multiples refine exactly as the scalar integrand does
         f, a, b, rule = _REFERENCE_CASES[case]
         scalar, scalar_sizes = _counted(f)
-        expected = integrate(scalar, a, b, rule)
+        expected = integrate_by(scalar, a, b, rule)
         counted, sizes = _counted(_stacked(f, lambda x: 2.0 * f(x),
                                            lambda x: -0.5 * f(x)))
-        res = integrate(counted, a, b, rule)
+        res = integrate_by(counted, a, b, rule)
         assert sizes == scalar_sizes
         assert res.evaluations == expected.evaluations
         assert res.converged == expected.converged
@@ -536,9 +552,9 @@ class TestVectorQuadrature:
 
     def test_values_per_call_bounded_for_a_never_converging_integrand(self):
         rng = np.random.default_rng(7)
-        rule = QuadratureRule(nodes=24, panels=4, max_depth=8)
+        rule = Rule(nodes=24, panels=4, max_depth=8)
         noise, sizes = _counted(lambda x: rng.standard_normal((45, np.size(x))))
-        res = integrate(noise, 0.0, 1.0, rule)
+        res = integrate_by(noise, 0.0, 1.0, rule)
         assert res.converged is False
         assert res.value.shape == (45,)
         assert res.evaluations == 24 * (4 + 2 * 4 * (2 ** 9 - 1))
@@ -601,11 +617,9 @@ class TestBatchedSignedLogSum:
 
 def test_series_control_validation():
     with pytest.raises(DomainError):
-        SeriesControl(rel_tol=0.0)
+        hyper_pfq([1.0], [2.0], 0.5, rel_tol=0.0)
     with pytest.raises(DomainError):
-        SeriesControl(max_terms=0)
-    with pytest.raises(DomainError):
-        SeriesControl(consecutive_small=1)
+        hyper_pfq([1.0], [2.0], 0.5, max_terms=0)
 
 
 class TestHyperPfqCancellation:
@@ -625,7 +639,7 @@ class TestHyperPfqCancellation:
     def test_cancellation_is_measured_against_rel_tol(self):
         # 0F1(;1;-4) = J_0(4): terms up to 4.0 against a sum of -0.397, so
         # the rounding left is about eps * 10: enough for 1e-13, not 1e-15
-        loose = hyper_pfq([], [1.0], -4.0, SeriesControl(rel_tol=1e-13))
+        loose = hyper_pfq([], [1.0], -4.0, rel_tol=1e-13)
         assert loose.converged
         assert 2e-15 < loose.achieved_tol < 1e-13
         assert loose.value.real == pytest.approx(float(mp.besselj(0, 4.0)), rel=1e-14)
@@ -643,13 +657,14 @@ class TestHyperPfqArrays:
         ([2.0, 6.0], [1.0, 5.0, 5.0], [0.4 + 0.3j, -1.2j, 0.0, 2.5, -3.0], None),
         ([-7.0, 2.4], [1.7], [0.6, -0.3, 0.0], None),                # terminating
         ([-2.5, 1.5], [-3.5], [0.3, -0.6, 0.05], None),              # negative parameters
-        ([0.5, 1.5], [1.0], [0.1, 0.999, 0.5], SeriesControl(max_terms=40)),
+        ([0.5, 1.5], [1.0], [0.1, 0.999, 0.5], {"max_terms": 40}),
     ]
 
     @pytest.mark.parametrize("a, b, xs, ctl", CASES)
     def test_each_point_is_its_scalar_call(self, a, b, xs, ctl):
-        batch = hyper_pfq(a, b, np.array(xs), ctl)
-        singles = [hyper_pfq(a, b, x, ctl) for x in xs]
+        ctl = ctl or {}
+        batch = hyper_pfq(a, b, np.array(xs), **ctl)
+        singles = [hyper_pfq(a, b, x, **ctl) for x in xs]
         for i, one in enumerate(singles):
             assert _same(batch.value[i], one.value)
             assert _same(batch.log_abs[i], one.log_abs)
@@ -659,12 +674,12 @@ class TestHyperPfqArrays:
         assert batch.converged == all(s.converged for s in singles)
 
     def test_one_unconverged_point_fails_the_batch(self):
-        ctl = SeriesControl(max_terms=40)
-        assert hyper_pfq([0.5, 1.5], [1.0], 0.1, ctl).converged
-        assert not hyper_pfq([0.5, 1.5], [1.0], 0.999, ctl).converged
-        batch = hyper_pfq([0.5, 1.5], [1.0], np.array([0.1, 0.999]), ctl)
+        near = hyper_pfq([0.5, 1.5], [1.0], 0.1, max_terms=40)
+        assert near.converged
+        assert not hyper_pfq([0.5, 1.5], [1.0], 0.999, max_terms=40).converged
+        batch = hyper_pfq([0.5, 1.5], [1.0], np.array([0.1, 0.999]), max_terms=40)
         assert not batch.converged
-        assert batch.terms_used == hyper_pfq([0.5, 1.5], [1.0], 0.1, ctl).terms_used + 41
+        assert batch.terms_used == near.terms_used + 41
 
     def test_fields_keep_the_shape_of_x(self):
         xs = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])

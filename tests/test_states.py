@@ -19,7 +19,6 @@ from solvstate import (
     HarmonicSpectrum,
     KPLabel,
     PoschlTellerSpectrum,
-    SeriesControl,
     build_ladder,
     displace_ground,
     evolve,
@@ -207,15 +206,16 @@ class TestGKNormConstant:
                 assert gk_norm_constant(spec, u, k) == pytest.approx(
                     math.log(total), rel=1e-12)
 
-    def test_nonconvergence_raises(self):
-        ctl = SeriesControl(max_terms=4, rel_tol=1e-15)
+    def test_nonconvergence_raises(self, monkeypatch):
+        monkeypatch.setattr(states, "_SERIES_MAX_TERMS", 4)
         with pytest.raises(ConvergenceError) as err:
-            gk_norm_constant(SPEC, 3.0, 0, ctl)
+            gk_norm_constant(SPEC, 3.0, 0)
         assert err.value.partial is not None
 
-    def test_nonconvergence_carries_partial_log_sum(self):
+    def test_nonconvergence_carries_partial_log_sum(self, monkeypatch):
+        monkeypatch.setattr(states, "_SERIES_MAX_TERMS", 4)
         with pytest.raises(ConvergenceError) as err:
-            gk_norm_constant(SPEC, 3.0, 1, SeriesControl(max_terms=4))
+            gk_norm_constant(SPEC, 3.0, 1)
         expected = math.log(sum(3.0 ** n / math.exp(SPEC.log_ek(1, n)) for n in range(4)))
         assert err.value.partial == pytest.approx(expected, rel=1e-13)
 
@@ -401,16 +401,17 @@ class TestKPNormConstant:
         with pytest.raises(DomainError):
             kp_norm_constant_pt(LAM, 0.5, 0, method="nope")
 
-    def test_nonconvergence_near_disk_edge(self):
-        ctl = SeriesControl(max_terms=10, rel_tol=1e-15)
+    def test_nonconvergence_near_disk_edge(self, monkeypatch):
+        monkeypatch.setattr(states, "_SERIES_MAX_TERMS", 10)
         with pytest.raises(ConvergenceError):
-            kp_norm_constant_pt(LAM, 0.999, 2, ctl, method="series")
+            kp_norm_constant_pt(LAM, 0.999, 2, method="series")
 
-    def test_nonconvergence_carries_partial_log_sum(self):
+    def test_nonconvergence_carries_partial_log_sum(self, monkeypatch):
         # the partial is the prefactor plus the log of the first max_terms terms
         u, k = 0.999, 2
+        monkeypatch.setattr(states, "_SERIES_MAX_TERMS", 10)
         with pytest.raises(ConvergenceError) as err:
-            kp_norm_constant_pt(LAM, u, k, SeriesControl(max_terms=10), method="series")
+            kp_norm_constant_pt(LAM, u, k, method="series")
         n = np.arange(10)
         terms = n * math.log(u) + (gammaln(n + k + 1) + gammaln(n + k + LAM + 1)
                                    - 2 * gammaln(n + 1) - gammaln(LAM + 1))
@@ -588,7 +589,7 @@ class TestKPGeneral:
         assert coeff_distance(res.state, closed) < 1e-6
 
     def test_divergent_expansion_is_flagged(self):
-        res = kp_state_general(SPEC, 2.5, k=0, n_max=24)
+        res = states._kp_general(SPEC, 2.5, 0.0, 0, 24)
         assert not res.j_converged
         assert res.worst_term_ratio > 1e-12
 
@@ -689,7 +690,8 @@ def _reference_level_loop(log_terms_t, signs):
 def _nested_outcome(spec, Z, alpha, k, n_max):
     """What a caller sees of one nested build, as comparable bytes."""
     try:
-        res = kp_state_general(spec, Z, alpha, k, n_max)
+        res = (kp_state_general(spec, Z, alpha, k) if n_max is None
+               else states._kp_general(spec, complex(Z), alpha, k, n_max))
     except DomainError as exc:
         return str(exc)
     return (res.state.coefficients.tobytes(), res.state.size,
