@@ -28,7 +28,6 @@ from .spectrum import (
 from .specfun import (
     IntegralResult,
     PfqResult,
-    beta,
     hyper_pfq,
     integrate,
     jacobi_poly,

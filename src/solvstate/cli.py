@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -56,6 +57,16 @@ def _round_floats(obj, digits=15):
     if isinstance(obj, (list, tuple)):
         return [_round_floats(v, digits) for v in obj]
     return _sig(obj, digits)
+
+
+def _csv(header, rows) -> str:
+    """CSV text of a header and rows, floats to 15 significant digits."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows([f"{v:.15g}" if isinstance(v, float) else v for v in row]
+                for row in rows)
+    return buf.getvalue()
 
 
 def _emit(args, payload: dict, text_renderer=None, csv_renderer=None) -> None:
@@ -103,24 +114,30 @@ def _lam_of(spec) -> float:
 # state
 # ---------------------------------------------------------------------------
 
-def _build_state(args, spec) -> FockState:
+def _build_state(args, spec, warn=False) -> FockState:
+    """The state the label arguments name. With `warn`, a state built to the
+    --tail-eps budget (GK, unit-disk KP, the finite-table oracle) that ends
+    above it gets one stderr warning; the nested sums exit 3 on their own
+    convergence test instead."""
     cap = args.max_n
     if args.family == "gk":
         if args.z is None:
             raise DomainError("gk state needs --z")
         label = st.GKLabel(args.z, args.alpha, args.k)
-        return st.gk_state(spec, label, tail_eps=args.tail_eps, cap=cap)
+        state = st.gk_state(spec, label, tail_eps=args.tail_eps, cap=cap)
     # kp family: the unit-disk closed form for --xi, and for --Z on Poschl-Teller
-    if args.xi is not None or (args.Z is not None and not args.nested
-                               and isinstance(spec, PoschlTellerSpectrum)):
+    elif args.xi is not None or (args.Z is not None and not args.nested
+                                 and isinstance(spec, PoschlTellerSpectrum)):
         label = st.KPLabel(xi=args.xi, Z=args.Z, alpha=args.alpha, k=args.k)
-        return st.kp_state_pt(_lam_of(spec), label, tail_eps=args.tail_eps, cap=cap,
-                              exponent="two_lambda" if args.paper_literal else "lambda")
-    if args.Z is not None:
-        if args.k == 0 and not args.nested and math.isfinite(spec.max_level):
-            # a finite table is the whole space: the displacement is exact
-            return displace_ground(spec, args.Z, args.alpha,
-                                   tail_eps=args.tail_eps, cap=cap)
+        state = st.kp_state_pt(_lam_of(spec), label, tail_eps=args.tail_eps, cap=cap,
+                               exponent="two_lambda" if args.paper_literal else "lambda")
+    elif args.Z is None:
+        raise DomainError("kp state needs --xi or --Z")
+    elif args.k == 0 and not args.nested and math.isfinite(spec.max_level):
+        # a finite table is the whole space: the displacement is exact
+        state = displace_ground(spec, args.Z, args.alpha,
+                                tail_eps=args.tail_eps, cap=cap)
+    else:
         if cap is not None:
             raise DomainError("--max-n does not apply to the nested-sum "
                               "expansion, which sizes itself (48-384 levels)")
@@ -131,12 +148,15 @@ def _build_state(args, spec) -> FockState:
                 f"(worst term ratio {result.worst_term_ratio:.3e})",
                 partial=result.state)
         return result.state
-    raise DomainError("kp state needs --xi or --Z")
+    if warn and state.tail_bound > args.tail_eps:
+        print(f"warning: tail_bound {state.tail_bound:.3g} exceeds --tail-eps "
+              f"{args.tail_eps:g} with {state.size} coefficients", file=sys.stderr)
+    return state
 
 
 def cmd_state(args) -> int:
     spec = _resolve_spectrum(args)
-    state = _build_state(args, spec)
+    state = _build_state(args, spec, warn=True)
     stats = st.photon_statistics(state, spec)
     head = min(8, state.size)
     summary = {
@@ -172,13 +192,9 @@ def cmd_state(args) -> int:
         return "\n".join(lines)
 
     def as_csv(p):
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["n", "level", "re", "im", "probability"])
-        for n, c in enumerate(state.coefficients):
-            w.writerow([n, n + state.offset, f"{c.real:.15g}", f"{c.imag:.15g}",
-                        f"{abs(c) ** 2:.15g}"])
-        return buf.getvalue()
+        return _csv(["n", "level", "re", "im", "probability"],
+                    ([n, n + state.offset, c.real, c.imag, abs(c) ** 2]
+                     for n, c in enumerate(state.coefficients)))
 
     _emit(args, payload, as_text, as_csv)
     return EXIT_OK
@@ -262,7 +278,7 @@ def _parse_times(text: str):
 
 def cmd_evolve(args) -> int:
     spec = _resolve_spectrum(args)
-    state0 = _build_state(args, spec)
+    state0 = _build_state(args, spec, warn=True)
     times = _parse_times(args.times)
     rows = []
     for t in times:
@@ -277,14 +293,8 @@ def cmd_evolve(args) -> int:
     payload = {"meta": _meta(args, "evolve"), "rows": rows}
 
     def as_csv(p):
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["t", "norm", "alpha_shift_deviation", "mean_energy"])
-        for r in p["rows"]:
-            w.writerow([f"{r['t']:.15g}", f"{r['norm']:.15g}",
-                        f"{r['alpha_shift_deviation']:.15g}",
-                        f"{r['mean_energy']:.15g}"])
-        return buf.getvalue()
+        header = ["t", "norm", "alpha_shift_deviation", "mean_energy"]
+        return _csv(header, ([r[key] for key in header] for r in p["rows"]))
 
     def as_text(p):
         lines = [f"{'t':>8} {'norm':>10} {'dev(alpha+t)':>14} {'<H>':>12}"]
@@ -363,12 +373,7 @@ def cmd_pt(args) -> int:
                             for xx, vv in zip(x, vals)]}
 
         def as_csv(pl):
-            buf = io.StringIO()
-            w = csv.writer(buf, lineterminator="\n")
-            w.writerow(["x", "value"])
-            for row in pl["rows"]:
-                w.writerow([f"{row['x']:.15g}", f"{row['value']:.15g}"])
-            return buf.getvalue()
+            return _csv(["x", "value"], ([r["x"], r["value"]] for r in pl["rows"]))
 
         _emit(args, payload, None, as_csv)
         return EXIT_OK
@@ -379,9 +384,7 @@ def cmd_pt(args) -> int:
         block = ptm.u_matrix(p, n_max, m_max)
         payload = {
             "meta": _meta(args, "pt"),
-            "u_block": [[{"n": e.n, "m": e.m, "value": e.value,
-                          "condition": e.condition, "flagged": e.flagged}
-                         for e in row] for row in block],
+            "u_block": [[asdict(e) for e in row] for row in block],
         }
         _emit(args, payload)
         return EXIT_OK

@@ -17,7 +17,7 @@ Three layers of checking, in decreasing strength:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -118,7 +118,6 @@ class WeightCandidate:
     """
 
     id: str
-    description: str
     h: callable
     left_exponent: float = 0.0
     right_exponent: float = 0.0
@@ -129,27 +128,9 @@ class WeightCandidate:
 
 
 def kp_weight_k0(lam: float) -> WeightCandidate:
-    """Published k=0 unit-disk weight h(r) = (1-r)^(lam-1) / Gamma(lam+1)."""
-    require_finite(lam=lam)
-    log_norm = log_gamma(lam + 1.0)
-
-    def h(r):
-        return np.exp((lam - 1.0) * np.log1p(-r) - log_norm)
-
-    def analytic(power):
-        # integral of r^power (1-r)^(lam-1) dr = B(power+1, lam)
-        if power + 1.0 <= 0.0:
-            return None
-        return (log_gamma(power + 1.0) + log_gamma(lam) - log_gamma(power + 1.0 + lam)
-                - log_norm)
-
-    return WeightCandidate(
-        id="kp_k0",
-        description=f"(1-r)^({lam}-1)/Gamma({lam}+1)",
-        h=h,
-        right_exponent=lam - 1.0,
-        analytic_log_moment=analytic,
-    )
+    """Published k=0 unit-disk weight h(r) = (1-r)^(lam-1) / Gamma(lam+1): the
+    k = 0 member of the a_b_b family, under its own id."""
+    return replace(kp_weight_unit_disk(lam, 0, "a_b_b"), id="kp_k0")
 
 
 def kp_weight_unit_disk(lam: float, k: int, reading: str = "a_b_b") -> WeightCandidate:
@@ -181,7 +162,6 @@ def kp_weight_unit_disk(lam: float, k: int, reading: str = "a_b_b") -> WeightCan
 
         return WeightCandidate(
             id=f"kp_eq_weight[{reading}]",
-            description=f"(1-r)^({lam}+2*{k}-1) r^(-{k}) / Gamma({lam}+2*{k}+1)",
             h=h,
             left_exponent=float(-k),
             right_exponent=lam + 2.0 * k - 1.0,
@@ -228,8 +208,6 @@ def kp_weight_unit_disk(lam: float, k: int, reading: str = "a_b_b") -> WeightCan
 
         return WeightCandidate(
             id=f"kp_eq_weight[{reading}]",
-            description=(f"(1-r)^({lam}+2*{k}-1) 2F1({k},{lam}+{k};{lam}+2*{k};1-r)"
-                         f" / Gamma({lam}+2*{k}+1)"),
             h=h,
             # logarithmic endpoint for k > 0; a mild declared exponent makes
             # the quadrature substitute it into a smooth integrand
@@ -292,17 +270,7 @@ class MomentEntry:
     verdict: str = "pass"
 
     def to_dict(self):
-        return {
-            "n": self.n,
-            "power": self.power,
-            "target_log": self.target_log,
-            "computed_log": self.computed_log,
-            "rel_residual": self.rel_residual,
-            "quad_error": self.quad_error,
-            "analytic_log": self.analytic_log,
-            "quad_vs_analytic": self.quad_vs_analytic,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -311,27 +279,21 @@ class MomentReport:
 
     `passed` reflects only the assertable content of the run (identities and
     quadrature-vs-analytic agreement); documented structural mismatches of
-    the published formulas live in `errata` and never fail a report.
+    the published formulas live in `errata` and never fail a report. The
+    field order of this record and of `MomentEntry` is the order of the
+    `moments` JSON payload, which `to_dict` takes from `asdict`.
     """
 
     title: str
     candidate: str | None
     tolerance: float
+    passed: bool = True
     entries: list = field(default_factory=list)
     notes: list = field(default_factory=list)
     errata: list = field(default_factory=list)
-    passed: bool = True
 
     def to_dict(self):
-        return {
-            "title": self.title,
-            "candidate": self.candidate,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "entries": [e.to_dict() for e in self.entries],
-            "notes": list(self.notes),
-            "errata": list(self.errata),
-        }
+        return asdict(self)
 
     def to_text(self) -> str:
         lines = [self.title]
@@ -372,6 +334,21 @@ def _require_moments(n_max: int, lowest: int) -> None:
         raise DomainError(f"n_max must be at least {lowest}, got {n_max}")
 
 
+def _identity_report(title: str, logs) -> MomentReport:
+    """A report on the GK Meijer-G weight with one entry per (computed_log,
+    target_log) pair of `logs`, for n = 0, 1, ..., each judged as an exact
+    identity; one miss fails the report."""
+    report = MomentReport(title=title, candidate="gk_meijer_g[mellin-only]",
+                          tolerance=_IDENTITY_TOLERANCE)
+    for n, (computed, target) in enumerate(logs):
+        resid = _rel_from_logs(computed, target)
+        verdict = "pass" if resid <= _IDENTITY_TOLERANCE else "fail"
+        report.entries.append(MomentEntry(n, None, target, computed, resid,
+                                          verdict=verdict))
+        report.passed = report.passed and verdict == "pass"
+    return report
+
+
 def mellin_gamma_check_pt(lam: float, k: int, n_max: int) -> MomentReport:
     """Verify, in log-Gamma arithmetic, that the Meijer-G weight's Mellin
     transform reproduces the required GK radial moments for n <= n_max."""
@@ -380,20 +357,10 @@ def mellin_gamma_check_pt(lam: float, k: int, n_max: int) -> MomentReport:
         raise DomainError(f"lam must be positive, got {lam}")
     require_photon_number(k)
     _require_moments(n_max, 0)
-    report = MomentReport(
-        title=f"Mellin-level weight check (lam={lam}, k={k})",
-        candidate="gk_meijer_g[mellin-only]",
-        tolerance=_IDENTITY_TOLERANCE,
-    )
-    for n in range(n_max + 1):
-        lhs = mellin_weight_moment_log(lam, k, n)
-        rhs = gk_radial_moment_log(lam, k, n)
-        resid = _rel_from_logs(lhs, rhs)
-        verdict = "pass" if resid <= _IDENTITY_TOLERANCE else "fail"
-        report.entries.append(MomentEntry(n, None, rhs, lhs, resid, 0.0, None,
-                                          None, verdict))
-        if verdict == "fail":
-            report.passed = False
+    report = _identity_report(
+        f"Mellin-level weight check (lam={lam}, k={k})",
+        [(mellin_weight_moment_log(lam, k, n), gk_radial_moment_log(lam, k, n))
+         for n in range(n_max + 1)])
     report.notes.append(
         "computed = Gamma-ratio Mellin transform of the claimed weight at "
         "s = n+1; target = required radial moment (both log domain)"
@@ -495,22 +462,12 @@ def gk_measure_selfconsistency(lam: float, k: int, n_max: int) -> MomentReport:
     """
     require_photon_number(k)
     _require_moments(n_max, 0)
-    report = MomentReport(
-        title=f"GK identity-resolution diagonal (lam={lam}, k={k})",
-        candidate="gk_meijer_g[mellin-only]",
-        tolerance=_IDENTITY_TOLERANCE,
-    )
     spec = PoschlTellerSpectrum(lam / 2.0, lam / 2.0)
     conv = log_pochhammer(lam + 1.0, k)
-    for m in range(n_max + 1):
-        diag_log = (mellin_weight_moment_log(lam, k, m)
-                    - spec.log_ek(k, m) - conv)
-        resid = abs(math.expm1(diag_log))
-        verdict = "pass" if resid <= _IDENTITY_TOLERANCE else "fail"
-        report.entries.append(MomentEntry(m, None, 0.0, diag_log, resid,
-                                          0.0, None, None, verdict))
-        if verdict == "fail":
-            report.passed = False
+    report = _identity_report(
+        f"GK identity-resolution diagonal (lam={lam}, k={k})",
+        [(mellin_weight_moment_log(lam, k, m) - spec.log_ek(k, m) - conv, 0.0)
+         for m in range(n_max + 1)])
     report.notes.append("target_log = 0 i.e. diagonal element 1")
     report.notes.append(
         "off-diagonal elements vanish identically: the angular integral of "

@@ -1,4 +1,4 @@
-"""Special-function kernel: log-Gamma, Pochhammer, Beta, generalized
+"""Special-function kernel: log-Gamma, Pochhammer, generalized
 hypergeometric series, Jacobi polynomials, adaptive Gauss-Legendre quadrature.
 
 Everything here is a pure function of its inputs. Every power series
@@ -22,7 +22,6 @@ __all__ = [
     "IntegralResult",
     "log_gamma",
     "log_pochhammer",
-    "beta",
     "hyper_pfq",
     "series_sum",
     "jacobi_poly",
@@ -50,13 +49,6 @@ def log_pochhammer(a: float, n: int) -> float:
     if n == 0:
         return 0.0
     return log_gamma(a + n) - log_gamma(a)
-
-
-def beta(mu: float, nu: float) -> float:
-    """Beta function B(mu, nu) through log-Gamma, positive arguments only."""
-    if mu <= 0.0 or nu <= 0.0:
-        raise DomainError(f"beta requires positive arguments, got ({mu}, {nu})")
-    return math.exp(log_gamma(mu) + log_gamma(nu) - log_gamma(mu + nu))
 
 
 # ---------------------------------------------------------------------------
@@ -377,13 +369,21 @@ def jacobi_poly(n: int, alpha: float, beta_: float, x):
 # ---------------------------------------------------------------------------
 
 # the one rule of `integrate`: Gauss-Legendre nodes per panel, top panels per
-# piece, bisection depth below a top panel, and the relative and absolute
-# tolerances of an integral, max(_QUAD_ABS_TOL, _QUAD_REL_TOL * |rough sum|)
+# piece, bisection depth below a top panel, and the three terms of an
+# integral's tolerance, the largest of _QUAD_ABS_TOL, _QUAD_REL_TOL * |rough
+# sum| and the rounding floor _QUAD_ROUNDING * eps * sum |top-panel estimate|:
+# a sum of panel estimates is not known closer than a small multiple of eps
+# times the sum of their magnitudes (Higham, Accuracy and Stability of
+# Numerical Algorithms, 2nd ed., 2002, section 4.2), so an integral that
+# cancels to about 0 converges at that floor instead of refining to the depth
+# limit; below 1e-12 / eps the floor never exceeds the relative term of a
+# sign-definite integrand
 _QUAD_NODES = 24
 _QUAD_PANELS = 4
 _QUAD_MAX_DEPTH = 14
 _QUAD_REL_TOL = 1e-12
 _QUAD_ABS_TOL = 1e-16
+_QUAD_ROUNDING = 1024
 
 _gl_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -509,8 +509,9 @@ def integrate(f, a: float, b: float, left_exponent: float | None = None,
     refined breadth first: one call evaluates all top panels of a piece, then
     one call per level the two halves of every panel still above its
     tolerance share. Each component has its scalar integral's tolerance,
-    max(_QUAD_ABS_TOL, _QUAD_REL_TOL * |rough sum|), shared by the panels,
-    and a panel splits while any component misses its share, so each is
+    the largest of _QUAD_ABS_TOL, _QUAD_REL_TOL * |rough sum| and
+    _QUAD_ROUNDING * eps * (sum of |finite top-panel estimates|), shared by
+    the panels, and a panel splits while any component misses its share, so each is
     refined at least as far as it would be alone. Gauss nodes never touch the endpoints, so
     integrable endpoint singularities are sampled but not evaluated at the
     boundary. `left_exponent` / `right_exponent` declare algebraic behaviour
@@ -550,6 +551,7 @@ def integrate(f, a: float, b: float, left_exponent: float | None = None,
     # and each value is its panel's coarse estimate
     tops = []
     rough = offset
+    magnitude = 0.0
     width = 1
     for g, lo, hi in pieces:
         step = (hi - lo) / _QUAD_PANELS
@@ -559,8 +561,10 @@ def integrate(f, a: float, b: float, left_exponent: float | None = None,
         width = coarse.size // _QUAD_PANELS or 1
         for v in coarse.T:
             rough = rough + v
+            magnitude = magnitude + np.where(np.isfinite(v), np.abs(v), 0.0)
         tops.append((g, edges, coarse))
-    tol = np.fmax(_QUAD_ABS_TOL, _QUAD_REL_TOL * np.abs(rough))
+    tol = np.fmax(np.fmax(_QUAD_ABS_TOL, _QUAD_REL_TOL * np.abs(rough)),
+                  _QUAD_ROUNDING * _EPS * magnitude)
 
     total, err_total, ok = offset, 0.0, True
     n_panels = len(pieces) * _QUAD_PANELS

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -34,13 +34,7 @@ class CheckResult:
     detail: str = ""
 
     def to_dict(self):
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "observed": self.observed,
-            "tolerance": self.tolerance,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 @dataclass

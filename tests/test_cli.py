@@ -632,10 +632,23 @@ def test_gk_state_growing_to_the_cap_exits_0_with_tail_bound_1(capsys):
     # |c_n| grows through all 2048 levels, so no geometric tail bound applies
     code, out, err = run_cli(capsys, "state", "gk", "--z", "1e200")
     assert code == EXIT_OK
-    assert err == ""
+    assert err == ("warning: tail_bound 1 exceeds --tail-eps 1e-12 "
+                   "with 2048 coefficients\n")
     state = json.loads(out)["state"]
     assert state["tail_bound"] == 1.0
     assert len(state["coefficients"]) == 2048
+
+
+@pytest.mark.parametrize("command", ["state", "evolve"])
+def test_a_state_over_its_tail_budget_warns_once(capsys, command):
+    # at the disk edge the k = 2 series reaches the 2048 cap above 1e-12
+    argv = [command, "kp", "--xi", "0.99", "--k", "2", "--lambda", "4"]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert err.count("\n") == 1
+    assert err.startswith("warning: tail_bound 3.23e-10 exceeds --tail-eps 1e-12")
+    code, _, err = run_cli(capsys, *argv, "--tail-eps", "1e-9")
+    assert (code, err) == (EXIT_OK, "")
 
 
 def test_json_payload_uses_15_significant_digits(capsys):

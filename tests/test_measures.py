@@ -4,6 +4,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from solvstate import DomainError, PoschlTellerSpectrum
 from solvstate.measures import (
@@ -136,6 +138,19 @@ class TestKPWeights:
         r = np.linspace(0.02, 0.98, 25)
         assert np.allclose(cand.evaluate(r), base.evaluate(r), rtol=1e-12)
 
+    @given(lam=hs.floats(0.05, 60.0),
+           r=hs.lists(hs.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                      min_size=1, max_size=8))
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    def test_k0_weight_is_the_a_b_b_family_at_k0(self, lam, r):
+        base, member = kp_weight_k0(lam), kp_weight_unit_disk(lam, 0, "a_b_b")
+        r = np.array(r)
+        assert base.evaluate(r).tobytes() == member.evaluate(r).tobytes()
+        assert [repr(base.analytic_log_moment(p)) for p in range(-3, 40)] == \
+            [repr(member.analytic_log_moment(p)) for p in range(-3, 40)]
+        assert (repr(base.left_exponent), repr(base.right_exponent)) == \
+            (repr(member.left_exponent), repr(member.right_exponent))
+
     def test_custom_candidate_published_target_selftest(self):
         # lam * (1-r)^(lam-1) / Gamma(lam+1) has r^n moments
         # n! / Gamma(n+lam+1), exactly the published k = 0 targets: the
@@ -143,7 +158,7 @@ class TestKPWeights:
         # fail, and find no errata
         log_norm = log_gamma(LAM + 1.0) - math.log(LAM)
         cand = WeightCandidate(
-            "custom", "lam-scaled k = 0 weight",
+            "custom",
             lambda r: np.exp((LAM - 1.0) * np.log1p(-r) - log_norm),
             right_exponent=LAM - 1.0)
         report = kp_moment_residuals(LAM, 0, cand, n_max=6)
@@ -219,7 +234,7 @@ class TestNonnegativity:
             assert rep["nonnegative"]
 
     def test_negative_weight_flagged(self):
-        cand = WeightCandidate("custom", "oscillating", lambda r: np.cos(8.0 * r))
+        cand = WeightCandidate("custom", lambda r: np.cos(8.0 * r))
         rep = nonnegativity_report(cand)
         assert not rep["nonnegative"]
         assert rep["negative_points"] > 0

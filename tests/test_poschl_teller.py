@@ -1,5 +1,4 @@
 import math
-from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -22,21 +21,18 @@ from solvstate.poschl_teller import (
     u_matrix,
     u_matrix_element,
 )
-from solvstate import specfun
-from solvstate.specfun import (beta, integrate, jacobi_poly,
-                               jacobi_table, log_gamma, signed_log_sum)
+from solvstate.specfun import (integrate, jacobi_poly, jacobi_table,
+                               log_gamma, signed_log_sum)
 
 P_SYM = PTParams(2.0, 2.0, 1.0)
 P_ASYM = PTParams(1.2, 3.4, 1.0)
 
 
-def overlap_integral(p, f, extra=0.0, abs_tol=1e-14):
-    """f integrated over the well by 32-node Gauss-Legendre on 6 panels, with
-    the envelope exponents 2 kappa + extra and 2 kappa' + extra declared."""
-    with mock.patch.multiple(specfun, _QUAD_NODES=32, _QUAD_PANELS=6,
-                             _QUAD_ABS_TOL=abs_tol):
-        return integrate(f, 0.0, p.box, 2.0 * p.kappa + extra,
-                         2.0 * p.kappa_prime + extra)
+def overlap_integral(p, f, extra=0.0):
+    """f integrated over the well by the library's adaptive rule, with the
+    envelope exponents 2 kappa + extra and 2 kappa' + extra declared."""
+    return integrate(f, 0.0, p.box, 2.0 * p.kappa + extra,
+                     2.0 * p.kappa_prime + extra)
 
 
 class TestParams:
@@ -214,9 +210,22 @@ class TestEigenfunctionTable:
         def products(x):
             rows = eigenfunctions(p, 8, x)
             return rows[n] * rows[m]
-        res = overlap_integral(p, products, abs_tol=1e-13)
+        res = overlap_integral(p, products)
         assert res.converged
         assert np.max(np.abs(res.value - (n == m))) <= 1e-10
+
+    def test_gram_of_the_2_2_well_under_the_library_rule(self):
+        # the 36 off-diagonal entries cancel to about eps; the rounding floor
+        # of `integrate` settles them instead of refining to its depth limit
+        n, m = np.triu_indices(9)
+
+        def products(x):
+            rows = eigenfunctions(P_SYM, 8, x)
+            return rows[n] * rows[m]
+        res = overlap_integral(P_SYM, products)
+        assert res.converged
+        assert res.evaluations <= 2000
+        assert np.max(np.abs(res.value - (n == m))) <= 1e-13
 
     @pytest.mark.parametrize("fn", [potential, superpotential,
                                     lambda p, x: eigenfunction(p, 0, x),
@@ -324,7 +333,8 @@ class TestUMatrix:
             expected = p.a * math.exp(
                 -0.5 * (norm_constant_log(p, 0)
                         + norm_constant_log(p.partner(), 0))) \
-                * beta(p.kappa + 1.0, p.kappa_prime + 1.0)
+                * math.exp(math.lgamma(p.kappa + 1.0) + math.lgamma(p.kappa_prime + 1.0)
+                           - math.lgamma(p.kappa + p.kappa_prime + 2.0))
             entry = u_matrix_element(p, 0, 0)
             assert entry.value == pytest.approx(expected, rel=1e-12)
             assert entry.value > 0.0
