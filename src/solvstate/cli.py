@@ -80,10 +80,17 @@ def _emit(args, payload: dict, text_renderer=None, csv_renderer=None) -> None:
         print(out)
 
 
+def _tail_eps(args) -> float:
+    """--tail-eps, defaulting to 1e-12; None means it was not given."""
+    return 1e-12 if args.tail_eps is None else args.tail_eps
+
+
 def _meta(args, command: str) -> dict:
     skip = {"func", "output", "format"}
     params = {k: (str(v) if isinstance(v, complex) else v)
               for k, v in sorted(vars(args).items()) if k not in skip}
+    if "tail_eps" in params:
+        params["tail_eps"] = _tail_eps(args)
     return {"tool": "solvstate", "version": __version__, "command": command,
             "parameters": params}
 
@@ -120,27 +127,31 @@ def _build_state(args, spec, warn=False) -> FockState:
     above it gets one stderr warning; the nested sums exit 3 on their own
     convergence test instead."""
     cap = args.max_n
+    tail_eps = _tail_eps(args)
     if args.family == "gk":
         if args.z is None:
             raise DomainError("gk state needs --z")
         label = st.GKLabel(args.z, args.alpha, args.k)
-        state = st.gk_state(spec, label, tail_eps=args.tail_eps, cap=cap)
+        state = st.gk_state(spec, label, tail_eps=tail_eps, cap=cap)
     # kp family: the unit-disk closed form for --xi, and for --Z on Poschl-Teller
     elif args.xi is not None or (args.Z is not None and not args.nested
                                  and isinstance(spec, PoschlTellerSpectrum)):
         label = st.KPLabel(xi=args.xi, Z=args.Z, alpha=args.alpha, k=args.k)
-        state = st.kp_state_pt(_lam_of(spec), label, tail_eps=args.tail_eps, cap=cap,
+        state = st.kp_state_pt(_lam_of(spec), label, tail_eps=tail_eps, cap=cap,
                                exponent="two_lambda" if args.paper_literal else "lambda")
     elif args.Z is None:
         raise DomainError("kp state needs --xi or --Z")
     elif args.k == 0 and not args.nested and math.isfinite(spec.max_level):
         # a finite table is the whole space: the displacement is exact
         state = displace_ground(spec, args.Z, args.alpha,
-                                tail_eps=args.tail_eps, cap=cap)
+                                tail_eps=tail_eps, cap=cap)
     else:
         if cap is not None:
             raise DomainError("--max-n does not apply to the nested-sum "
                               "expansion, which sizes itself (48-384 levels)")
+        if args.tail_eps is not None:
+            raise DomainError("--tail-eps does not apply to the nested-sum "
+                              "expansion, which stops on its own convergence test")
         result = st.kp_state_general(spec, args.Z, args.alpha, args.k)
         if not result.j_converged:
             raise ConvergenceError(
@@ -148,9 +159,9 @@ def _build_state(args, spec, warn=False) -> FockState:
                 f"(worst term ratio {result.worst_term_ratio:.3e})",
                 partial=result.state)
         return result.state
-    if warn and state.tail_bound > args.tail_eps:
+    if warn and state.tail_bound > tail_eps:
         print(f"warning: tail_bound {state.tail_bound:.3g} exceeds --tail-eps "
-              f"{args.tail_eps:g} with {state.size} coefficients", file=sys.stderr)
+              f"{tail_eps:g} with {state.size} coefficients", file=sys.stderr)
     return state
 
 
@@ -454,7 +465,10 @@ def _add_label_args(sp):
     sp.add_argument("--Z", type=parse_complex, help="kp displacement amplitude")
     sp.add_argument("--alpha", type=float, default=0.0)
     sp.add_argument("--k", type=int, default=0, help="number of added excitations")
-    sp.add_argument("--tail-eps", type=float, default=1e-12)
+    sp.add_argument("--tail-eps", type=float, default=None,
+                    help="tail budget of the series states and the displacement "
+                         "oracle (default 1e-12); the kp --Z nested-sum route "
+                         "stops on its own convergence test and rejects it")
     sp.add_argument("--max-n", type=int, default=None,
                     help="truncation cap of the series states and the "
                          "displacement oracle (default 2048, at least 1); the "

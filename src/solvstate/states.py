@@ -468,18 +468,38 @@ def kp_overlap_pt(lam: float, label1: KPLabel, label2: KPLabel) -> complex:
 # last-term/partial-sum ratio that still counts as converged
 _NESTED_J_MAX = 120
 _NESTED_REL_TOL = 1e-12
+# the scan forms its j-terms every _NESTED_J_CHECK levels, and a j-term below
+# 2^-54 of its level's largest term is under half an ulp of that term
+_NESTED_J_CHECK = 8
+_LOG_NEGLIGIBLE = -54.0 * math.log(2.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class KPGeneralResult:
-    """Nested-sum KP construction plus its convergence diagnostics."""
+    """Nested-sum KP construction plus its convergence diagnostics.
+
+    j_terms is the number of j-terms summed per level (j = 0..j_terms-1),
+    worst_term_ratio the largest last summed term in coefficient units over
+    the state's norm, and j_converged is worst_term_ratio <= 1e-12.
+    """
 
     state: FockState
     j_converged: bool
     worst_term_ratio: float
+    j_terms: int
 
 
-def _nested_log_sums(spec: Spectrum, n_max: int, j_max: int) -> np.ndarray:
+def _nested_log_terms(log_s: np.ndarray, log_u: float, j0: int = 0) -> np.ndarray:
+    """log |t_j(n)| = j log u + log S_j(n) - log (n+2j)! for the rows
+    j = j0, j0+1, ... of log_s and the columns n."""
+    j = np.arange(j0, j0 + len(log_s))[:, None]
+    n = np.arange(log_s.shape[1])
+    lg = _LOG_FACTORIAL.slice(0, n[-1] + 2 * int(j[-1, 0]) + 1)  # lg[m] = log m!
+    return j * log_u + log_s - lg[n + 2 * j]
+
+
+def _nested_log_sums(spec: Spectrum, n_max: int, j_max: int,
+                     log_u: float | None = None) -> np.ndarray:
     """log S_j(n) for j = 0..j_max, n = 0..n_max.
 
     S_0 = 1 and S_j(n) = g_j(n+1) where g_j(m) = sum_{i=1..m} E_i g_{j-1}(i+1).
@@ -487,6 +507,11 @@ def _nested_log_sums(spec: Spectrum, n_max: int, j_max: int) -> np.ndarray:
     j scans m = 1..n_max+1+(j_max-j) only, in place in one of two swapping
     buffers. A running sum's prefix does not depend on where it stops, so
     these are the floats of a scan over every m.
+
+    Given log u = log |Z|^2, the scan forms the new rows' j-terms every 8
+    levels and stops at the first J >= 2 where, on rows J-2, J-1 and J,
+    every level's term is below 2^-54 of that level's largest term up to its
+    row; rows past J are then -inf.
     """
     width = n_max + 1 + j_max  # g_0(m) = 1 is read for m <= width
     # E_1..E_{width-1} are read, so a finite table must hold levels to n_max + j_max
@@ -494,6 +519,8 @@ def _nested_log_sums(spec: Spectrum, n_max: int, j_max: int) -> np.ndarray:
     out = np.empty((j_max + 1, n_max + 1))
     out[0] = 0.0
     prev, cur = np.zeros(width + 1), np.empty(width + 1)  # index m
+    top = np.full(n_max + 1, -math.inf)  # each level's largest j-term so far
+    negligible = []  # per row whose terms were formed
     for j in range(1, j_max + 1):
         w = width - j
         scan = cur[1:w + 1]
@@ -501,6 +528,17 @@ def _nested_log_sums(spec: Spectrum, n_max: int, j_max: int) -> np.ndarray:
         np.logaddexp.accumulate(scan, out=scan)
         out[j] = scan[:n_max + 1]
         prev, cur = cur, prev
+        if log_u is None or j % _NESTED_J_CHECK:
+            continue
+        lo = len(negligible)
+        terms = _nested_log_terms(out[lo:j + 1], log_u, lo)
+        tops = np.maximum(np.maximum.accumulate(terms), top)
+        top = tops[-1]
+        negligible += np.all(terms < tops + _LOG_NEGLIGIBLE, axis=1).tolist()
+        for stop in range(max(lo, 2), j + 1):
+            if all(negligible[stop - 2:stop + 1]):
+                out[stop + 1:] = -math.inf
+                return out
     return out
 
 
@@ -511,13 +549,18 @@ def kp_state_general(spec: Spectrum, Z: complex, alpha: float = 0.0,
     The coefficient of level n+k is Z^n sqrt(E_0(n+k)) b_n (times the energy
     phases), with b_n = sum_j (-1)^j |Z|^{2j} S_j(n) / (n+2j)! and S_j the
     nested energy sums of `_nested_log_sums`. The alternating series over j
-    is truncated after j = 120, and all levels' series are one stacked
-    `signed_log_sum` call; the result is byte-identical to summing each
-    level alone. The worst ratio is the largest last j-term in coefficient
-    units, |Z|^n sqrt(E_0(n+k)) |t_last(n)|, over the state's norm, and
-    j_converged is False when it exceeds 1e-12 (small |Z| keeps this well
-    behaved, large |Z| may not converge at all depending on the spectrum).
-    A level whose series cancels to 0.0 is judged by its terms against the
+    stops at the first run of three negligible j-terms: the first J >= 2
+    where every level's terms at J-2, J-1 and J lie below 2^-54 of its
+    largest term so far, looked for every 8 levels, with J = 120 as the
+    cap. All levels' series are one stacked `signed_log_sum` call over the
+    121 rows, those past J as -inf; the result is byte-identical to summing
+    each level alone. The worst ratio is the largest term at J in
+    coefficient units, |Z|^n sqrt(E_0(n+k)) |t_J(n)|, over the state's norm,
+    and j_converged is False when it exceeds 1e-12 (small |Z| keeps this
+    well behaved, large |Z| may not converge at all depending on the
+    spectrum). A series stopped early that misses 1e-12 is summed again to
+    J = 120, so a verdict of not converged is always the full series'. A
+    level whose series cancels to 0.0 is judged by its terms against the
     state, not against its own sum. The level count doubles from 48 until the
     top four levels hold below 1e-14 of the norm, or reaches 384.
     """
@@ -526,7 +569,7 @@ def kp_state_general(spec: Spectrum, Z: complex, alpha: float = 0.0,
     require_finite(Z=Z, alpha=alpha)
     if Z == 0:
         return KPGeneralResult(FockState(k, np.array([1.0 + 0.0j]), alpha, 0.0),
-                               True, 0.0)
+                               True, 0.0, 1)
     n_max = 48
     while True:
         result = _kp_general(spec, Z, alpha, k, n_max)
@@ -538,19 +581,30 @@ def kp_state_general(spec: Spectrum, Z: complex, alpha: float = 0.0,
 
 def _kp_general(spec: Spectrum, Z: complex, alpha: float, k: int,
                 n_max: int) -> KPGeneralResult:
-    """`kp_state_general` on the levels k..k+n_max, for Z != 0."""
+    """`kp_state_general` on the levels k..k+n_max, for Z != 0: the j-series
+    stopped at its first negligible run, or summed to J = 120 when that stop
+    misses the tolerance."""
     u = abs(Z) ** 2
     log_u = math.log(u) if u else 2.0 * math.log(abs(Z))  # u underflows below 1e-162
-    log_s = _nested_log_sums(spec, n_max, _NESTED_J_MAX)
+    result = _nested_state(spec, Z, alpha, k, log_u,
+                           _nested_log_sums(spec, n_max, _NESTED_J_MAX, log_u))
+    if not result.j_converged and result.j_terms <= _NESTED_J_MAX:
+        result = _nested_state(spec, Z, alpha, k, log_u,
+                               _nested_log_sums(spec, n_max, _NESTED_J_MAX))
+    return result
 
-    lg = _LOG_FACTORIAL.slice(0, n_max + 2 * _NESTED_J_MAX + 1)  # lg[m] = log m!
-    j = np.arange(_NESTED_J_MAX + 1)
-    signs = np.where(j % 2 == 0, 1.0, -1.0)
-    j = j[:, None]
-    log_terms = j * log_u + log_s - lg[np.arange(n_max + 1) + 2 * j]  # [j, n]
+
+def _nested_state(spec: Spectrum, Z: complex, alpha: float, k: int, log_u: float,
+                  log_s: np.ndarray) -> KPGeneralResult:
+    """The state whose b_n sum the j-terms of log_s's finite rows."""
+    log_terms = _nested_log_terms(log_s, log_u)  # [j, n]
+    signs = np.where(np.arange(len(log_s)) % 2 == 0, 1.0, -1.0)
     log_b, sign_b = signed_log_sum(log_terms.T, signs)  # one row per level
     sign_b[sign_b == 0.0] = 1.0
+    # log S_j(0) = log E_1 g_{j-1}(2) is finite on every scanned row
+    j_last = int(np.count_nonzero(log_s[:, 0] > -math.inf)) - 1
 
+    n_max = log_s.shape[1] - 1
     n_arr = np.arange(n_max + 1)
     energies, log_e0 = spec.levels(k, n_max + k + 1)
     log_unit = n_arr * math.log(abs(Z)) + 0.5 * log_e0  # b_n -> coefficient units
@@ -561,10 +615,11 @@ def _kp_general(spec: Spectrum, Z: complex, alpha: float, k: int,
     c = mags * phases
     nrm = np.linalg.norm(c)
     c /= nrm
-    # every level's last j-term in coefficient units, against the norm
-    worst = float(np.max(np.exp(log_unit + log_terms[-1] - shift - math.log(nrm))))
+    # every level's last summed j-term in coefficient units, against the norm
+    worst = float(np.max(np.exp(log_unit + log_terms[j_last] - shift - math.log(nrm))))
     tail = float(np.sum(np.abs(c[-2:]) ** 2))
-    return KPGeneralResult(FockState(k, c, alpha, tail), worst <= _NESTED_REL_TOL, worst)
+    return KPGeneralResult(FockState(k, c, alpha, tail), worst <= _NESTED_REL_TOL,
+                           worst, j_last + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -264,6 +264,30 @@ class TestStateCommand:
         assert out == ""
         assert "sizes itself" in err
 
+    @pytest.mark.parametrize("command", ["state", "evolve"])
+    @pytest.mark.parametrize("route", [
+        ("--spectrum", '{"kind":"harmonic"}'),
+        ("--lambda", "4", "--nested"),
+    ])
+    def test_tail_eps_on_nested_route_rejected(self, capsys, command, route):
+        # the nested expansion stops on its own convergence test; a budget it
+        # would not apply is an error, not silently ignored
+        code, out, err = run_cli(capsys, command, "kp", "--Z", "0.3", "--k", "1",
+                                 *route, "--tail-eps", "0")
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert "--tail-eps does not apply" in err
+
+    @pytest.mark.parametrize("argv, tail_eps", [
+        (("gk", "--z", "0.5"), 1e-12),
+        (("gk", "--z", "0.5", "--tail-eps", "1e-9"), 1e-9),
+        (("kp", "--Z", "0.3", "--k", "1", "--lambda", "4", "--nested"), 1e-12),
+    ])
+    def test_payload_records_the_tail_budget(self, capsys, argv, tail_eps):
+        code, out, _ = run_cli(capsys, "state", *argv)
+        assert code == EXIT_OK
+        assert json.loads(out)["meta"]["parameters"]["tail_eps"] == tail_eps
+
     @pytest.mark.parametrize("cap", ["0", "-5"])
     @pytest.mark.parametrize("argv", [
         ("gk", "--z", "0.5"),
