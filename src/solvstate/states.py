@@ -511,7 +511,11 @@ def _nested_log_sums(spec: Spectrum, n_max: int, j_max: int,
     Given log u = log |Z|^2, the scan forms the new rows' j-terms every 8
     levels and stops at the first J >= 2 where, on rows J-2, J-1 and J,
     every level's term is below 2^-54 of that level's largest term up to its
-    row; rows past J are then -inf.
+    row, and every level's term ratios t_{J-1}/t_{J-2} and t_J/t_{J-1} are
+    below 1 and not rising; rows past J are then -inf. The ratio behaves
+    like u E_{n+j} / (n+2j)^2, so it keeps falling on spectra that grow at
+    most quadratically; on faster-growing ones it rises, the terms may climb
+    back after a dip, and the scan runs to j_max.
     """
     width = n_max + 1 + j_max  # g_0(m) = 1 is read for m <= width
     # E_1..E_{width-1} are read, so a finite table must hold levels to n_max + j_max
@@ -531,12 +535,18 @@ def _nested_log_sums(spec: Spectrum, n_max: int, j_max: int,
         if log_u is None or j % _NESTED_J_CHECK:
             continue
         lo = len(negligible)
-        terms = _nested_log_terms(out[lo:j + 1], log_u, lo)
-        tops = np.maximum(np.maximum.accumulate(terms), top)
+        first = max(lo - 2, 0)  # two rows back, for the ratios into row lo
+        terms = _nested_log_terms(out[first:j + 1], log_u, first)
+        fresh = terms[lo - first:]  # rows lo..j
+        tops = np.maximum(np.maximum.accumulate(fresh), top)
         top = tops[-1]
-        negligible += np.all(terms < tops + _LOG_NEGLIGIBLE, axis=1).tolist()
+        negligible += np.all(fresh < tops + _LOG_NEGLIGIBLE, axis=1).tolist()
+        steps = np.diff(terms, axis=0)  # steps[r - first - 1] = log t_r/t_{r-1}
         for stop in range(max(lo, 2), j + 1):
-            if all(negligible[stop - 2:stop + 1]):
+            if not all(negligible[stop - 2:stop + 1]):
+                continue
+            before, last = steps[stop - first - 2], steps[stop - first - 1]
+            if np.all((last <= before) & (before < 0.0)):
                 out[stop + 1:] = -math.inf
                 return out
     return out
@@ -551,10 +561,11 @@ def kp_state_general(spec: Spectrum, Z: complex, alpha: float = 0.0,
     nested energy sums of `_nested_log_sums`. The alternating series over j
     stops at the first run of three negligible j-terms: the first J >= 2
     where every level's terms at J-2, J-1 and J lie below 2^-54 of its
-    largest term so far, looked for every 8 levels, with J = 120 as the
-    cap. All levels' series are one stacked `signed_log_sum` call over the
-    121 rows, those past J as -inf; the result is byte-identical to summing
-    each level alone. The worst ratio is the largest term at J in
+    largest term so far, with term ratios below 1 and not rising over the
+    run, looked for every 8 levels, with J = 120 as the cap. All levels'
+    series are one stacked `signed_log_sum` call over the 121 rows, those
+    past J as -inf; the result is byte-identical to summing each level
+    alone. The worst ratio is the largest term at J in
     coefficient units, |Z|^n sqrt(E_0(n+k)) |t_J(n)|, over the state's norm,
     and j_converged is False when it exceeds 1e-12 (small |Z| keeps this
     well behaved, large |Z| may not converge at all depending on the

@@ -798,7 +798,8 @@ class TestNestedAgainstReference:
 
     def test_stopped_scan_is_the_reference_prefix(self):
         # it ends on the first J whose rows J-2..J hold every level's j-term
-        # below 2^-54 of that level's largest term so far
+        # below 2^-54 of that level's largest term so far, with term ratios
+        # below 1 and not rising
         for spec in NESTED_SPECTRA.values():
             for n_max in (0, 24, 97):
                 for log_u in (math.log(0.0025), math.log(0.09)):
@@ -810,8 +811,24 @@ class TestNestedAgainstReference:
                     terms = states._nested_log_terms(ref, log_u)
                     small = np.all(terms < np.maximum.accumulate(terms) - 54 * math.log(2),
                                    axis=1)
-                    runs = np.flatnonzero(small[:-2] & small[1:-1] & small[2:]) + 2
+                    steps = np.diff(terms, axis=0)  # steps[j-1] = log t_j/t_{j-1}
+                    falling = np.all((steps[1:] <= steps[:-1]) & (steps[:-1] < 0), axis=1)
+                    runs = np.flatnonzero(small[:-2] & small[1:-1] & small[2:] & falling) + 2
                     assert rows - 1 == runs[0] < 120
+
+    @pytest.mark.parametrize("n_max", [24, 48])
+    def test_super_quadratic_table_sums_every_level(self, n_max):
+        # on E_n = n^8 the term ratio, about u E_{n+j} / (n+2j)^2, rises with
+        # j: at |Z| = 1e-5 the terms fall below 2^-54 of their largest and
+        # climb back before j = 120, where the full series fails 1e-12
+        table = CustomSpectrum(energies=[float(n) ** 8 for n in range(200)])
+        for modulus in (1e-6, 3e-6, 1e-5):
+            for k in (0, 1):
+                args = (table, cmath.rect(modulus, 0.4), 0.0, k, n_max)
+                assert _nested_outcome(*args) == _reference_outcome(*args), (modulus, k)
+                res = states._kp_general(table, args[1], 0.0, k, n_max)
+                assert res.j_terms == states._NESTED_J_MAX + 1
+        assert not states._kp_general(table, 1e-5, 0.0, 0, n_max).j_converged
 
     def test_one_row_signed_sum_equals_the_reference(self):
         # the 1-D form, whose floats the u block's per-length stacks reproduce
