@@ -80,17 +80,16 @@ def _emit(args, payload: dict, text_renderer=None, csv_renderer=None) -> None:
         print(out)
 
 
-def _tail_eps(args) -> float:
-    """--tail-eps, defaulting to 1e-12; None means it was not given."""
-    return 1e-12 if args.tail_eps is None else args.tail_eps
-
-
-def _meta(args, command: str) -> dict:
+def _meta(args, command: str, tail_eps: float | None = None) -> dict:
+    """The payload's meta block; tail_eps is the budget a state was built to,
+    and a state built to none (the nested sums) records no tail_eps."""
     skip = {"func", "output", "format"}
     params = {k: (str(v) if isinstance(v, complex) else v)
               for k, v in sorted(vars(args).items()) if k not in skip}
-    if "tail_eps" in params:
-        params["tail_eps"] = _tail_eps(args)
+    if tail_eps is None:
+        params.pop("tail_eps", None)
+    else:
+        params["tail_eps"] = tail_eps
     return {"tool": "solvstate", "version": __version__, "command": command,
             "parameters": params}
 
@@ -121,13 +120,13 @@ def _lam_of(spec) -> float:
 # state
 # ---------------------------------------------------------------------------
 
-def _build_state(args, spec, warn=False) -> FockState:
-    """The state the label arguments name. With `warn`, a state built to the
-    --tail-eps budget (GK, unit-disk KP, the finite-table oracle) that ends
-    above it gets one stderr warning; the nested sums exit 3 on their own
-    convergence test instead."""
+def _build_state(args, spec, warn=False) -> tuple[FockState, float | None]:
+    """The state the label arguments name and the --tail-eps budget it was
+    built to: None for the nested sums, which exit 3 on their own convergence
+    test. With `warn`, a state that ends above its budget gets one stderr
+    warning."""
     cap = args.max_n
-    tail_eps = _tail_eps(args)
+    tail_eps = 1e-12 if args.tail_eps is None else args.tail_eps  # None: not given
     if args.family == "gk":
         if args.z is None:
             raise DomainError("gk state needs --z")
@@ -158,16 +157,16 @@ def _build_state(args, spec, warn=False) -> FockState:
                 f"nested-sum expansion not converged "
                 f"(worst term ratio {result.worst_term_ratio:.3e})",
                 partial=result.state)
-        return result.state
+        return result.state, None
     if warn and state.tail_bound > tail_eps:
         print(f"warning: tail_bound {state.tail_bound:.3g} exceeds --tail-eps "
               f"{tail_eps:g} with {state.size} coefficients", file=sys.stderr)
-    return state
+    return state, tail_eps
 
 
 def cmd_state(args) -> int:
     spec = _resolve_spectrum(args)
-    state = _build_state(args, spec, warn=True)
+    state, tail_eps = _build_state(args, spec, warn=True)
     stats = st.photon_statistics(state, spec)
     head = min(8, state.size)
     summary = {
@@ -187,7 +186,7 @@ def cmd_state(args) -> int:
         summary["eigen_residual"] = eigen_residual(
             spec, st.GKLabel(args.z, args.alpha, args.k))
         summary["is_lowering_eigenstate"] = bool(summary["eigen_residual"] < 1e-6)
-    payload = {"meta": _meta(args, "state"), "state": state.to_json_dict(),
+    payload = {"meta": _meta(args, "state", tail_eps), "state": state.to_json_dict(),
                "summary": summary}
 
     def as_text(p):
@@ -289,19 +288,19 @@ def _parse_times(text: str):
 
 def cmd_evolve(args) -> int:
     spec = _resolve_spectrum(args)
-    state0 = _build_state(args, spec, warn=True)
+    state0, tail_eps = _build_state(args, spec, warn=True)
     times = _parse_times(args.times)
     rows = []
     for t in times:
         ev = st.evolve(state0, spec, t)
         shifted = argparse.Namespace(**{**vars(args), "alpha": args.alpha + t})
-        rebuilt = _build_state(shifted, spec)
+        rebuilt, _ = _build_state(shifted, spec)
         deviation = float(np.max(np.abs(ev.coefficients - rebuilt.coefficients)))
         stats = st.photon_statistics(ev, spec)
         rows.append({"t": t, "norm": ev.norm(),
                      "alpha_shift_deviation": deviation,
                      "mean_energy": stats.mean_energy})
-    payload = {"meta": _meta(args, "evolve"), "rows": rows}
+    payload = {"meta": _meta(args, "evolve", tail_eps), "rows": rows}
 
     def as_csv(p):
         header = ["t", "norm", "alpha_shift_deviation", "mean_energy"]

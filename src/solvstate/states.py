@@ -26,11 +26,11 @@ the tail is an estimate.
 The KP weights depend only on lam, so their ingredients are shared tables:
 log m! (one for the module, also read by the nested sums), log Gamma(m +
 lam_w + 1) and E_m = m (m + lam) (one pair per (lam, lam_w), the last 16
-pairs kept). A KP block slices them at m = n + k. Each table grows by
-doubling under a lock and publishes a new read-only array; it keeps
-entries m < 2112 (_MAX_N + 64), and blocks past that are computed on each
-call. Entries are the same math.lgamma values in the same order, so no
-result depends on call history or on which thread grew a table.
+pairs kept). A KP block slices them at m = n + k. Each table evaluates
+its entries m < 2112 (_MAX_N + 64) whole into one read-only array on first
+use, and blocks past that are computed on each call. Entries are the same
+math.lgamma values, so no result depends on call history or on which
+thread built a table.
 
 States are always normalized by the directly summed coefficient series; the
 hypergeometric closed forms are treated as cross-checks, never as the source
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,30 +147,23 @@ _KP_TABLES_KEPT = 16
 
 
 class _Table:
-    """f(m) for m = 0, 1, ...: a read-only array that grows by doubling under
-    a lock, to at most _TABLE_LEN entries, and is replaced, never written, so
-    readers on other threads see either the old array or the new one. f is
-    elementwise, so a slice equals f on the same indices bit for bit."""
+    """f(m) for m = 0.._TABLE_LEN-1, evaluated whole into one read-only array
+    on first use; a slice past it is computed on each call. f is elementwise,
+    so a slice equals f on the same indices bit for bit."""
 
     def __init__(self, f):
         self._f = f
-        self._lock = threading.Lock()
-        self._values = np.empty(0)
+
+    @functools.cached_property
+    def _values(self) -> np.ndarray:
+        values = self._f(np.arange(_TABLE_LEN))
+        values.flags.writeable = False
+        return values
 
     def slice(self, lo: int, hi: int) -> np.ndarray:
-        values = self._values
-        if hi > len(values):
-            if hi > _TABLE_LEN:
-                return self._f(np.arange(lo, hi))
-            with self._lock:
-                values = self._values
-                if hi > len(values):
-                    size = min(max(hi, 2 * len(values), 64), _TABLE_LEN)
-                    values = np.concatenate(
-                        [values, self._f(np.arange(len(values), size))])
-                    values.flags.writeable = False
-                    self._values = values
-        return values[lo:hi]
+        if hi > _TABLE_LEN:
+            return self._f(np.arange(lo, hi))
+        return self._values[lo:hi]
 
 
 _LOG_FACTORIAL = _Table(lambda m: _lgamma(m + 1.0))  # log m!
@@ -468,9 +460,7 @@ def kp_overlap_pt(lam: float, label1: KPLabel, label2: KPLabel) -> complex:
 # last-term/partial-sum ratio that still counts as converged
 _NESTED_J_MAX = 120
 _NESTED_REL_TOL = 1e-12
-# the scan forms its j-terms every _NESTED_J_CHECK levels, and a j-term below
-# 2^-54 of its level's largest term is under half an ulp of that term
-_NESTED_J_CHECK = 8
+# a j-term below 2^-54 of its level's largest term is under half an ulp of it
 _LOG_NEGLIGIBLE = -54.0 * math.log(2.0)
 
 
@@ -489,67 +479,52 @@ class KPGeneralResult:
     j_terms: int
 
 
-def _nested_log_terms(log_s: np.ndarray, log_u: float, j0: int = 0) -> np.ndarray:
-    """log |t_j(n)| = j log u + log S_j(n) - log (n+2j)! for the rows
-    j = j0, j0+1, ... of log_s and the columns n."""
-    j = np.arange(j0, j0 + len(log_s))[:, None]
-    n = np.arange(log_s.shape[1])
-    lg = _LOG_FACTORIAL.slice(0, n[-1] + 2 * int(j[-1, 0]) + 1)  # lg[m] = log m!
-    return j * log_u + log_s - lg[n + 2 * j]
-
-
-def _nested_log_sums(spec: Spectrum, n_max: int, j_max: int,
-                     log_u: float | None = None) -> np.ndarray:
-    """log S_j(n) for j = 0..j_max, n = 0..n_max.
+def _nested_log_terms(spec: Spectrum, n_max: int, log_u: float,
+                      stop: bool = True) -> np.ndarray:
+    """log |t_j(n)| = j log u + log S_j(n) - log (n+2j)! for j = 0..120 and
+    n = 0..n_max, with u = |Z|^2; rows past the last scanned one are -inf.
 
     S_0 = 1 and S_j(n) = g_j(n+1) where g_j(m) = sum_{i=1..m} E_i g_{j-1}(i+1).
     Each level reads one index of g_{j-1} past the last it writes, so level
-    j scans m = 1..n_max+1+(j_max-j) only, in place in one of two swapping
+    j scans m = 1..n_max+121-j only, in place in one of two swapping
     buffers. A running sum's prefix does not depend on where it stops, so
     these are the floats of a scan over every m.
 
-    Given log u = log |Z|^2, the scan forms the new rows' j-terms every 8
-    levels and stops at the first J >= 2 where, on rows J-2, J-1 and J,
-    every level's term is below 2^-54 of that level's largest term up to its
-    row, and every level's term ratios t_{J-1}/t_{J-2} and t_J/t_{J-1} are
-    below 1 and not rising; rows past J are then -inf. The ratio behaves
-    like u E_{n+j} / (n+2j)^2, so it keeps falling on spectra that grow at
-    most quadratically; on faster-growing ones it rises, the terms may climb
-    back after a dip, and the scan runs to j_max.
+    Each row's terms are formed as its level is scanned. With `stop`, the
+    scan ends at the first J >= 2 where, on rows J-2, J-1 and J, every
+    level's term is below 2^-54 of that level's largest term up to its row,
+    and every level's term ratios t_{J-1}/t_{J-2} and t_J/t_{J-1} are below
+    1 and not rising. The ratio behaves like u E_{n+j} / (n+2j)^2, so it
+    keeps falling on spectra that grow at most quadratically; on
+    faster-growing ones it rises, the terms may climb back after a dip, and
+    the scan runs to j = 120.
     """
-    width = n_max + 1 + j_max  # g_0(m) = 1 is read for m <= width
-    # E_1..E_{width-1} are read, so a finite table must hold levels to n_max + j_max
+    width = n_max + 1 + _NESTED_J_MAX  # g_0(m) = 1 is read for m <= width
+    # E_1..E_{width-1} are read, so a finite table must hold levels to n_max + 120
     log_e = np.log(spec.levels(1, width)[0])  # log_e[i-1] = log E_i
-    out = np.empty((j_max + 1, n_max + 1))
-    out[0] = 0.0
-    prev, cur = np.zeros(width + 1), np.empty(width + 1)  # index m
+    lg = _LOG_FACTORIAL.slice(0, n_max + 2 * _NESTED_J_MAX + 1)  # lg[m] = log m!
+    terms = np.full((_NESTED_J_MAX + 1, n_max + 1), -math.inf)
+    g, spare = np.zeros(width + 1), np.empty(width + 1)  # g_j(m) at index m
     top = np.full(n_max + 1, -math.inf)  # each level's largest j-term so far
-    negligible = []  # per row whose terms were formed
-    for j in range(1, j_max + 1):
-        w = width - j
-        scan = cur[1:w + 1]
-        np.add(log_e[:w], prev[2:w + 2], out=scan)  # log E_i g_{j-1}(i+1)
-        np.logaddexp.accumulate(scan, out=scan)
-        out[j] = scan[:n_max + 1]
-        prev, cur = cur, prev
-        if log_u is None or j % _NESTED_J_CHECK:
+    small = 0  # negligible rows in a row, ending at j
+    for j in range(_NESTED_J_MAX + 1):
+        if j:
+            w = width - j
+            scan = spare[1:w + 1]
+            np.add(log_e[:w], g[2:w + 2], out=scan)  # log E_i g_{j-1}(i+1)
+            np.logaddexp.accumulate(scan, out=scan)
+            g, spare = spare, g
+        row = terms[j]
+        np.subtract(j * log_u + g[1:n_max + 2], lg[2 * j:n_max + 1 + 2 * j], out=row)
+        if not stop:
             continue
-        lo = len(negligible)
-        first = max(lo - 2, 0)  # two rows back, for the ratios into row lo
-        terms = _nested_log_terms(out[first:j + 1], log_u, first)
-        fresh = terms[lo - first:]  # rows lo..j
-        tops = np.maximum(np.maximum.accumulate(fresh), top)
-        top = tops[-1]
-        negligible += np.all(fresh < tops + _LOG_NEGLIGIBLE, axis=1).tolist()
-        steps = np.diff(terms, axis=0)  # steps[r - first - 1] = log t_r/t_{r-1}
-        for stop in range(max(lo, 2), j + 1):
-            if not all(negligible[stop - 2:stop + 1]):
-                continue
-            before, last = steps[stop - first - 2], steps[stop - first - 1]
+        np.maximum(top, row, out=top)
+        small = small + 1 if np.all(row < top + _LOG_NEGLIGIBLE) else 0
+        if small >= 3:
+            before, last = terms[j - 1] - terms[j - 2], row - terms[j - 1]
             if np.all((last <= before) & (before < 0.0)):
-                out[stop + 1:] = -math.inf
-                return out
-    return out
+                break
+    return terms
 
 
 def kp_state_general(spec: Spectrum, Z: complex, alpha: float = 0.0,
@@ -558,11 +533,11 @@ def kp_state_general(spec: Spectrum, Z: complex, alpha: float = 0.0,
 
     The coefficient of level n+k is Z^n sqrt(E_0(n+k)) b_n (times the energy
     phases), with b_n = sum_j (-1)^j |Z|^{2j} S_j(n) / (n+2j)! and S_j the
-    nested energy sums of `_nested_log_sums`. The alternating series over j
+    nested energy sums of `_nested_log_terms`. The alternating series over j
     stops at the first run of three negligible j-terms: the first J >= 2
     where every level's terms at J-2, J-1 and J lie below 2^-54 of its
     largest term so far, with term ratios below 1 and not rising over the
-    run, looked for every 8 levels, with J = 120 as the cap. All levels'
+    run, tested as each row is scanned, with J = 120 as the cap. All levels'
     series are one stacked `signed_log_sum` call over the 121 rows, those
     past J as -inf; the result is byte-identical to summing each level
     alone. The worst ratio is the largest term at J in
@@ -597,25 +572,23 @@ def _kp_general(spec: Spectrum, Z: complex, alpha: float, k: int,
     misses the tolerance."""
     u = abs(Z) ** 2
     log_u = math.log(u) if u else 2.0 * math.log(abs(Z))  # u underflows below 1e-162
-    result = _nested_state(spec, Z, alpha, k, log_u,
-                           _nested_log_sums(spec, n_max, _NESTED_J_MAX, log_u))
+    result = _nested_state(spec, Z, alpha, k, _nested_log_terms(spec, n_max, log_u))
     if not result.j_converged and result.j_terms <= _NESTED_J_MAX:
-        result = _nested_state(spec, Z, alpha, k, log_u,
-                               _nested_log_sums(spec, n_max, _NESTED_J_MAX))
+        result = _nested_state(spec, Z, alpha, k,
+                               _nested_log_terms(spec, n_max, log_u, stop=False))
     return result
 
 
-def _nested_state(spec: Spectrum, Z: complex, alpha: float, k: int, log_u: float,
-                  log_s: np.ndarray) -> KPGeneralResult:
-    """The state whose b_n sum the j-terms of log_s's finite rows."""
-    log_terms = _nested_log_terms(log_s, log_u)  # [j, n]
-    signs = np.where(np.arange(len(log_s)) % 2 == 0, 1.0, -1.0)
+def _nested_state(spec: Spectrum, Z: complex, alpha: float, k: int,
+                  log_terms: np.ndarray) -> KPGeneralResult:
+    """The state whose b_n sum the finite rows of log_terms[j, n]."""
+    signs = np.where(np.arange(len(log_terms)) % 2 == 0, 1.0, -1.0)
     log_b, sign_b = signed_log_sum(log_terms.T, signs)  # one row per level
     sign_b[sign_b == 0.0] = 1.0
-    # log S_j(0) = log E_1 g_{j-1}(2) is finite on every scanned row
-    j_last = int(np.count_nonzero(log_s[:, 0] > -math.inf)) - 1
+    # the term of level 0 is finite on every scanned row
+    j_last = int(np.count_nonzero(log_terms[:, 0] > -math.inf)) - 1
 
-    n_max = log_s.shape[1] - 1
+    n_max = log_terms.shape[1] - 1
     n_arr = np.arange(n_max + 1)
     energies, log_e0 = spec.levels(k, n_max + k + 1)
     log_unit = n_arr * math.log(abs(Z)) + 0.5 * log_e0  # b_n -> coefficient units

@@ -103,9 +103,9 @@ def suite_ladder(lam: float = 4.0) -> SuiteReport:
              ("harmonic", HarmonicSpectrum())]
     for tag, spec in specs:
         energies = spec.levels(0, N + 2)[0]
-        for alpha in (0.0, 0.3):
-            lad = build_ladder(spec, alpha, N)
-            rep.add(f"adjointness[{tag},alpha={alpha}]",
+        lads = [build_ladder(spec, alpha, N) for alpha in (0.0, 0.3)]
+        for lad in lads:
+            rep.add(f"adjointness[{tag},alpha={lad.alpha}]",
                     float(np.max(np.abs(lad.a_plus - lad.a_minus.conj().T))),
                     0.0, "a+ must be exactly (a-)^dagger")
             comm = lad.a_minus @ lad.a_plus - lad.a_plus @ lad.a_minus
@@ -113,15 +113,13 @@ def suite_ladder(lam: float = 4.0) -> SuiteReport:
             idx = np.arange(N)
             target[idx, idx] = energies[1:N + 1] - energies[:N]
             dev = float(np.max(np.abs((comm - target)[:N, :N])))
-            rep.add(f"commutator[{tag},alpha={alpha}]", dev, 1e-12,
+            rep.add(f"commutator[{tag},alpha={lad.alpha}]", dev, 1e-12,
                     "leading block of [a-,a+] vs diag(E_{n+1}-E_n)")
             number = lad.a_plus @ lad.a_minus
             dev = float(np.max(np.abs(np.diag(number).real - energies[:N + 1])))
-            rep.add(f"number_operator[{tag},alpha={alpha}]", dev,
+            rep.add(f"number_operator[{tag},alpha={lad.alpha}]", dev,
                     1e-12 * max(1.0, energies[N]), "diag(a+ a-) vs E_n")
-        lad0 = build_ladder(spec, 0.0, N)
-        lad3 = build_ladder(spec, 0.3, N)
-        dev = float(np.max(np.abs(np.abs(lad3.a_minus) - np.abs(lad0.a_minus))))
+        dev = float(np.max(np.abs(np.abs(lads[1].a_minus) - np.abs(lads[0].a_minus))))
         rep.add(f"alpha_only_phases[{tag}]", dev, 1e-13 * max(1.0, energies[N]),
                 "|entries| independent of alpha")
     rep.runtime_s = time.perf_counter() - t0

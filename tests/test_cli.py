@@ -281,12 +281,24 @@ class TestStateCommand:
     @pytest.mark.parametrize("argv, tail_eps", [
         (("gk", "--z", "0.5"), 1e-12),
         (("gk", "--z", "0.5", "--tail-eps", "1e-9"), 1e-9),
-        (("kp", "--Z", "0.3", "--k", "1", "--lambda", "4", "--nested"), 1e-12),
     ])
     def test_payload_records_the_tail_budget(self, capsys, argv, tail_eps):
         code, out, _ = run_cli(capsys, "state", *argv)
         assert code == EXIT_OK
         assert json.loads(out)["meta"]["parameters"]["tail_eps"] == tail_eps
+
+    @pytest.mark.parametrize("command", ["state", "evolve"])
+    @pytest.mark.parametrize("route", [
+        ("--spectrum", '{"kind":"harmonic"}'),
+        ("--lambda", "4", "--nested"),
+    ])
+    def test_nested_payload_records_no_tail_budget(self, capsys, command, route):
+        # the nested expansion is built to no budget, so its payload names none
+        code, out, _ = run_cli(capsys, command, "kp", "--Z", "0.3", "--k", "1", *route,
+                               "--format", "json")
+        assert code == EXIT_OK
+        params = json.loads(out)["meta"]["parameters"]
+        assert "tail_eps" not in params and params["max_n"] is None
 
     @pytest.mark.parametrize("cap", ["0", "-5"])
     @pytest.mark.parametrize("argv", [
@@ -643,6 +655,10 @@ def test_csv_refused_where_no_csv_is_rendered(capsys, argv):
      "overflows at kappa = 10000, kappa' = 10000"),
     (("state", "kp", "--Z", "30"),
      "|Z| = 30 is off the unit-disk chart: tanh|Z| rounds to 1"),
+    (("state", "kp", "--xi", "0.3", "--check-eigen"), "--check-eigen applies to the gk family"),
+    (("overlap", "gk", "--z1", "0.5"), "gk overlap needs --z1 and --z2"),
+    (("overlap", "kp", "--xi1", "0.3"), "kp overlap needs --xi1 and --xi2"),
+    (("evolve", "gk", "--z", "0.5", "--times", ","), "empty time grid"),
 ])
 def test_bad_input_is_a_domain_error(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

@@ -59,6 +59,9 @@ COMMANDS = [
     ["verify", "--suite", "gk", "--format", "json"],
     ["moments", "--check", "kp-weights", "--paper-literal", "--lambda", "4",
      "--k", "2", "--format", "json"],
+    ["state", "gk", "--z", "0.5", "--format", "text"],
+    ["overlap", "gk", "--z1", "0.5", "--z2", "0.8i", "--format", "text"],
+    ["evolve", "gk", "--z", "0.5", "--format", "text"],
 ]
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")

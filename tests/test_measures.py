@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -103,6 +104,20 @@ class TestKPWeights:
                 assert e.computed_log is None
             elif e.quad_vs_analytic is not None:
                 assert e.quad_vs_analytic <= 1e-9
+
+    @pytest.mark.parametrize("shift, passed", [(0.0, True), (1e-6, False)])
+    def test_quadrature_off_the_beta_value_fails_the_report(self, shift, passed):
+        # `passed` asserts quadrature against the analytic Beta moments to 1e-9
+        k = 2
+        cand = kp_weight_unit_disk(LAM, k)
+        exact = cand.analytic_log_moment
+
+        def analytic(power):
+            value = exact(power)
+            return None if value is None else value + shift
+
+        moved = dataclasses.replace(cand, analytic_log_moment=analytic)
+        assert kp_moment_residuals(LAM, k, moved, n_max=8).passed is passed
 
     def test_elementary_reading_is_inverse_power(self):
         # 2F1(k, b; b; 1-r) = r^(-k), so h * Gamma(lam+2k+1) * r^k must be

@@ -450,6 +450,10 @@ class TestKPOverlap:
                                 KPLabel(xi=x2, alpha=0.9, k=1))
             assert abs(val) <= 1.0 + 1e-12
 
+    def test_requires_shared_k(self):
+        with pytest.raises(DomainError):
+            kp_overlap_pt(LAM, KPLabel(xi=0.5, k=0), KPLabel(xi=0.5, k=1))
+
 
 # ---------------------------------------------------------------------------
 # Shared KP weight tables: call history never changes a result
@@ -681,9 +685,18 @@ def _reference_nested_log_sums(spec, n_max: int, j_max: int) -> np.ndarray:
     return out
 
 
-def _reference_full_scan(spec, n_max: int, j_max: int, log_u=None) -> np.ndarray:
-    """The reference scan to j_max whether or not a stop is asked for."""
-    return _reference_nested_log_sums(spec, n_max, j_max)
+def _reference_terms(log_s: np.ndarray, log_u: float) -> np.ndarray:
+    """log |t_j(n)| = j log u + log S_j(n) - log (n+2j)! from the rows of log_s."""
+    j = np.arange(len(log_s))[:, None]
+    n = np.arange(log_s.shape[1])
+    lg = np.array([math.lgamma(m + 1.0) for m in range(n[-1] + 2 * j[-1, 0] + 1)])
+    return j * log_u + log_s - lg[n + 2 * j]
+
+
+def _reference_full_scan(spec, n_max: int, log_u: float, stop=True) -> np.ndarray:
+    """The j-terms of the reference scan to j = 120 whether or not a stop is
+    asked for."""
+    return _reference_terms(_reference_nested_log_sums(spec, n_max, 120), log_u)
 
 
 def _reference_signed_log_sum(log_mags, signs) -> tuple[float, float]:
@@ -736,7 +749,7 @@ def _nested_outcome(spec, Z, alpha, k, n_max):
 
 def _reference_outcome(spec, Z, alpha, k, n_max):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(states, "_nested_log_sums", _reference_full_scan)
+        mp.setattr(states, "_nested_log_terms", _reference_full_scan)
         mp.setattr(states, "signed_log_sum", _reference_level_loop)
         return _nested_outcome(spec, Z, alpha, k, n_max)
 
@@ -789,12 +802,14 @@ class TestNestedAgainstReference:
             "custom spectrum table has 150 levels, level 150 requested"
 
     def test_nested_log_sums_equal_the_reference(self):
+        # the full scan's j-terms, formed from the reference sums
         for spec in NESTED_SPECTRA.values():
             for n_max in (0, 1, 24, 97):
-                assert (states._nested_log_sums(spec, n_max, 120).tobytes()
-                        == _reference_nested_log_sums(spec, n_max, 120).tobytes())
-            assert (states._nested_log_sums(spec, 30, 7).tobytes()
-                    == _reference_nested_log_sums(spec, 30, 7).tobytes())
+                for log_u in (math.log(0.0025), math.log(6.25)):
+                    ref = _reference_terms(_reference_nested_log_sums(spec, n_max, 120),
+                                           log_u)
+                    assert (states._nested_log_terms(spec, n_max, log_u, stop=False)
+                            .tobytes() == ref.tobytes())
 
     def test_stopped_scan_is_the_reference_prefix(self):
         # it ends on the first J whose rows J-2..J hold every level's j-term
@@ -803,12 +818,12 @@ class TestNestedAgainstReference:
         for spec in NESTED_SPECTRA.values():
             for n_max in (0, 24, 97):
                 for log_u in (math.log(0.0025), math.log(0.09)):
-                    ref = _reference_nested_log_sums(spec, n_max, 120)
-                    stopped = states._nested_log_sums(spec, n_max, 120, log_u)
+                    terms = _reference_terms(_reference_nested_log_sums(spec, n_max, 120),
+                                             log_u)
+                    stopped = states._nested_log_terms(spec, n_max, log_u)
                     rows = int(np.count_nonzero(np.isfinite(stopped[:, 0])))
-                    assert stopped[:rows].tobytes() == ref[:rows].tobytes()
+                    assert stopped[:rows].tobytes() == terms[:rows].tobytes()
                     assert np.all(stopped[rows:] == -math.inf)
-                    terms = states._nested_log_terms(ref, log_u)
                     small = np.all(terms < np.maximum.accumulate(terms) - 54 * math.log(2),
                                    axis=1)
                     steps = np.diff(terms, axis=0)  # steps[j-1] = log t_j/t_{j-1}
