@@ -32,6 +32,19 @@ use, and blocks past that are computed on each call. Entries are the same
 math.lgamma values, so no result depends on call history or on which
 thread built a table.
 
+A state's magnitudes depend only on its family, |x|, tail_eps and cap; arg
+x and alpha only turn phases (the temporal stability of Gazeau and Klauder,
+J. Phys. A 32, 123, 1999). So a build is a magnitude profile and a phase
+assembly. Two memos of 8 entries each, least recently used dropped, keep
+the last profiles of at most _MAX_N levels and the last one-point norm sums
+with their converged flag; an overlap kernel sums its point together with
+only the norms not held. Eight entries hold the repeats that follow a build
+closely (an alpha + t rebuild, a series norm right after its kernel, each
+evolve row), not a whole verify pass. The engine's per-point results do not
+depend on the batch, so every coefficient, tail bound, norm and kernel is
+bit-identical whatever was built before, and an unconverged norm raises the
+same error on a hit.
+
 States are always normalized by the directly summed coefficient series; the
 hypergeometric closed forms are treated as cross-checks, never as the source
 of truth (they differ from the direct series by a benign n-independent
@@ -40,8 +53,10 @@ constant that would be fatal if mixed into overlaps).
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,8 +143,10 @@ class KPLabel:
 @dataclass(frozen=True)
 class _Family:
     """terms(lo, hi) gives (log w(n), E_{n+k}) for n = lo..hi-1; last is the
-    last index n of a finite table (else +inf)."""
+    last index n of a finite table (else +inf). key, ("gk", spec, k) or
+    ("kp", lam, k, lam_w), names the series in the memos."""
 
+    key: tuple
     k: int
     terms: callable
     last: float
@@ -182,7 +199,7 @@ def _gk_family(spec: Spectrum, k: int) -> _Family:
         energies, log_e0 = spec.levels(lo, hi + k)
         return log_e0[k:] - 2.0 * log_e0[:hi - lo], energies[k:]
 
-    return _Family(k, terms, spec.max_level - k)
+    return _Family(("gk", spec, k), k, terms, spec.max_level - k)
 
 
 def _kp_family(lam: float, k: int, lam_w: float) -> _Family:
@@ -200,18 +217,73 @@ def _kp_family(lam: float, k: int, lam_w: float) -> _Family:
                  - 2.0 * log_fact[:hi - lo] - log_norm)
         return log_w, energy.slice(lo + k, hi + k)
 
-    return _Family(k, terms, math.inf)
+    return _Family(("kp", lam, k, lam_w), k, terms, math.inf)
+
+
+# entries kept by each memo: the repeats follow their build closely (an
+# alpha + t rebuild two builds later, a series norm right after its kernel,
+# each evolve row), and a whole verify pass, which cycles 32 state and 46
+# norm keys, is not held; a profile longer than _MAX_N levels is not kept
+_MEMO_SIZE = 8
+
+
+class _Memo:
+    """The last _MEMO_SIZE values by key, the least recently used dropped.
+    One lock guards each read and write; values are computed outside it, and
+    are the same whichever thread computes them."""
+
+    def __init__(self):
+        self._items = collections.OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self):
+        return len(self._items)
+
+    def get(self, key):
+        with self._lock:
+            value = self._items.get(key)
+            if value is not None:
+                self._items.move_to_end(key)
+            return value
+
+    def put(self, key, value):
+        with self._lock:
+            self._items[key] = value
+            self._items.move_to_end(key)
+            if len(self._items) > _MEMO_SIZE:
+                self._items.popitem(last=False)
+        return value
+
+
+_PROFILES = _Memo()  # (family key, |x|, tail_eps, cap) -> `_profile`
+_NORMS = _Memo()  # (family key, u) -> (log sum_n u^n w(n), converged)
 
 
 def _state(fam: _Family, x: complex, alpha: float, tail_eps: float,
            cap: int | None) -> FockState:
-    """sum_n x^n sqrt(w(n)) e^{-i alpha E_{n+k}} |psi_{n+k}>, normalized and
-    grown until the tail bound meets tail_eps, a finite table ends, or the
-    cap is reached."""
+    """sum_n x^n sqrt(w(n)) e^{-i alpha E_{n+k}} |psi_{n+k}>, normalized, on
+    the magnitude profile of |x|; arg x and alpha only turn phases."""
     cap = _truncation(tail_eps, cap)
     if x == 0:
         return FockState(fam.k, np.array([1.0 + 0.0j]), alpha, 0.0)
-    log_r = math.log(abs(x))
+    key = (fam.key, abs(x), tail_eps, cap)
+    profile = _PROFILES.get(key)
+    if profile is None:
+        profile = _profile(fam, abs(x), tail_eps, cap)
+        if len(profile[0]) <= _MAX_N:  # so the memo holds at most 8 default-cap states
+            _PROFILES.put(key, profile)
+    mags, energies, tail = profile
+    c = mags * (np.exp(1j * np.arange(len(mags)) * np.angle(x))
+                * np.exp(-1j * alpha * energies))
+    c /= np.linalg.norm(c)
+    return FockState(fam.k, c, alpha, tail)
+
+
+def _profile(fam: _Family, r: float, tail_eps: float, cap: int) -> tuple:
+    """(|c_n| / max|c_n|, E_{n+k}, tail bound) of the state at |x| = r > 0,
+    as read-only arrays, grown until the tail bound meets tail_eps, a finite
+    table ends, or the cap is reached."""
+    log_r = math.log(r)
     logs, energies = [], []  # log|c_n| unnormalized; E_{n+k} per block
     shift = -math.inf
     total = 0.0  # sum of |c_n|^2 scaled by exp(-2*shift)
@@ -242,11 +314,10 @@ def _state(fam: _Family, x: complex, alpha: float, tail_eps: float,
             break
         n += 1
     size = n + 1
-    c = np.exp(np.array(logs[:size]) - shift) * (
-        np.exp(1j * np.arange(size) * np.angle(x))
-        * np.exp(-1j * alpha * np.concatenate(energies)[:size]))
-    c /= np.linalg.norm(c)
-    return FockState(fam.k, c, alpha, min(tail_rel, 1.0))
+    mags = np.exp(np.array(logs[:size]) - shift)
+    energies = np.concatenate(energies)[:size]
+    mags.flags.writeable = energies.flags.writeable = False
+    return mags, energies, min(tail_rel, 1.0)
 
 
 # the norm and kernel series: at most this many terms, each point stopping
@@ -270,29 +341,39 @@ def _sum(fam: _Family, xs: list, d_alphas: list):
 def _log_norm(fam: _Family, u: float, what: str = "normalization series",
               log_pref: float = 0.0) -> float:
     """log_pref + log sum_n u^n w(n); a ConvergenceError carries that partial."""
-    log_s, _, ok = _sum(fam, [u], [0.0])
-    return _checked(ok, [log_pref + float(log_s[0])], what)[0]
+    key = (fam.key, u)
+    held = _NORMS.get(key)
+    if held is None:
+        log_s, _, ok = _sum(fam, [u], [0.0])
+        held = _NORMS.put(key, (float(log_s[0]), bool(ok[0])))
+    log_s, ok = held
+    return _checked([ok], [log_pref + log_s], what)[0]
 
 
-def _checked(ok, partials: list, what: str) -> list:
+def _checked(ok: list, partials: list, what: str) -> list:
     """partials, or a ConvergenceError carrying the first whose ok is False."""
-    if not ok.all():
-        partial = partials[ok.tolist().index(False)]
+    if not all(ok):
         raise ConvergenceError(f"{what} did not converge in {_SERIES_MAX_TERMS} terms",
-                               partial=partial)
+                               partial=partials[ok.index(False)])
     return partials
 
 
 def _kernel(fam: _Family, x1: complex, x2: complex, d_alpha: float,
             what: str) -> complex:
-    """S(conj(x1) x2, alpha2 - alpha1) over the square roots of both norms,
-    all three summed in one call."""
-    log_s, phase, ok = _sum(fam, [np.conj(x1) * x2, abs(x1) ** 2, abs(x2) ** 2],
-                            [d_alpha, 0.0, 0.0])
-    log_k, log_n1, log_n2 = log_s.tolist()
-    phase_k = complex(phase[0])
+    """S(conj(x1) x2, alpha2 - alpha1) over the square roots of both norms;
+    the norms not held are summed in one call with the kernel point."""
+    keys = [(fam.key, abs(x1) ** 2), (fam.key, abs(x2) ** 2)]
+    norms = {key: _NORMS.get(key) for key in keys}
+    todo = [key for key, held in norms.items() if held is None]
+    log_s, phase, ok = _sum(fam, [np.conj(x1) * x2] + [u for _, u in todo],
+                            [d_alpha] + [0.0] * len(todo))
+    log_s, ok = log_s.tolist(), ok.tolist()
+    for key, log_n, ok_n in zip(todo, log_s[1:], ok[1:]):
+        norms[key] = _NORMS.put(key, (log_n, ok_n))
+    log_k, phase_k = log_s[0], complex(phase[0])
+    (log_n1, ok1), (log_n2, ok2) = (norms[key] for key in keys)
     _checked(ok[:1], [phase_k * math.exp(log_k)], f"{what} series")
-    _checked(ok[1:], [log_n1, log_n2], "normalization series")
+    _checked([ok1, ok2], [log_n1, log_n2], "normalization series")
     return complex(phase_k * math.exp(log_k - 0.5 * (log_n1 + log_n2)))
 
 

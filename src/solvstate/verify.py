@@ -192,6 +192,10 @@ def suite_gk(lams=(1.0, 4.0)) -> SuiteReport:
         o12 = st.gk_overlap(spec, l1, l2)
         o21 = st.gk_overlap(spec, l2, l1)
         rep.add(f"overlap_hermitian[lam={lam}]", abs(o12 - np.conj(o21)), 1e-12)
+        s1 = st.gk_state(spec, l1, tail_eps=1e-26)
+        s2 = st.gk_state(spec, l2, tail_eps=1e-26)
+        rep.add(f"overlap_vs_dot_product[lam={lam}]", abs(o12 - s1.inner(s2)), 1e-10,
+                "series overlap vs coefficient dot product")
         rep.add(f"overlap_normalized[lam={lam}]",
                 abs(st.gk_overlap(spec, l1, l1) - 1.0), 1e-12)
         worst = max(abs(st.gk_overlap(spec, st.GKLabel(z1, 0.1, 1),

@@ -6,7 +6,9 @@ count and each to 1e-13 relative (absolute below 1), so reassociated sums
 may move the last printed digit but nothing else. `runtime_s` is masked.
 
 Regenerate `data/golden_cli.json` only from a commit whose output is known
-good, with `PYTHONPATH=src python tests/test_golden_cli.py`.
+good, with `PYTHONPATH=src python tests/test_golden_cli.py`. An entry whose
+new output still passes this comparison keeps its recorded output, so the
+file's diff shows only the payloads that changed, on any host.
 """
 
 import contextlib
@@ -116,11 +118,33 @@ def test_comparison_rejects_a_moved_digit():
         assert_same_payload('{"x": 1.0}', '{"y": 1.0}')
 
 
+def _still_matches(entry, code, out, err):
+    """The recorded entry passes `test_golden_payload` against this output."""
+    try:
+        assert code == entry["code"]
+        assert_same_payload(entry["stdout"], out)
+        assert_same_payload(entry["stderr"], err)
+    except AssertionError:
+        return False
+    return True
+
+
+def test_regeneration_keeps_only_entries_that_still_match():
+    entry = {"code": 0, "stdout": '{"x": 1.0}', "stderr": ""}
+    assert _still_matches(entry, 0, '{"x": 1.00000000000001}', "")
+    assert not _still_matches(entry, 0, '{"x": 1.0, "y": 2}', "")
+    assert not _still_matches(entry, 2, '{"x": 1.0}', "")
+
+
 if __name__ == "__main__":
+    recorded = {json.dumps(e["argv"]): e for e in GOLDEN}
     records = []
     for argv in COMMANDS:
         code, out, err = run(argv)
-        records.append({"argv": argv, "code": code, "stdout": out, "stderr": err})
+        entry = recorded.get(json.dumps(argv))
+        if entry is None or not _still_matches(entry, code, out, err):
+            entry = {"argv": argv, "code": code, "stdout": out, "stderr": err}
+        records.append(entry)
     DATA.parent.mkdir(exist_ok=True)
     with open(DATA, "w", encoding="utf-8") as fh:
         json.dump(records, fh, indent=1)

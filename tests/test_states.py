@@ -36,11 +36,13 @@ from solvstate import (
     photon_statistics,
 )
 from solvstate import states
-from solvstate.fockspace import apply
+from solvstate.fockspace import _MAX_N, apply
 from solvstate.specfun import block_end, signed_log_sum
 from solvstate.states import (
     _KP_TABLES_KEPT,
     _LOG_FACTORIAL,
+    _NORMS,
+    _PROFILES,
     _TABLE_LEN,
     _kp_family,
     _kp_tables,
@@ -468,10 +470,14 @@ def _direct_kp_terms(lam, k, lam_w, lo, hi):
     return np.array(log_w), np.array([(n + k) * (n + k + lam) for n in range(lo, hi)])
 
 
-# builds whose coefficient bytes, tail bounds, kernels and norms are hashed
+# builds whose coefficient bytes, tail bounds, kernels and norms are hashed;
+# every child but the cold one warms the memos first: it builds each hashed
+# modulus at another phase and alpha, and sums a series norm before and after
+# the kernel that holds it, so those results are memo hits there
 _HISTORY_CHILD = """
 import hashlib, sys
-from solvstate import KPLabel, kp_norm_constant_pt, kp_overlap_pt, kp_state_pt
+from solvstate import (CustomSpectrum, GKLabel, HarmonicSpectrum, KPLabel, gk_norm_constant,
+                       gk_overlap, gk_state, kp_norm_constant_pt, kp_overlap_pt, kp_state_pt)
 warm = sys.argv[1]
 if warm == "cap":
     kp_state_pt(2.5, KPLabel(xi=0.999, k=3), tail_eps=0.0, cap=4096)
@@ -479,15 +485,37 @@ elif warm == "other_lambda":
     kp_state_pt(7.0, KPLabel(xi=0.95, k=1))
 elif warm == "two_lambda":
     kp_state_pt(2.5, KPLabel(xi=0.95, k=2), exponent="two_lambda")
+memo = warm != "cold"
+harm = HarmonicSpectrum()
+table = CustomSpectrum(energies=[0, 1, 3, 6, 10, 15, 21, 28, 36, 45, 55, 66])
 h = hashlib.sha256()
+
+def state(build, x):
+    if memo:
+        build(x * 1j, 1.1)  # the same modulus: the build below reuses its profile
+    s = build(x, 0.3)
+    h.update(s.coefficients.tobytes() + repr(s.tail_bound).encode())
+
 for k in range(4):
     for xi in (0.3, 0.6 + 0.2j, 0.95):
         for exponent in ("lambda", "two_lambda"):
-            s = kp_state_pt(2.5, KPLabel(xi=xi, alpha=0.3, k=k), exponent=exponent)
-            h.update(s.coefficients.tobytes() + repr(s.tail_bound).encode())
-    h.update(repr((kp_overlap_pt(2.5, KPLabel(xi=0.3, alpha=0.1, k=k),
-                                 KPLabel(xi=0.95j, alpha=0.7, k=k)),
-                   kp_norm_constant_pt(2.5, 0.9, k, method="series"))).encode())
+            state(lambda x, a: kp_state_pt(2.5, KPLabel(xi=x, alpha=a, k=k),
+                                           exponent=exponent), xi)
+    for z in (0.5, 0.9 - 0.3j):
+        state(lambda x, a: gk_state(harm, GKLabel(x, a, k)), z)
+    state(lambda x, a: gk_state(table, GKLabel(x, a, k)), 0.5 + 0.1j)
+    if memo:  # norms before the kernels that hold them
+        kp_norm_constant_pt(2.5, abs(0.95j) ** 2, k, method="series")
+        gk_norm_constant(harm, abs(0.9 - 0.3j) ** 2, k)
+    kernels = (kp_overlap_pt(2.5, KPLabel(xi=0.3, alpha=0.1, k=k),
+                             KPLabel(xi=0.95j, alpha=0.7, k=k)),
+               gk_overlap(harm, GKLabel(0.5, 0.1, k), GKLabel(0.9 - 0.3j, 0.7, k)))
+    if memo:  # kernels that hold the norms summed after them
+        kp_overlap_pt(2.5, KPLabel(xi=0.6 + 0.2j, k=k), KPLabel(xi=0.4, k=k))
+        gk_overlap(table, GKLabel(0.5 + 0.1j, 0.2, k), GKLabel(0.3, 0.0, k))
+    norms = (kp_norm_constant_pt(2.5, abs(0.6 + 0.2j) ** 2, k, method="series"),
+             gk_norm_constant(table, abs(0.5 + 0.1j) ** 2, k))
+    h.update(repr(kernels + norms).encode())
 print(h.hexdigest())
 """
 
@@ -534,6 +562,9 @@ class TestKPTables:
         lam = 3.140625  # a lambda no other test uses: its tables start cold
         labels = [KPLabel(xi=cmath.rect(r, 0.7 * i), alpha=0.1 * i, k=i % 4)
                   for i, r in enumerate((0.2, 0.5, 0.8, 0.95, 0.99, 0.3, 0.9, 0.6))]
+        # one modulus at four phases and alphas: the threads share its profile
+        labels += [KPLabel(xi=xi, alpha=0.2 * i, k=1)
+                   for i, xi in enumerate((0.7, 0.7j, -0.7, -0.7j))]
         barrier = threading.Barrier(4)
         results = [None] * 4
 
@@ -542,10 +573,16 @@ class TestKPTables:
             results[i] = [kp_state_pt(lam, label) for label in labels[i:] + labels[:i]]
 
         threads = [threading.Thread(target=build, args=(i,)) for i in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         serial = [kp_state_pt(lam, label) for label in labels]
         for i, states in enumerate(results):
             assert states is not None
@@ -559,9 +596,25 @@ class TestKPTables:
         assert state.size == 3 * _TABLE_LEN
         for table in (_LOG_FACTORIAL, *_kp_tables(1.75, 1.75)):
             assert table._values.size <= _TABLE_LEN
+        assert all(mags.size <= _MAX_N for mags, _, _ in _PROFILES._items.values())
         for i in range(_KP_TABLES_KEPT + 2):
             kp_state_pt(1.0 + 0.125 * i, KPLabel(xi=0.5))
         assert _kp_tables.cache_info().currsize <= _KP_TABLES_KEPT
+        for i in range(100):
+            kp_state_pt(4.0, KPLabel(xi=0.005 * (i + 1)))
+            kp_norm_constant_pt(4.0, 0.005 * (i + 1), 1, method="series")
+        assert len(_PROFILES) <= 8 and len(_NORMS) <= 8
+
+    def test_an_unconverged_norm_raises_the_same_error_on_a_memo_hit(self):
+        errors = []
+        for _ in range(2):
+            with pytest.raises(ConvergenceError) as info:
+                kp_norm_constant_pt(4.0, 0.9999, 2, method="series")
+            errors.append((str(info.value), info.value.partial))
+        assert _NORMS.get((("kp", 4.0, 2, 4.0), 0.9999)) is not None
+        assert errors[0] == errors[1]
+        assert errors[0][0] == "KP normalization series did not converge in 5000 terms"
+        assert math.isfinite(errors[0][1])
 
 
 # ---------------------------------------------------------------------------
