@@ -294,20 +294,16 @@ def _u_block(p: PTParams, ns, ms) -> list:
 
     Per row the log binomials in p and the norm constant, per column those
     in p', and the log-Gamma values of the Beta factor's two arguments come
-    from a memo keyed by exact argument, so every entry gets the same floats
-    as when summed alone. The first argument n+m+k+1-p-p' is s - (p+p') with
-    s = n+m+k+1: the subtractions of integers from s < 2^52 are exact, so it
-    is one value per (n+m, p+p'). The second, k'+p+p'+1, rounds per (p, p').
-    Slots with p > n or p' > m hold finite fillers and are masked out. Each
-    entry's positive and negative terms, in row-major (p, p') order, are
-    reduced as rows of one `_row_log_sum_exp` stack per row length, which
-    gives the floats of one `signed_log_sum` call per entry."""
-    memo = {}
-
-    def lg(x):
-        if x not in memo:
-            memo[x] = log_gamma(x)
-        return memo[x]
+    from a cache local to the block, keyed by exact argument, so every entry
+    gets the same floats as when summed alone. The first argument
+    n+m+k+1-p-p' is s - (p+p') with s = n+m+k+1: the subtractions of
+    integers from s < 2^52 are exact, so it is one value per (n+m, p+p').
+    The second, k'+p+p'+1, rounds per (p, p'). Slots with p > n or p' > m
+    hold finite fillers and are masked out. Each entry's positive and
+    negative terms, in row-major (p, p') order, are reduced as rows of one
+    `_row_log_sum_exp` stack per row length, which gives the floats of one
+    `signed_log_sum` call per entry."""
+    lg = lru_cache(maxsize=None)(log_gamma)
 
     def binoms(x, js, width):  # log C(x, j), x - j > -1, zero-padded to width
         out = np.zeros(width)

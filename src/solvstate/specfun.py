@@ -10,6 +10,7 @@ combined and a whole quadrature batch is one call.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -385,13 +386,10 @@ _QUAD_REL_TOL = 1e-12
 _QUAD_ABS_TOL = 1e-16
 _QUAD_ROUNDING = 1024
 
-_gl_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-
+@functools.lru_cache(maxsize=None)
 def _gl_nodes(n: int):
-    if n not in _gl_cache:
-        _gl_cache[n] = np.polynomial.legendre.leggauss(n)
-    return _gl_cache[n]
+    return np.polynomial.legendre.leggauss(n)
 
 
 @dataclass

@@ -35,15 +35,17 @@ thread built a table.
 A state's magnitudes depend only on its family, |x|, tail_eps and cap; arg
 x and alpha only turn phases (the temporal stability of Gazeau and Klauder,
 J. Phys. A 32, 123, 1999). So a build is a magnitude profile and a phase
-assembly. Two memos of 8 entries each, least recently used dropped, keep
-the last profiles of at most _MAX_N levels and the last one-point norm sums
-with their converged flag; an overlap kernel sums its point together with
-only the norms not held. Eight entries hold the repeats that follow a build
-closely (an alpha + t rebuild, a series norm right after its kernel, each
-evolve row), not a whole verify pass. The engine's per-point results do not
-depend on the batch, so every coefficient, tail bound, norm and kernel is
-bit-identical whatever was built before, and an unconverged norm raises the
-same error on a hit.
+assembly. Two functools.lru_cache caches of 8 entries, keyed by the family's
+series, keep the last profiles of states capped at _MAX_N levels or fewer
+and the last one-point norms. A norm's entry is a slot, a list filled once
+with [log sum, converged] by one slice assignment, so a reader sees it empty
+or whole; an overlap kernel sums its point together with the norms whose
+slots are empty, in one call. Eight entries hold the repeats that follow a
+build closely (an alpha + t rebuild, a series norm right after its kernel,
+each evolve row), not a verify pass's 32 state and 46 norm keys. No
+per-point result depends on the batch, so every coefficient, tail bound,
+norm and kernel is bit-identical whatever was built before, and an
+unconverged norm raises the same error on a hit.
 
 States are always normalized by the directly summed coefficient series; the
 hypergeometric closed forms are treated as cross-checks, never as the source
@@ -53,11 +55,9 @@ constant that would be fatal if mixed into overlaps).
 
 from __future__ import annotations
 
-import collections
 import functools
 import math
-import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -144,12 +144,13 @@ class KPLabel:
 class _Family:
     """terms(lo, hi) gives (log w(n), E_{n+k}) for n = lo..hi-1; last is the
     last index n of a finite table (else +inf). key, ("gk", spec, k) or
-    ("kp", lam, k, lam_w), names the series in the memos."""
+    ("kp", lam, k, lam_w), names the series: families compare and hash by it
+    alone, so two builds of one series are the same cache key."""
 
     key: tuple
-    k: int
-    terms: callable
-    last: float
+    k: int = field(compare=False)
+    terms: callable = field(compare=False)
+    last: float = field(compare=False)
 
 
 def _lgamma(x: np.ndarray) -> np.ndarray:
@@ -220,43 +221,7 @@ def _kp_family(lam: float, k: int, lam_w: float) -> _Family:
     return _Family(("kp", lam, k, lam_w), k, terms, math.inf)
 
 
-# entries kept by each memo: the repeats follow their build closely (an
-# alpha + t rebuild two builds later, a series norm right after its kernel,
-# each evolve row), and a whole verify pass, which cycles 32 state and 46
-# norm keys, is not held; a profile longer than _MAX_N levels is not kept
-_MEMO_SIZE = 8
-
-
-class _Memo:
-    """The last _MEMO_SIZE values by key, the least recently used dropped.
-    One lock guards each read and write; values are computed outside it, and
-    are the same whichever thread computes them."""
-
-    def __init__(self):
-        self._items = collections.OrderedDict()
-        self._lock = threading.Lock()
-
-    def __len__(self):
-        return len(self._items)
-
-    def get(self, key):
-        with self._lock:
-            value = self._items.get(key)
-            if value is not None:
-                self._items.move_to_end(key)
-            return value
-
-    def put(self, key, value):
-        with self._lock:
-            self._items[key] = value
-            self._items.move_to_end(key)
-            if len(self._items) > _MEMO_SIZE:
-                self._items.popitem(last=False)
-        return value
-
-
-_PROFILES = _Memo()  # (family key, |x|, tail_eps, cap) -> `_profile`
-_NORMS = _Memo()  # (family key, u) -> (log sum_n u^n w(n), converged)
+_MEMO_SIZE = 8  # entries kept by each cache (module docstring)
 
 
 def _state(fam: _Family, x: complex, alpha: float, tail_eps: float,
@@ -266,13 +231,8 @@ def _state(fam: _Family, x: complex, alpha: float, tail_eps: float,
     cap = _truncation(tail_eps, cap)
     if x == 0:
         return FockState(fam.k, np.array([1.0 + 0.0j]), alpha, 0.0)
-    key = (fam.key, abs(x), tail_eps, cap)
-    profile = _PROFILES.get(key)
-    if profile is None:
-        profile = _profile(fam, abs(x), tail_eps, cap)
-        if len(profile[0]) <= _MAX_N:  # so the memo holds at most 8 default-cap states
-            _PROFILES.put(key, profile)
-    mags, energies, tail = profile
+    profile = _held_profile if cap <= _MAX_N else _profile
+    mags, energies, tail = profile(fam, abs(x), tail_eps, cap)
     c = mags * (np.exp(1j * np.arange(len(mags)) * np.angle(x))
                 * np.exp(-1j * alpha * energies))
     c /= np.linalg.norm(c)
@@ -320,6 +280,9 @@ def _profile(fam: _Family, r: float, tail_eps: float, cap: int) -> tuple:
     return mags, energies, min(tail_rel, 1.0)
 
 
+_held_profile = functools.lru_cache(maxsize=_MEMO_SIZE)(_profile)
+
+
 # the norm and kernel series: at most this many terms, each point stopping
 # at its first run of terms below this tolerance (`series_sum`)
 _SERIES_MAX_TERMS = 5000
@@ -338,15 +301,20 @@ def _sum(fam: _Family, xs: list, d_alphas: list):
     return (*s.polar()[1:], s.stopped | s.exact)
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _held_norm(fam: _Family, u: float) -> list:
+    """The norm's slot at u: [] or [log sum_n u^n w(n), converged], filled once."""
+    return []
+
+
 def _log_norm(fam: _Family, u: float, what: str = "normalization series",
               log_pref: float = 0.0) -> float:
     """log_pref + log sum_n u^n w(n); a ConvergenceError carries that partial."""
-    key = (fam.key, u)
-    held = _NORMS.get(key)
-    if held is None:
+    slot = _held_norm(fam, u)
+    if not slot:
         log_s, _, ok = _sum(fam, [u], [0.0])
-        held = _NORMS.put(key, (float(log_s[0]), bool(ok[0])))
-    log_s, ok = held
+        slot[:] = float(log_s[0]), bool(ok[0])
+    log_s, ok = slot
     return _checked([ok], [log_pref + log_s], what)[0]
 
 
@@ -358,23 +326,31 @@ def _checked(ok: list, partials: list, what: str) -> list:
     return partials
 
 
+def _abs2(x: complex) -> float:
+    """abs(x) ** 2; a norm series at a point that overflows cannot converge."""
+    try:
+        return abs(x) ** 2
+    except OverflowError:
+        raise ConvergenceError("normalization series did not converge: |x|^2 overflows",
+                               partial=math.inf) from None
+
+
 def _kernel(fam: _Family, x1: complex, x2: complex, d_alpha: float,
             what: str) -> complex:
     """S(conj(x1) x2, alpha2 - alpha1) over the square roots of both norms;
-    the norms not held are summed in one call with the kernel point."""
-    keys = [(fam.key, abs(x1) ** 2), (fam.key, abs(x2) ** 2)]
-    norms = {key: _NORMS.get(key) for key in keys}
-    todo = [key for key, held in norms.items() if held is None]
-    log_s, phase, ok = _sum(fam, [np.conj(x1) * x2] + [u for _, u in todo],
-                            [d_alpha] + [0.0] * len(todo))
+    the norms whose slots are empty are summed in one call with the kernel
+    point. A ConvergenceError carries the unconverged log|S|."""
+    u1, u2 = _abs2(x1), _abs2(x2)
+    slots = {u: _held_norm(fam, u) for u in (u1, u2)}
+    todo = [u for u, slot in slots.items() if not slot]
+    log_s, phase, ok = _sum(fam, [np.conj(x1) * x2] + todo, [d_alpha] + [0.0] * len(todo))
     log_s, ok = log_s.tolist(), ok.tolist()
-    for key, log_n, ok_n in zip(todo, log_s[1:], ok[1:]):
-        norms[key] = _NORMS.put(key, (log_n, ok_n))
-    log_k, phase_k = log_s[0], complex(phase[0])
-    (log_n1, ok1), (log_n2, ok2) = (norms[key] for key in keys)
-    _checked(ok[:1], [phase_k * math.exp(log_k)], f"{what} series")
+    for u, log_n, ok_n in zip(todo, log_s[1:], ok[1:]):
+        slots[u][:] = log_n, ok_n
+    (log_n1, ok1), (log_n2, ok2) = slots[u1], slots[u2]
+    log_k = _checked(ok[:1], log_s[:1], f"{what} series")[0]
     _checked([ok1, ok2], [log_n1, log_n2], "normalization series")
-    return complex(phase_k * math.exp(log_k - 0.5 * (log_n1 + log_n2)))
+    return complex(phase[0]) * math.exp(log_k - 0.5 * (log_n1 + log_n2))
 
 
 # ---------------------------------------------------------------------------

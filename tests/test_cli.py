@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import solvstate
 from solvstate import DomainError, FockState
@@ -386,6 +390,21 @@ class TestOverlapCommand:
         assert "difference" not in doc
         assert "tail bound 3.2" in doc["note"]
 
+    @pytest.mark.parametrize("argv, want", [
+        # |z2|^2 overflows: its norm series cannot converge
+        (("gk", "--z1", "0.3", "--z2", "1e200"), EXIT_CONVERGENCE),
+        # converged kernels whose sums overflow a float
+        (("gk", "--z1", "0.3", "--z2", "0.5", "--k", "1000"), EXIT_OK),
+        (("kp", "--xi1", "0.3", "--xi2", "0.5", "--k", "1000"), EXIT_OK),
+    ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_extreme_labels_exit_without_a_traceback(self, capsys, argv, want):
+        code, out, err = run_cli(capsys, "overlap", *argv)
+        assert code == want
+        assert "Traceback" not in err
+        if code == EXIT_OK:
+            assert json.loads(out)["series"]["abs"] <= 1.0 + 1e-12
+
 
 class TestEvolveCommand:
     def test_alpha_shift_column(self, capsys):
@@ -755,3 +774,49 @@ def test_reader_closing_the_pipe_exits_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=120) == EXIT_OK
     assert err == b""
+
+
+# ---------------------------------------------------------------------------
+# argv property: extreme labels exit 0, 2 or 3, and exit 0 means sound JSON
+# ---------------------------------------------------------------------------
+
+_REALS = hs.one_of(hs.floats(-1.5, 1.5),
+                   hs.sampled_from([0.0, 1e-200, 1e154, 1e200, 1e308, -1e200, -1e308]))
+_LABELS = hs.builds(lambda v, imag: f"{v!r}i" if imag else repr(v), _REALS, hs.booleans())
+_KS = hs.sampled_from(["0", "1", "3", "400", "1000"])
+_ALPHAS = hs.floats(-10.0, 10.0).map(repr)
+
+
+def _strict_json(out):
+    def reject(constant):
+        raise AssertionError(f"bare {constant} in JSON output")
+    return json.loads(out, parse_constant=reject)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(family=hs.sampled_from(["gk", "kp"]), chart=hs.sampled_from(["--xi", "--Z"]),
+       labels=hs.tuples(_LABELS, _LABELS), k=_KS, alphas=hs.tuples(_ALPHAS, _ALPHAS),
+       overlap=hs.booleans())
+@settings(derandomize=True, deadline=None, max_examples=150)
+def test_extreme_argv_exits_0_2_or_3_with_sound_json(family, chart, labels, k, alphas,
+                                                      overlap):
+    # name=value, so that argparse takes a negative value for a value
+    if overlap:
+        names = ("--z1", "--z2") if family == "gk" else ("--xi1", "--xi2")
+        argv = ["overlap", family, f"{names[0]}={labels[0]}", f"{names[1]}={labels[1]}",
+                f"--alpha1={alphas[0]}", f"--alpha2={alphas[1]}"]
+    else:
+        label = "--z" if family == "gk" else chart
+        argv = ["state", family, f"{label}={labels[0]}", f"--alpha={alphas[0]}"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv + ["--k", k, "--lambda", "4"])
+    assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_CONVERGENCE), argv
+    if code != EXIT_OK:
+        return
+    doc = _strict_json(out.getvalue())
+    if overlap:
+        assert doc["series"]["abs"] <= 1.0 + 1e-12, argv
+    else:
+        c = np.array(doc["state"]["coefficients"])
+        assert abs(math.sqrt(float(np.sum(c ** 2))) - 1.0) <= 1e-12, argv

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 import os
 import subprocess
@@ -36,14 +37,15 @@ from solvstate import (
     photon_statistics,
 )
 from solvstate import states
-from solvstate.fockspace import _MAX_N, apply
+from solvstate.fockspace import apply
 from solvstate.specfun import block_end, signed_log_sum
 from solvstate.states import (
     _KP_TABLES_KEPT,
     _LOG_FACTORIAL,
-    _NORMS,
-    _PROFILES,
     _TABLE_LEN,
+    _gk_family,
+    _held_norm,
+    _held_profile,
     _kp_family,
     _kp_tables,
 )
@@ -560,19 +562,28 @@ class TestKPTables:
 
     def test_four_threads_match_the_serial_build(self):
         lam = 3.140625  # a lambda no other test uses: its tables start cold
+        spec = PoschlTellerSpectrum(lam / 2.0, lam / 2.0)
         labels = [KPLabel(xi=cmath.rect(r, 0.7 * i), alpha=0.1 * i, k=i % 4)
                   for i, r in enumerate((0.2, 0.5, 0.8, 0.95, 0.99, 0.3, 0.9, 0.6))]
         # one modulus at four phases and alphas: the threads share its profile
-        labels += [KPLabel(xi=xi, alpha=0.2 * i, k=1)
-                   for i, xi in enumerate((0.7, 0.7j, -0.7, -0.7j))]
+        shared = [KPLabel(xi=xi, alpha=0.2 * i, k=1)
+                  for i, xi in enumerate((0.7, 0.7j, -0.7, -0.7j))]
+        gk = [GKLabel(z, 0.3 * i, 1) for i, z in enumerate((0.7, 0.7j, -0.7, 0.4))]
+        ops = [functools.partial(kp_state_pt, lam, label) for label in labels + shared]
+        # kernels and norms on the shared moduli: the threads fill their slots
+        ops += [functools.partial(kp_overlap_pt, lam, a, b)
+                for a, b in zip(shared, shared[1:] + [labels[1]])]
+        ops += [functools.partial(gk_overlap, spec, a, b) for a, b in zip(gk, gk[1:])]
+        ops += [functools.partial(kp_norm_constant_pt, lam, u, 1, method="series")
+                for u in (abs(0.7) ** 2, abs(0.5) ** 2)]
         barrier = threading.Barrier(4)
         results = [None] * 4
 
-        def build(i):
+        def run(i):
             barrier.wait()
-            results[i] = [kp_state_pt(lam, label) for label in labels[i:] + labels[:i]]
+            results[i] = [op() for op in ops[i:] + ops[:i]]
 
-        threads = [threading.Thread(target=build, args=(i,)) for i in range(4)]
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -583,38 +594,60 @@ class TestKPTables:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        serial = [kp_state_pt(lam, label) for label in labels]
-        for i, states in enumerate(results):
-            assert states is not None
-            for got, want in zip(states, serial[i:] + serial[:i]):
-                assert got.coefficients.tobytes() == want.coefficients.tobytes()
-                assert got.tail_bound == want.tail_bound
+        _held_profile.cache_clear()
+        _held_norm.cache_clear()
+        serial = [_bytes(op()) for op in ops]
+        for i, got in enumerate(results):
+            assert got is not None
+            assert [_bytes(v) for v in got] == serial[i:] + serial[:i]
 
     def test_retention_is_bounded(self):
+        held = _held_profile.cache_info()
         state = kp_state_pt(1.75, KPLabel(xi=0.999, k=2), tail_eps=0.0,
                             cap=3 * _TABLE_LEN)
         assert state.size == 3 * _TABLE_LEN
+        assert _held_profile.cache_info() == held  # a cap past _MAX_N is not kept
         for table in (_LOG_FACTORIAL, *_kp_tables(1.75, 1.75)):
             assert table._values.size <= _TABLE_LEN
-        assert all(mags.size <= _MAX_N for mags, _, _ in _PROFILES._items.values())
         for i in range(_KP_TABLES_KEPT + 2):
             kp_state_pt(1.0 + 0.125 * i, KPLabel(xi=0.5))
         assert _kp_tables.cache_info().currsize <= _KP_TABLES_KEPT
         for i in range(100):
             kp_state_pt(4.0, KPLabel(xi=0.005 * (i + 1)))
             kp_norm_constant_pt(4.0, 0.005 * (i + 1), 1, method="series")
-        assert len(_PROFILES) <= 8 and len(_NORMS) <= 8
+        assert _held_profile.cache_info().currsize <= 8
+        assert _held_norm.cache_info().currsize <= 8
 
     def test_an_unconverged_norm_raises_the_same_error_on_a_memo_hit(self):
         errors = []
         for _ in range(2):
+            hits = _held_norm.cache_info().hits
             with pytest.raises(ConvergenceError) as info:
                 kp_norm_constant_pt(4.0, 0.9999, 2, method="series")
             errors.append((str(info.value), info.value.partial))
-        assert _NORMS.get((("kp", 4.0, 2, 4.0), 0.9999)) is not None
+        assert _held_norm.cache_info().hits == hits + 1  # the second call
+        assert _held_norm(_kp_family(4.0, 2, 4.0), 0.9999)[1] is False
         assert errors[0] == errors[1]
         assert errors[0][0] == "KP normalization series did not converge in 5000 terms"
         assert math.isfinite(errors[0][1])
+
+    def test_families_of_one_series_are_one_cache_key(self):
+        kp = _kp_family(2.5, 1, 2.5)
+        assert kp is not _kp_family(2.5, 1, 2.5)
+        assert kp == _kp_family(2.5, 1, 2.5) and hash(kp) == hash(_kp_family(2.5, 1, 2.5))
+        assert kp != _kp_family(2.5, 2, 2.5) and kp != _kp_family(2.5, 1, 5.0)
+        gk = _gk_family(SPEC, 1)
+        assert gk == _gk_family(SPEC, 1) and hash(gk) == hash(_gk_family(SPEC, 1))
+        assert gk != _gk_family(SPEC, 2) and gk != kp
+        assert len({kp, _kp_family(2.5, 1, 2.5), _kp_family(2.5, 2, 2.5),
+                    _kp_family(2.5, 1, 5.0), gk, _gk_family(SPEC, 1)}) == 4
+
+
+def _bytes(value) -> bytes:
+    """A result's bytes: a state's coefficients and tail bound, or a number."""
+    if isinstance(value, solvstate.FockState):
+        return value.coefficients.tobytes() + np.float64(value.tail_bound).tobytes()
+    return np.array(value).tobytes()
 
 
 # ---------------------------------------------------------------------------
