@@ -203,12 +203,16 @@ def _gk_family(spec: Spectrum, k: int) -> _Family:
     return _Family(("gk", spec, k), k, terms, spec.max_level - k)
 
 
+def _require_lam(lam: float) -> None:
+    """Raise DomainError unless the Poschl-Teller lam is finite and positive."""
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise DomainError(f"lam must be positive and finite, got {lam}")
+
+
 def _kp_family(lam: float, k: int, lam_w: float) -> _Family:
     """w(n) = (n+k)! Gamma(n+k+lam_w+1) / (n!^2 Gamma(lam_w+1)) on the
     energies E_n = n(n+lam); lam_w = lam except in errata mode."""
-    require_finite(lam=lam)
-    if lam <= 0.0:
-        raise DomainError(f"lam must be positive, got {lam}")
+    _require_lam(lam)
     log_norm = math.lgamma(lam_w + 1.0)
     log_gamma_w, energy = _kp_tables(lam, lam_w)
 
@@ -386,8 +390,8 @@ def gk_norm_constant(spec: Spectrum, z_abs2: float, k: int) -> float:
     Raises ConvergenceError (carrying the partial log-sum) when the stopping
     rule is not met within _SERIES_MAX_TERMS terms.
     """
-    if z_abs2 < 0:
-        raise DomainError(f"|z|^2 must be nonnegative, got {z_abs2}")
+    if not 0.0 <= z_abs2 < math.inf:
+        raise DomainError(f"|z|^2 must be finite and nonnegative, got {z_abs2}")
     hint = spec.radius_hint(k)
     if math.isfinite(hint) and z_abs2 >= hint * hint:
         raise DomainError(f"|z|^2 = {z_abs2:.6g} is outside the radius {hint:.6g}")
@@ -471,29 +475,40 @@ def kp_state_pt(lam: float, label: KPLabel, tail_eps: float = 1e-12,
 
 def kp_norm_constant_pt(lam: float, xi_abs2: float, k: int,
                         method: str = "closed") -> float:
-    """log of the KP normalization constant on the unit disk.
+    """log of the KP normalization constant on the unit disk, u = |xi|^2.
 
-    method="closed" evaluates
-        (1-u)^{lam+1} Gamma(k+1) Gamma(lam+1+k) / Gamma(lam+1)
-        * 2F1(lam+k+1, k+1; 1; u),
+    The paper's closed form is
+        (1-u)^{lam+1} Gamma(k+1) Gamma(lam+k+1) / Gamma(lam+1)
+        * 2F1(lam+k+1, k+1; 1; u).
+    Euler's transformation (DLMF 15.8.1) turns it into
+        Gamma(k+1) Gamma(lam+k+1) / Gamma(lam+1) (1-u)^{-2k} P_k(u),
+    P_k(u) = 2F1(-k, -lam-k; 1; u) = sum_{n=0..k} t_n, t_0 = 1,
+    t_n = t_{n-1} (k-n+1) (lam+k+1-n) u / n^2, a polynomial of degree k with
+    positive terms; method="closed" evaluates that, so it has no truncation
+    and cannot fail to converge, and it is exactly 0 at k = 0.
     method="series" sums (1-u)^{lam+1} sum_n u^n (n+k)! Gamma(n+k+lam+1) /
-    (n!^2 Gamma(lam+1)) directly; the two agree, and both are exactly 1 at
-    k = 0.
+    (n!^2 Gamma(lam+1)) directly. The series is the source of truth; the
+    closed form is an independent formula to check it against.
     """
-    require_finite(lam=lam)
+    _require_lam(lam)
+    require_photon_number(k)
     if not 0.0 <= xi_abs2 < 1.0:
         raise DomainError(f"|xi|^2 must lie in [0, 1), got {xi_abs2}")
-    log_pref = (lam + 1.0) * math.log1p(-xi_abs2)
     if method == "closed":
-        res = hyper_pfq([lam + k + 1.0, k + 1.0], [1.0], xi_abs2)
-        if not res.converged:
-            raise ConvergenceError("2F1 closed form did not converge",
-                                   partial=res.log_abs)
-        return (log_pref + log_gamma(k + 1.0) + log_gamma(lam + 1.0 + k)
-                - log_gamma(lam + 1.0) + res.log_abs)
+        poly = term = 1.0
+        log_scale = 0.0  # P_k = poly * exp(log_scale), rescaled before it overflows
+        for n in range(1, int(k) + 1):
+            term *= (k - n + 1) / n * ((lam + k + 1 - n) / n * xi_abs2)
+            poly += term
+            if poly > 1e200:
+                log_scale += math.log(poly)
+                term /= poly
+                poly = 1.0
+        return (log_gamma(k + 1.0) + log_gamma(lam + k + 1.0) - log_gamma(lam + 1.0)
+                - 2 * k * math.log1p(-xi_abs2) + math.log(poly) + log_scale)
     if method == "series":
-        return _log_norm(_kp_family(lam, k, lam), xi_abs2,
-                         "KP normalization series", log_pref)
+        return _log_norm(_kp_family(lam, k, lam), xi_abs2, "KP normalization series",
+                         (lam + 1.0) * math.log1p(-xi_abs2))
     raise DomainError(f"unknown method {method!r}")
 
 

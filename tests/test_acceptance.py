@@ -159,7 +159,9 @@ def test_05_normalization_cross_checks():
     report(5, "KP norm closed vs coefficient series", worst, 1e-10,
            worst <= 1e-10)
 
-    worst = max(abs(math.expm1(kp_norm_constant_pt(lam, u, 0)))
+    assert all(kp_norm_constant_pt(lam, u, 0, method="closed") == 0.0
+               for u in (0.1, 0.5, 0.9))
+    worst = max(abs(math.expm1(kp_norm_constant_pt(lam, u, 0, method="series")))
                 for u in (0.1, 0.5, 0.9))
     report(5, "KP norm = 1 at k=0", worst, 1e-12, worst <= 1e-12)
 

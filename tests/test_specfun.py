@@ -697,3 +697,18 @@ def test_array_2f1_against_scipy(a, b, c, xs):
     assert res.converged
     np.testing.assert_allclose(res.value.real, hyp2f1(a, b, c, np.array(xs)),
                                rtol=1e-12, atol=0.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(hs.floats(0.0, 15.0, exclude_min=True), hs.integers(0, 6), hs.floats(0.0, 0.9))
+def test_2f1_matches_its_euler_polynomial(lam, k, u):
+    # Euler's transformation (DLMF 15.8.1): 2F1(lam+k+1, k+1; 1; u) =
+    # (1-u)^{-lam-2k-1} 2F1(-k, -lam-k; 1; u), a polynomial of degree k
+    poly = term = 1.0
+    for n in range(1, k + 1):
+        term *= (k - n + 1) * (lam + k + 1 - n) * u / (n * n)
+        poly += term
+    res = hyper_pfq([lam + k + 1.0, k + 1.0], [1.0], u)
+    assert res.converged
+    expected = math.log(poly) - (lam + 2 * k + 1) * math.log1p(-u)
+    assert abs(math.expm1(res.log_abs - expected)) <= 1e-12

@@ -7,6 +7,7 @@ import sys
 import threading
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -212,6 +213,12 @@ class TestGKNormConstant:
                 assert gk_norm_constant(spec, u, k) == pytest.approx(
                     math.log(total), rel=1e-12)
 
+    @pytest.mark.parametrize("spec", [SPEC, HarmonicSpectrum()], ids=["pt", "harmonic"])
+    @pytest.mark.parametrize("u", [math.inf, math.nan])
+    def test_non_finite_argument_rejected(self, spec, u):
+        with pytest.raises(DomainError, match="finite"):
+            gk_norm_constant(spec, u, 0)
+
     def test_nonconvergence_raises(self, monkeypatch):
         monkeypatch.setattr(states, "_SERIES_MAX_TERMS", 4)
         with pytest.raises(ConvergenceError) as err:
@@ -353,16 +360,14 @@ class TestKPStatePT:
         with pytest.raises(DomainError, match="cap"):
             gk_state(SPEC, GKLabel(0.5), cap=cap)
 
-    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), 0.0, -1.0])
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), 0.0, -0.5, -1.0])
     def test_bad_lambda_rejected(self, lam):
         label = KPLabel(xi=0.3, alpha=0.0, k=1)
         with pytest.raises(DomainError):
             kp_state_pt(lam, label)
-        with pytest.raises(DomainError):
-            kp_norm_constant_pt(lam, 0.09, 1, method="series")
-        if not math.isfinite(lam):
-            with pytest.raises(DomainError):
-                kp_norm_constant_pt(lam, 0.09, 1, method="closed")
+        for method in ("series", "closed"):
+            with pytest.raises(DomainError, match="lam must be positive and finite"):
+                kp_norm_constant_pt(lam, 0.09, 1, method=method)
         with pytest.raises(DomainError):
             kp_overlap_pt(lam, label, label)
 
@@ -380,11 +385,47 @@ class TestKPStatePT:
         assert coeff_distance(standard, literal) > 1e-3
 
 
+def _kp_norm_reference(lam, u, k):
+    """log N_k from the paper's 2F1 form, at 40 digits."""
+    with mp.workdps(40):
+        lam, u = mp.mpf(lam), mp.mpf(u)
+        n = ((1 - u) ** (lam + 1) * mp.gamma(k + 1) * mp.gamma(lam + k + 1)
+             / mp.gamma(lam + 1) * mp.hyp2f1(lam + k + 1, k + 1, 1, u))
+        return float(mp.log(n))
+
+
+KP_NORM_LAMS = (0.3, 1.0, 2.5, 4.0, 7.0, 13.7)
+KP_NORM_US = (0.0, 1e-8, 0.01, 0.1, 0.3, 0.49, 0.6, 0.9, 0.99)
+
+
 class TestKPNormConstant:
     def test_k0_is_exactly_one(self):
         for u in (0.1, 0.5, 0.9):
-            log_n = kp_norm_constant_pt(LAM, u, 0)
+            assert kp_norm_constant_pt(LAM, u, 0, method="closed") == 0.0
+            log_n = kp_norm_constant_pt(LAM, u, 0, method="series")
             assert abs(math.expm1(log_n)) < 1e-12
+
+    @pytest.mark.parametrize("lam", KP_NORM_LAMS)
+    def test_closed_against_40_digit_reference(self, lam):
+        worst = max(abs(kp_norm_constant_pt(lam, u, k) - _kp_norm_reference(lam, u, k))
+                    for k in range(6) for u in KP_NORM_US)
+        assert worst <= 1e-13
+
+    def test_closed_at_the_disk_edge(self):
+        # a polynomial has no truncation, so the disk edge needs no more work
+        assert kp_norm_constant_pt(13.7, 0.99, 0, method="closed") == 0.0
+        for lam in (0.3, 13.7):
+            for k in range(1, 6):
+                got = kp_norm_constant_pt(lam, 0.99, k, method="closed")
+                assert math.isfinite(got)
+                assert abs(got - _kp_norm_reference(lam, 0.99, k)) <= 1e-13
+
+    @pytest.mark.parametrize("k", [600, 1000])
+    def test_closed_at_large_k_stays_finite(self, k):
+        # P_k grows like 4^k; the rescaled sum keeps it from overflowing
+        got = kp_norm_constant_pt(2.5, 0.9, k, method="closed")
+        ref = _kp_norm_reference(2.5, 0.9, k)
+        assert abs(got - ref) <= 1e-13 * abs(ref)
 
     def test_zero_argument_value(self):
         # Gamma(k+1) Gamma(lam+1+k) / Gamma(lam+1) at xi = 0
@@ -406,6 +447,10 @@ class TestKPNormConstant:
             kp_norm_constant_pt(LAM, 1.0, 0)
         with pytest.raises(DomainError):
             kp_norm_constant_pt(LAM, 0.5, 0, method="nope")
+        for k in (-1, 1.5):
+            for method in ("closed", "series"):
+                with pytest.raises(DomainError, match="photon number"):
+                    kp_norm_constant_pt(LAM, 0.5, k, method=method)
 
     def test_nonconvergence_near_disk_edge(self, monkeypatch):
         monkeypatch.setattr(states, "_SERIES_MAX_TERMS", 10)
