@@ -35,3 +35,9 @@ def require_photon_number(k) -> None:
         raise DomainError(f"photon number k must be nonnegative, got {k}")
     if not float(k).is_integer():
         raise DomainError(f"photon number k must be an integer, got {k}")
+
+
+def require_lam(lam) -> None:
+    """Raise DomainError unless the Poschl-Teller lam is finite and positive."""
+    if not (cmath.isfinite(lam) and lam > 0.0):
+        raise DomainError(f"lam must be positive and finite, got {lam}")

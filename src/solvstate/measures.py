@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .errors import DomainError, require_finite, require_photon_number
+from .errors import DomainError, require_lam, require_photon_number
 from .spectrum import PoschlTellerSpectrum
 from .specfun import hyper_pfq, integrate, log_gamma, log_pochhammer
 
@@ -143,7 +143,7 @@ def kp_weight_unit_disk(lam: float, k: int, reading: str = "a_b_b") -> WeightCan
                          (logarithmically singular at r -> 0 for k > 0, no
                          elementary moments).
     """
-    require_finite(lam=lam)
+    require_lam(lam)
     require_photon_number(k)
     log_norm = log_gamma(lam + 2.0 * k + 1.0)
 
@@ -175,7 +175,10 @@ def kp_weight_unit_disk(lam: float, k: int, reading: str = "a_b_b") -> WeightCan
             psi = np.array([2.0 * _digamma(j + 1.0) - _digamma(a + j) - _digamma(b + j)
                             for j in s.tolist()])
             ratio = (a + s) * (b + s) / ((s + 1.0) ** 2)
-            pref = math.exp(log_gamma(a + b) - log_gamma(a) - log_gamma(b))
+            try:
+                pref = math.exp(log_gamma(a + b) - log_gamma(a) - log_gamma(b))
+            except OverflowError:
+                raise DomainError(f"the a_b_lam2k expansion overflows at k = {k}") from None
 
         def gauss_2f1(r):
             # 2F1(k, lam+k; lam+2k; 1-r), NaN where a sum missed its stop rule.
@@ -352,9 +355,7 @@ def _identity_report(title: str, logs) -> MomentReport:
 def mellin_gamma_check_pt(lam: float, k: int, n_max: int) -> MomentReport:
     """Verify, in log-Gamma arithmetic, that the Meijer-G weight's Mellin
     transform reproduces the required GK radial moments for n <= n_max."""
-    require_finite(lam=lam)
-    if lam <= 0.0:
-        raise DomainError(f"lam must be positive, got {lam}")
+    require_lam(lam)
     require_photon_number(k)
     _require_moments(n_max, 0)
     report = _identity_report(
@@ -397,6 +398,7 @@ def kp_moment_residuals(lam: float, k: int, candidate: WeightCandidate,
     convergence; target mismatches are tallied in notes/errata. Convergence
     is one flag per table: if one power misses, every entry is indeterminate.
     """
+    require_lam(lam)
     require_photon_number(k)
     _require_moments(n_max, 1)
     report = MomentReport(

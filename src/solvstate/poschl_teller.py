@@ -179,10 +179,11 @@ def partner_eigenfunction(p: PTParams, n: int, x):
     return eigenfunction(p.partner(), n, x)
 
 
-def _lowered_tables(p: PTParams, n_max: int, x):
-    """Rows n = 0..n_max of d/dx psi_n and W psi_n inside the well,
-    from one P_n^{(k-1/2, k'-1/2)} table and, through dP_n/dy =
-    ((n+k+k')/2) P_{n-1}^{(k+1/2, k'+1/2)}, one table of the shifted family."""
+def lowered_eigenfunctions(p: PTParams, n_max: int, x) -> np.ndarray:
+    """(A- psi_n)(x) with A- = d/dx + W for n = 0..n_max, rows of one pair of
+    Jacobi tables; shape (n_max+1,) + shape of x. A- annihilates the ground
+    state and maps level n+1 onto sqrt(E_{n+1}) times partner level n. The
+    envelope's log-derivative is -W; dP_n/dy = ((n+k+k')/2) P_{n-1}^{(k+1/2, k'+1/2)}."""
     _check_level(n_max)
     x = _check_open_interval(p, x)
     alpha, beta_ = p.kappa - 0.5, p.kappa_prime - 0.5
@@ -196,17 +197,9 @@ def _lowered_tables(p: PTParams, n_max: int, x):
     u = x / (2.0 * p.a)
     pref = _prefactors(p, n_max, x.ndim)
     envelope = np.cos(u) ** p.kappa_prime * np.sin(u) ** p.kappa
-    log_deriv = (p.kappa / np.tan(u) - p.kappa_prime * np.tan(u)) / (2.0 * p.a)
-    deriv = pref * envelope * (log_deriv * polys - np.sin(x / p.a) / p.a * dpolys)
-    return deriv, superpotential(p, x) * _normalized_rows(p, x, pref, polys)
-
-
-def lowered_eigenfunctions(p: PTParams, n_max: int, x) -> np.ndarray:
-    """(A- psi_n)(x) with A- = d/dx + W for n = 0..n_max, rows of one pair of
-    Jacobi tables; shape (n_max+1,) + shape of x. A- annihilates the ground
-    state and maps level n+1 onto sqrt(E_{n+1}) times partner level n."""
-    deriv, w_psi = _lowered_tables(p, n_max, x)
-    return deriv + w_psi
+    w = superpotential(p, x)
+    deriv = pref * envelope * (-w * polys - np.sin(x / p.a) / p.a * dpolys)
+    return deriv + w * _normalized_rows(p, x, pref, polys)
 
 
 @lru_cache(maxsize=64)

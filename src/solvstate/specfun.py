@@ -37,10 +37,13 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0 (relative error well below 1e-13)."""
+    """ln Gamma(x) for x > 0 (relative error well below 1e-13); DomainError on overflow."""
     if x <= 0.0:
         raise DomainError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        raise DomainError(f"log_gamma overflows at x = {x}") from None
 
 
 def log_pochhammer(a: float, n: int) -> float:

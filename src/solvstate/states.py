@@ -23,14 +23,14 @@ increasing spectrum and at every k on the Poschl-Teller and harmonic ones.
 Finite tables are summed exactly; on a rule-based CustomSpectrum at k >= 1
 the tail is an estimate.
 
-The KP weights depend only on lam, so their ingredients are shared tables:
-log m! (one for the module, also read by the nested sums), log Gamma(m +
-lam_w + 1) and E_m = m (m + lam) (one pair per (lam, lam_w), the last 16
-pairs kept). A KP block slices them at m = n + k. Each table evaluates
-its entries m < 2112 (_MAX_N + 64) whole into one read-only array on first
-use, and blocks past that are computed on each call. Entries are the same
+The KP weights depend only on lam, so their ingredients are shared rows in
+one functools.lru_cache (the last 32 kept): log Gamma(m + b + 1), where b = 0
+gives log m! (also read by the nested sums) and b = lam_w the KP factor, and
+E_m = m (m + lam). A KP block slices them at m = n + k. Each row holds its
+entries m < 2112 (_MAX_N + 64) as one read-only array built on first use,
+and blocks past that are computed on each call. Entries are the same
 math.lgamma values, so no result depends on call history or on which
-thread built a table.
+thread built a row.
 
 A state's magnitudes depend only on its family, |x|, tail_eps and cap; arg
 x and alpha only turn phases (the temporal stability of Gazeau and Klauder,
@@ -61,7 +61,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, require_finite, require_photon_number
+from .errors import (ConvergenceError, DomainError, require_finite, require_lam,
+                     require_photon_number)
 from .fockspace import _MAX_N, FockState, _truncation
 from .spectrum import PoschlTellerSpectrum, Spectrum
 from .specfun import (
@@ -153,44 +154,33 @@ class _Family:
     last: float = field(compare=False)
 
 
-def _lgamma(x: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(math.lgamma, x.tolist()), float, len(x))
-
-
-# entries m = 0.._TABLE_LEN-1 of a shared table are kept (a default-cap state
-# at k < 64 stays inside); past them each block is computed on every call
+# entries m = 0.._TABLE_LEN-1 of a row are kept (a default-cap state at k < 64
+# stays inside); past them each block is computed on every call
 _TABLE_LEN = _MAX_N + 64
-# (lam, lam_w) pairs whose KP tables are kept, least recently used dropped
-_KP_TABLES_KEPT = 16
+_ROWS_KEPT = 32  # rows kept, least recently used dropped
 
 
-class _Table:
-    """f(m) for m = 0.._TABLE_LEN-1, evaluated whole into one read-only array
-    on first use; a slice past it is computed on each call. f is elementwise,
-    so a slice equals f on the same indices bit for bit."""
-
-    def __init__(self, f):
-        self._f = f
-
-    @functools.cached_property
-    def _values(self) -> np.ndarray:
-        values = self._f(np.arange(_TABLE_LEN))
-        values.flags.writeable = False
-        return values
-
-    def slice(self, lo: int, hi: int) -> np.ndarray:
-        if hi > _TABLE_LEN:
-            return self._f(np.arange(lo, hi))
-        return self._values[lo:hi]
+def _log_gamma_row(m: np.ndarray, b: float) -> np.ndarray:
+    """log Gamma(m + b + 1) by math.lgamma; b = 0 gives log m!."""
+    return np.fromiter(map(math.lgamma, (m + b + 1.0).tolist()), float, len(m))
 
 
-_LOG_FACTORIAL = _Table(lambda m: _lgamma(m + 1.0))  # log m!
+def _energy_row(m: np.ndarray, lam: float) -> np.ndarray:
+    """E_m = m (m + lam)."""
+    return m * (m + lam)
 
 
-@functools.lru_cache(maxsize=_KP_TABLES_KEPT)
-def _kp_tables(lam: float, lam_w: float) -> tuple:
-    """Tables of log Gamma(m + lam_w + 1) and E_m = m (m + lam)."""
-    return _Table(lambda m: _lgamma(m + lam_w + 1.0)), _Table(lambda m: m * (m + lam))
+@functools.lru_cache(maxsize=_ROWS_KEPT)
+def _row(f, c: float) -> np.ndarray:
+    """f(m, c) for m = 0.._TABLE_LEN-1, one read-only array built on first use."""
+    values = f(np.arange(_TABLE_LEN), c)
+    values.flags.writeable = False
+    return values
+
+
+def _rows(f, c: float, lo: int, hi: int) -> np.ndarray:
+    """f(m, c) for m = lo..hi-1: a slice of its kept row, or computed past it."""
+    return f(np.arange(lo, hi), c) if hi > _TABLE_LEN else _row(f, c)[lo:hi]
 
 
 def _gk_family(spec: Spectrum, k: int) -> _Family:
@@ -203,24 +193,17 @@ def _gk_family(spec: Spectrum, k: int) -> _Family:
     return _Family(("gk", spec, k), k, terms, spec.max_level - k)
 
 
-def _require_lam(lam: float) -> None:
-    """Raise DomainError unless the Poschl-Teller lam is finite and positive."""
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise DomainError(f"lam must be positive and finite, got {lam}")
-
-
 def _kp_family(lam: float, k: int, lam_w: float) -> _Family:
     """w(n) = (n+k)! Gamma(n+k+lam_w+1) / (n!^2 Gamma(lam_w+1)) on the
     energies E_n = n(n+lam); lam_w = lam except in errata mode."""
-    _require_lam(lam)
+    require_lam(lam)
     log_norm = math.lgamma(lam_w + 1.0)
-    log_gamma_w, energy = _kp_tables(lam, lam_w)
 
     def terms(lo, hi):
-        log_fact = _LOG_FACTORIAL.slice(lo, hi + k)  # log m! for m = lo..hi+k-1
-        log_w = (log_fact[k:] + log_gamma_w.slice(lo + k, hi + k)
+        log_fact = _rows(_log_gamma_row, 0.0, lo, hi + k)  # log m!, m = lo..hi+k-1
+        log_w = (log_fact[k:] + _rows(_log_gamma_row, lam_w, lo + k, hi + k)
                  - 2.0 * log_fact[:hi - lo] - log_norm)
-        return log_w, energy.slice(lo + k, hi + k)
+        return log_w, _rows(_energy_row, lam, lo + k, hi + k)
 
     return _Family(("kp", lam, k, lam_w), k, terms, math.inf)
 
@@ -384,27 +367,41 @@ def gk_state(spec: Spectrum, label: GKLabel, tail_eps: float = 1e-12,
     return _state(_gk_family(spec, label.k), label.z, label.alpha, tail_eps, cap)
 
 
+def _require_abs2(z_abs2: float) -> None:
+    if not 0.0 <= z_abs2 < math.inf:
+        raise DomainError(f"|z|^2 must be finite and nonnegative, got {z_abs2}")
+
+
 def gk_norm_constant(spec: Spectrum, z_abs2: float, k: int) -> float:
     """log of the normalization series sum_n |z|^{2n} / E_k(n).
 
     Raises ConvergenceError (carrying the partial log-sum) when the stopping
     rule is not met within _SERIES_MAX_TERMS terms.
     """
-    if not 0.0 <= z_abs2 < math.inf:
-        raise DomainError(f"|z|^2 must be finite and nonnegative, got {z_abs2}")
+    _require_abs2(z_abs2)
+    require_photon_number(k)
     hint = spec.radius_hint(k)
     if math.isfinite(hint) and z_abs2 >= hint * hint:
         raise DomainError(f"|z|^2 = {z_abs2:.6g} is outside the radius {hint:.6g}")
     return _log_norm(_gk_family(spec, k), z_abs2)
 
 
+def _gk_2f3(lam: float, k: int, x: complex, what: str):
+    """The GK closed forms' 2F3(k+1, lam+k+1; 1, lam+1, lam+1; x), converged."""
+    require_lam(lam)
+    require_photon_number(k)
+    f = hyper_pfq([k + 1.0, lam + k + 1.0], [1.0, lam + 1.0, lam + 1.0], x)
+    if not f.converged:
+        raise ConvergenceError(f"2F3 {what} did not converge", partial=f.log_abs)
+    return f
+
+
 def gk_norm_constant_pt_closed(lam: float, z_abs2: float, k: int) -> float:
     """log of the hypergeometric closed form of the GK normalization,
     Gamma(k+1) (lam+1)_k 2F3(k+1, lam+k+1; 1, lam+1, lam+1; |z|^2), which
     matches `gk_norm_constant` on the Poschl-Teller spectrum."""
-    res = hyper_pfq([k + 1.0, lam + k + 1.0], [1.0, lam + 1.0, lam + 1.0], z_abs2)
-    if not res.converged:
-        raise ConvergenceError("2F3 closed form did not converge", partial=res.log_abs)
+    _require_abs2(z_abs2)
+    res = _gk_2f3(lam, k, z_abs2, "closed form")
     return log_gamma(k + 1.0) + res.log_abs + log_pochhammer(lam + 1.0, k)
 
 
@@ -431,10 +428,7 @@ def gk_overlap_compact(spec: PoschlTellerSpectrum, label1: GKLabel,
     if label1.k != label2.k or label1.alpha != label2.alpha:
         raise DomainError("the compact kernel needs a shared k and equal alpha")
     lam, k = spec.lam, label1.k
-    f = hyper_pfq([k + 1.0, lam + k + 1.0], [1.0, lam + 1.0, lam + 1.0],
-                  np.conj(label1.z) * label2.z)
-    if not f.converged:
-        raise ConvergenceError("2F3 compact kernel did not converge", partial=f.log_abs)
+    f = _gk_2f3(lam, k, np.conj(label1.z) * label2.z, "compact kernel")
     log_num = log_gamma(k + 1.0) + log_pochhammer(lam + 1.0, k)
     la1 = gk_norm_constant(spec, abs(label1.z) ** 2, k)
     la2 = gk_norm_constant(spec, abs(label2.z) ** 2, k)
@@ -490,7 +484,7 @@ def kp_norm_constant_pt(lam: float, xi_abs2: float, k: int,
     (n!^2 Gamma(lam+1)) directly. The series is the source of truth; the
     closed form is an independent formula to check it against.
     """
-    _require_lam(lam)
+    require_lam(lam)
     require_photon_number(k)
     if not 0.0 <= xi_abs2 < 1.0:
         raise DomainError(f"|xi|^2 must lie in [0, 1), got {xi_abs2}")
@@ -574,7 +568,7 @@ def _nested_log_terms(spec: Spectrum, n_max: int, log_u: float,
     width = n_max + 1 + _NESTED_J_MAX  # g_0(m) = 1 is read for m <= width
     # E_1..E_{width-1} are read, so a finite table must hold levels to n_max + 120
     log_e = np.log(spec.levels(1, width)[0])  # log_e[i-1] = log E_i
-    lg = _LOG_FACTORIAL.slice(0, n_max + 2 * _NESTED_J_MAX + 1)  # lg[m] = log m!
+    lg = _rows(_log_gamma_row, 0.0, 0, n_max + 2 * _NESTED_J_MAX + 1)  # lg[m] = log m!
     terms = np.full((_NESTED_J_MAX + 1, n_max + 1), -math.inf)
     g, spare = np.zeros(width + 1), np.empty(width + 1)  # g_j(m) at index m
     top = np.full(n_max + 1, -math.inf)  # each level's largest j-term so far

@@ -91,6 +91,16 @@ def coeff_distance(s1, s2) -> float:
     return float(np.max(np.abs(v1 - phase * v2)))
 
 
+def _add_temporal_stability(rep, lam, spec, t, detail, build):
+    """temporal_stability[lam, k] for k = 0 and 2: evolve(t) of build(k, 0.0)
+    against the rebuild build(k, t), whose alpha is larger by t."""
+    for k in (0, 2):
+        ev = st.evolve(build(k, 0.0), spec, t)
+        rep.add(f"temporal_stability[lam={lam},k={k}]",
+                float(np.max(np.abs(ev.coefficients - build(k, t).coefficients))),
+                1e-14, detail)
+
+
 # ---------------------------------------------------------------------------
 # ladder suite
 # ---------------------------------------------------------------------------
@@ -183,7 +193,7 @@ def suite_gk(lams=(1.0, 4.0)) -> SuiteReport:
             for u in (0.5, 2.0):
                 series = st.gk_norm_constant(spec, u, k)
                 closed = st.gk_norm_constant_pt_closed(lam, u, k)
-                worst = max(worst, abs(math.expm1(series - closed)))
+                worst = max(worst, msr._rel_from_logs(series, closed))
         rep.add(f"norm_series_vs_closed[lam={lam}]", worst, 1e-10,
                 "series sum vs Pochhammer-adjusted 2F3 closed form")
 
@@ -211,15 +221,9 @@ def suite_gk(lams=(1.0, 4.0)) -> SuiteReport:
         rep.add(f"overlap_compact_form[lam={lam}]", abs(o - compact) / abs(compact),
                 1e-10, "series overlap vs compact hypergeometric kernel")
 
-        for k in (0, 2):
-            label = st.GKLabel(0.7 + 0.2j, 0.2, k)
-            s0 = st.gk_state(spec, label)
-            t = 0.37
-            ev = st.evolve(s0, spec, t)
-            rb = st.gk_state(spec, st.GKLabel(label.z, label.alpha + t, k))
-            rep.add(f"temporal_stability[lam={lam},k={k}]",
-                    float(np.max(np.abs(ev.coefficients - rb.coefficients))),
-                    1e-14, "evolve(t) vs rebuild with alpha+t")
+        _add_temporal_stability(
+            rep, lam, spec, 0.37, "evolve(t) vs rebuild with alpha+t",
+            lambda k, dt: st.gk_state(spec, st.GKLabel(0.7 + 0.2j, 0.2 + dt, k)))
 
     rad = PoschlTellerSpectrum(2.0, 2.0).radius(1)
     rep.add("radius_pt_infinite", 0.0 if rad.is_infinite else 1.0, 0.0,
@@ -269,7 +273,7 @@ def suite_kp(lams=(1.0, 4.0)) -> SuiteReport:
             for u in (0.1, 0.3, 0.6):
                 closed = st.kp_norm_constant_pt(lam, u, k, method="closed")
                 series = st.kp_norm_constant_pt(lam, u, k, method="series")
-                worst = max(worst, abs(math.expm1(closed - series)))
+                worst = max(worst, msr._rel_from_logs(closed, series))
         rep.add(f"kp_norm_closed_vs_series[lam={lam}]", worst, 1e-10)
         worst = max(abs(st.kp_norm_constant_pt(lam, u, 0, method="series"))
                     for u in (0.1, 0.5, 0.9))
@@ -293,16 +297,10 @@ def suite_kp(lams=(1.0, 4.0)) -> SuiteReport:
                     for x1 in (0.2, 0.7) for x2 in (0.5j, -0.4))
         rep.add(f"kernel_bounded[lam={lam}]", worst, 1.0 + 1e-12)
 
-        for k in (0, 2):
-            label = st.KPLabel(xi=0.45 * np.exp(0.3j), alpha=0.1, k=k)
-            s0 = st.kp_state_pt(lam, label)
-            t = 0.61
-            ev = st.evolve(s0, spec, t)
-            rb = st.kp_state_pt(lam, st.KPLabel(xi=label.xi,
-                                                alpha=label.alpha + t, k=k))
-            rep.add(f"temporal_stability[lam={lam},k={k}]",
-                    float(np.max(np.abs(ev.coefficients - rb.coefficients))),
-                    1e-14)
+        xi = 0.45 * np.exp(0.3j)
+        _add_temporal_stability(
+            rep, lam, spec, 0.61, "",
+            lambda k, dt: st.kp_state_pt(lam, st.KPLabel(xi=xi, alpha=0.1 + dt, k=k)))
 
     spec = HarmonicSpectrum()
     Z = 0.25
@@ -319,6 +317,8 @@ def suite_kp(lams=(1.0, 4.0)) -> SuiteReport:
 # ---------------------------------------------------------------------------
 
 def suite_measures(lam: float = 4.0, k: int = 2) -> SuiteReport:
+    if k > 10:  # the photon-added moments run to power 10 and need power >= k
+        raise DomainError(f"k must be at most 10 for the measures suite, got {k}")
     rep = SuiteReport("measures")
     t0 = time.perf_counter()
     worst = 0.0

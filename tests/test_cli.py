@@ -118,7 +118,7 @@ class TestStateCommand:
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_DOMAIN
         assert out == ""
-        assert "must be finite" in err
+        assert "must be finite" in err or "lam must be positive and finite" in err
 
     @pytest.mark.parametrize("argv", [
         ("state", "gk", "--z", "0.5"),
@@ -820,3 +820,68 @@ def test_extreme_argv_exits_0_2_or_3_with_sound_json(family, chart, labels, k, a
     else:
         c = np.array(doc["state"]["coefficients"])
         assert abs(math.sqrt(float(np.sum(c ** 2))) - 1.0) <= 1e-12, argv
+
+
+# parameters for moments and verify: tiny, huge, zero, negative and non-finite
+# lambdas, and photon numbers past the measures suite's limit of 10
+_PARAM_LAMBDAS = hs.one_of(
+    hs.floats(1e-3, 20.0),
+    hs.sampled_from([1e-300, 1e-8, 1e8, 1e154, 1e300, 1e308, 0.0, -0.5, -1.0, -1e308,
+                     math.nan, math.inf, -math.inf]))
+_PARAM_COMMANDS = [("verify", "--suite", "ladder"), ("verify", "--suite", "gk"),
+                   ("verify", "--suite", "kp"), ("verify", "--suite", "measures"),
+                   ("moments", "--check", "mellin"), ("moments", "--check", "gk-diag"),
+                   ("moments", "--check", "kp-weights"),
+                   ("moments", "--check", "all", "--paper-literal")]
+
+
+# at lambda >= 1e8 the moment quadratures and the 2F3 overflow on the way to
+# an honest failure; those warnings are not what this property checks
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@given(command=hs.sampled_from(_PARAM_COMMANDS), lam=_PARAM_LAMBDAS,
+       k=hs.sampled_from(["0", "1", "3", "11", "1000"]))
+@settings(derandomize=True, deadline=None, max_examples=120)
+def test_extreme_parameters_exit_0_2_3_or_4_without_a_traceback(command, lam, k):
+    takes_k = command[0] == "moments" or command[2] == "measures"
+    argv = [*command, f"--lambda={lam!r}", *(["--k", k] if takes_k else []),
+            "--format", "json"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_CONVERGENCE, EXIT_ASSERTION), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code in (EXIT_OK, EXIT_ASSERTION):
+        _strict_json(out.getvalue())
+
+
+@pytest.mark.parametrize("argv, message", [
+    # no photon-added Beta moment has power >= k when k > 10
+    (("verify", "--suite", "measures", "--k", "11"), "k must be at most 10"),
+    (("verify", "--suite", "measures", "--k", "1000"), "k must be at most 10"),
+    # math.lgamma overflows
+    (("moments", "--check", "mellin", "--lambda", "1e308", "--k", "3"),
+     "log_gamma overflows"),
+    (("moments", "--check", "kp-weights", "--lambda", "-0.5", "--k", "1"),
+     "lam must be positive and finite"),
+    (("moments", "--check", "kp-weights", "--lambda", "-1", "--k", "2"),
+     "lam must be positive and finite"),
+    (("moments", "--check", "kp-weights", "--k", "1000", "--paper-literal"),
+     "a_b_lam2k expansion overflows"),
+])
+def test_inputs_that_raised_now_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_gk_suite_at_lambda_1e300_fails_its_closed_form_check(capsys):
+    # the log-ratio residual saturates to inf (null in JSON), where
+    # math.expm1 raised OverflowError
+    code, out, err = run_cli(capsys, "verify", "--suite", "gk", "--lambda", "1e300",
+                             "--format", "json")
+    assert code == EXIT_ASSERTION
+    assert "Traceback" not in err
+    failures = {f["name"]: f["observed"] for f in _strict_json(out)["failures"]}
+    assert failures["norm_series_vs_closed[lam=1e+300]"] is None

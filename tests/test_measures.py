@@ -224,8 +224,25 @@ class TestKPWeights:
     def test_non_finite_lambda_rejected(self, build):
         from solvstate.errors import DomainError
         for lam in (float("nan"), float("inf")):
-            with pytest.raises(DomainError, match="must be finite"):
+            with pytest.raises(DomainError,
+                               match="must be finite|lam must be positive and finite"):
                 build(lam)
+
+
+    @pytest.mark.parametrize("lam", [0.0, -0.5, -1.0])
+    def test_nonpositive_lambda_rejected(self, lam):
+        # kp_moment_residuals(-0.5, 1, ...) passed, and the weights failed
+        # later with messages about endpoint exponents or log_gamma
+        for build in (lambda: kp_weight_k0(lam), lambda: kp_weight_unit_disk(lam, 1),
+                      lambda: kp_weight_unit_disk(lam, 2, reading="a_b_lam2k"),
+                      lambda: mellin_gamma_check_pt(lam, 1, 5),
+                      lambda: kp_moment_residuals(lam, 1, kp_weight_unit_disk(LAM, 1), 4)):
+            with pytest.raises(DomainError, match="lam must be positive and finite"):
+                build()
+
+    def test_overflowing_connection_prefactor_rejected(self):
+        with pytest.raises(DomainError, match="a_b_lam2k expansion overflows"):
+            kp_weight_unit_disk(LAM, 1000, reading="a_b_lam2k")
 
 
 class TestSelfConsistency:

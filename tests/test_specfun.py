@@ -48,6 +48,10 @@ class TestLogGamma:
             log_gamma(0.0)
         with pytest.raises(DomainError):
             log_gamma(-2.5)
+        assert math.isfinite(log_gamma(1e300))
+        for x in (1e306, 1e308):  # math.lgamma overflows
+            with pytest.raises(DomainError, match="overflows"):
+                log_gamma(x)
 
 
 class TestPochhammer:

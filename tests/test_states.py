@@ -41,14 +41,16 @@ from solvstate import states
 from solvstate.fockspace import apply
 from solvstate.specfun import block_end, signed_log_sum
 from solvstate.states import (
-    _KP_TABLES_KEPT,
-    _LOG_FACTORIAL,
+    _ROWS_KEPT,
     _TABLE_LEN,
+    _energy_row,
     _gk_family,
     _held_norm,
     _held_profile,
     _kp_family,
-    _kp_tables,
+    _log_gamma_row,
+    _row,
+    _rows,
 )
 from solvstate.verify import coeff_distance, eigen_residual
 
@@ -218,6 +220,28 @@ class TestGKNormConstant:
     def test_non_finite_argument_rejected(self, spec, u):
         with pytest.raises(DomainError, match="finite"):
             gk_norm_constant(spec, u, 0)
+
+    @pytest.mark.parametrize("k, message", [(-1, "nonnegative"), (1.5, "integer")])
+    def test_bad_photon_number_rejected(self, k, message):
+        with pytest.raises(DomainError, match=f"photon number k must be .*{message}"):
+            gk_norm_constant(SPEC, 0.5, k)
+
+    @pytest.mark.parametrize("lam, u, k, message", [
+        (0.0, 0.5, 1, "lam must be positive and finite"),
+        (-0.5, 0.5, 1, "lam must be positive and finite"),
+        (math.inf, 0.5, 1, "lam must be positive and finite"),
+        (math.nan, 0.5, 1, "lam must be positive and finite"),
+        (LAM, 0.5, 1.5, "photon number k must be an integer"),
+        (LAM, 0.5, -1, "photon number k must be nonnegative"),
+        (LAM, -1.0, 1, r"\|z\|\^2 must be finite and nonnegative"),
+        (LAM, math.nan, 1, r"\|z\|\^2 must be finite and nonnegative"),
+        (LAM, math.inf, 1, r"\|z\|\^2 must be finite and nonnegative"),
+    ])
+    def test_closed_form_rejects_bad_input(self, lam, u, k, message):
+        # each of these returned a number (1.2867, 1.5922, 3.0737, 1.0735) or
+        # raised ConvergenceError (nan) before the closed form checked them
+        with pytest.raises(DomainError, match=message):
+            gk_norm_constant_pt_closed(lam, u, k)
 
     def test_nonconvergence_raises(self, monkeypatch):
         monkeypatch.setattr(states, "_SERIES_MAX_TERMS", 4)
@@ -585,11 +609,23 @@ class TestKPTables:
             assert log_w.tobytes() == want_w.tobytes()
             assert energies.tobytes() == want_e.tobytes()
             lo = hi
-        log_gamma_w, energy = _kp_tables(lam, lam_w)
-        for m in (0, 32, 64, 1024, 2048, 2048 + k, _TABLE_LEN - 1):
-            assert _LOG_FACTORIAL.slice(m, m + 1)[0] == math.lgamma(m + 1.0)
-            assert log_gamma_w.slice(m, m + 1)[0] == math.lgamma(m + lam_w + 1.0)
-            assert energy.slice(m, m + 1)[0] == m * (m + lam)
+        # single entries, kept (m < _TABLE_LEN) and computed past the rows
+        for m in (0, 32, 64, 1024, 2048, 2048 + k, _TABLE_LEN - 1, _TABLE_LEN, 4096):
+            assert _rows(_log_gamma_row, 0.0, m, m + 1)[0] == math.lgamma(m + 1.0)
+            assert _rows(_log_gamma_row, lam_w, m, m + 1)[0] == math.lgamma(m + lam_w + 1.0)
+            assert _rows(_energy_row, lam, m, m + 1)[0] == m * (m + lam)
+
+    def test_rows_are_built_on_first_use(self):
+        # importing the package and the CLI builds no row
+        code = ("import solvstate.cli\n"
+                "from solvstate.states import _row\n"
+                "assert _row.cache_info().currsize == 0, _row.cache_info()\n")
+        src = str(Path(solvstate.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_results_do_not_depend_on_call_history(self):
         # each child starts with cold tables, then grows them another way
@@ -652,11 +688,12 @@ class TestKPTables:
                             cap=3 * _TABLE_LEN)
         assert state.size == 3 * _TABLE_LEN
         assert _held_profile.cache_info() == held  # a cap past _MAX_N is not kept
-        for table in (_LOG_FACTORIAL, *_kp_tables(1.75, 1.75)):
-            assert table._values.size <= _TABLE_LEN
-        for i in range(_KP_TABLES_KEPT + 2):
+        for row in (_row(_log_gamma_row, 0.0), _row(_log_gamma_row, 1.75),
+                    _row(_energy_row, 1.75)):
+            assert row.size == _TABLE_LEN and not row.flags.writeable
+        for i in range(_ROWS_KEPT + 2):
             kp_state_pt(1.0 + 0.125 * i, KPLabel(xi=0.5))
-        assert _kp_tables.cache_info().currsize <= _KP_TABLES_KEPT
+        assert _row.cache_info().currsize <= _ROWS_KEPT
         for i in range(100):
             kp_state_pt(4.0, KPLabel(xi=0.005 * (i + 1)))
             kp_norm_constant_pt(4.0, 0.005 * (i + 1), 1, method="series")
