@@ -32,6 +32,10 @@ EXIT_DOMAIN = 2
 EXIT_CONVERGENCE = 3
 EXIT_ASSERTION = 4
 
+# the largest pt dump: rendering 1e5 points as JSON takes about 120 MB of
+# memory, and that grows in proportion to the points
+_MAX_POINTS = 100_000
+
 
 def parse_complex(text: str) -> complex:
     """Parse shell-safe complex literals like 0.7+0.2i, -1.5i, 0.4."""
@@ -277,19 +281,23 @@ def cmd_overlap(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _parse_times(text: str):
+    """The --times grid: every comma-separated field one finite time."""
+    fields = text.split(",")
+    if not any(t.strip() for t in fields):
+        raise DomainError("empty time grid")
     try:
-        times = [float(t) for t in text.split(",") if t.strip() != ""]
+        times = [float(t) for t in fields]
     except ValueError:
         raise DomainError(f"cannot parse time grid: {text!r}")
-    if not times:
-        raise DomainError("empty time grid")
+    if not all(map(math.isfinite, times)):
+        raise DomainError(f"time grid must be finite: {text!r}")
     return times
 
 
 def cmd_evolve(args) -> int:
+    times = _parse_times(args.times)
     spec = _resolve_spectrum(args)
     state0, tail_eps = _build_state(args, spec, warn=True)
-    times = _parse_times(args.times)
     rows = []
     for t in times:
         ev = st.evolve(state0, spec, t)
@@ -374,8 +382,9 @@ def cmd_pt(args) -> int:
         n = args.eigenfunction if args.eigenfunction is not None else args.partner
         fn = ptm.eigenfunction if args.eigenfunction is not None \
             else ptm.partner_eigenfunction
-        if args.points < 1:
-            raise DomainError(f"--points must be at least 1, got {args.points}")
+        if not 1 <= args.points <= _MAX_POINTS:
+            raise DomainError(f"--points must be between 1 and {_MAX_POINTS}, "
+                              f"got {args.points}")
         x = np.linspace(0.0, p.box, args.points)
         vals = fn(p, n, x)
         payload = {"meta": _meta(args, "pt"),

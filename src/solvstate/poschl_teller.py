@@ -158,13 +158,21 @@ def _normalized_rows(p: PTParams, x: np.ndarray, pref, polys) -> np.ndarray:
 def eigenfunctions(p: PTParams, n_max: int, x) -> np.ndarray:
     """Normalized eigenfunctions c_n^{-1/2} cos^{k'}(x/2a) sin^{k}(x/2a)
     P_n^{(k-1/2, k'-1/2)}(cos(x/a)) of the lower partner Hamiltonian, rows
-    n = 0..n_max of one Jacobi recurrence; shape (n_max+1,) + shape of x."""
+    n = 0..n_max of one Jacobi recurrence; shape (n_max+1,) + shape of x.
+    A recurrence that overflows (from kappa or kappa' near 1e77 at level 2)
+    is a DomainError."""
     _check_level(n_max)
     x = np.asarray(x, dtype=float)
     if not np.all((x >= 0.0) & (x <= p.box)):
         raise DomainError(f"x must lie in [0, {p.box:.6g}]")
-    return _normalized_rows(p, x, _prefactors(p, n_max, x.ndim), jacobi_table(
-        n_max, p.kappa - 0.5, p.kappa_prime - 0.5, np.cos(x / p.a)))
+    pref = _prefactors(p, n_max, x.ndim)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _normalized_rows(p, x, pref, jacobi_table(
+                n_max, p.kappa - 0.5, p.kappa_prime - 0.5, np.cos(x / p.a)))
+    except FloatingPointError:
+        raise DomainError(f"the Jacobi recurrence overflows at kappa = "
+                          f"{p.kappa:.6g}, kappa' = {p.kappa_prime:.6g}") from None
 
 
 def eigenfunction(p: PTParams, n: int, x):

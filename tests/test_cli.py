@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 import solvstate
@@ -82,6 +82,21 @@ class TestStateCommand:
                                "--k", "0", "--lambda", "4", "--check-eigen")
         doc = json.loads(out)
         assert doc["summary"]["is_lowering_eigenstate"] is True
+
+    def test_check_eigen_on_a_finite_table(self, capsys):
+        # the top level of the four has no level above it to lower from, so
+        # a- c - z c is -z c_3 there and zero below it
+        argv = ["state", "gk", "--z", "0.3", "--spectrum", FINITE_TABLE, "--check-eigen"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        top = complex(*doc["state"]["coefficients"][3])
+        residual = doc["summary"]["eigen_residual"]
+        assert residual == pytest.approx(0.3 * abs(top), rel=1e-12)
+        code, out, _ = run_cli(capsys, *argv, "--format", "text")
+        assert code == EXIT_OK
+        line = next(x for x in out.splitlines() if "eigen_residual" in x)
+        assert float(line.split(": ")[1]) == pytest.approx(residual, rel=1e-5)
 
     def test_domain_error_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "state", "kp", "--xi", "1.2",
@@ -371,6 +386,13 @@ class TestOverlapCommand:
         assert "difference" not in doc
         assert "2F3 compact kernel did not converge" in doc["note"]
 
+    def test_text_names_the_missing_closed_form(self, capsys):
+        code, out, _ = run_cli(capsys, "overlap", "gk", "--z1", "0.5", "--z2", "0.8",
+                               "--alpha2", "0.3", "--format", "text")
+        assert code == EXIT_OK
+        assert out.splitlines()[1:] == [
+            "closed form available only for equal-alpha Poschl-Teller labels"]
+
     def test_kp_overlap(self, capsys):
         code, out, _ = run_cli(capsys, "overlap", "kp", "--xi1", "0.3",
                                "--xi2", "0.5i", "--k", "1", "--lambda", "4")
@@ -397,7 +419,6 @@ class TestOverlapCommand:
         (("gk", "--z1", "0.3", "--z2", "0.5", "--k", "1000"), EXIT_OK),
         (("kp", "--xi1", "0.3", "--xi2", "0.5", "--k", "1000"), EXIT_OK),
     ])
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_extreme_labels_exit_without_a_traceback(self, capsys, argv, want):
         code, out, err = run_cli(capsys, "overlap", *argv)
         assert code == want
@@ -408,18 +429,20 @@ class TestOverlapCommand:
 
 class TestEvolveCommand:
     def test_alpha_shift_column(self, capsys):
-        code, out, _ = run_cli(capsys, "evolve", "gk", "--z", "0.7+0.2i",
-                               "--k", "2", "--lambda", "4",
-                               "--times", "0,0.3,1.0", "--format", "csv")
-        assert code == EXIT_OK
-        lines = out.strip().splitlines()
-        assert lines[0] == "t,norm,alpha_shift_deviation,mean_energy"
-        rows = [line.split(",") for line in lines[1:]]
-        assert len(rows) == 3
-        assert float(rows[0][2]) == 0.0  # t = 0 rebuilds the same state
-        for row in rows:
-            assert float(row[1]) == pytest.approx(1.0, abs=1e-12)
-            assert float(row[2]) <= 1e-14
+        for label, times in ((("gk", "--z", "0.7+0.2i", "--k", "2"), "0,0.3,1.0"),
+                             (("gk", "--z", "0.7+0.2i", "--k", "1"), "0,0.25,0.5,1"),
+                             (("kp", "--xi", "0.45+0.1i", "--k", "2"), "0,0.25,0.5,1")):
+            code, out, _ = run_cli(capsys, "evolve", *label, "--lambda", "4",
+                                   "--times", times, "--format", "csv")
+            assert code == EXIT_OK
+            lines = out.strip().splitlines()
+            assert lines[0] == "t,norm,alpha_shift_deviation,mean_energy"
+            rows = [line.split(",") for line in lines[1:]]
+            assert len(rows) == len(times.split(","))
+            assert float(rows[0][2]) == 0.0  # t = 0 rebuilds the same state
+            for row in rows:
+                assert float(row[1]) == pytest.approx(1.0, abs=1e-12)
+                assert float(row[2]) <= 1e-14, (label, row)
 
     def test_kp_family(self, capsys):
         code, out, _ = run_cli(capsys, "evolve", "kp", "--xi", "0.4", "--k",
@@ -446,9 +469,17 @@ class TestEvolveCommand:
         assert max(r["alpha_shift_deviation"] for r in rows) <= 2e-13
 
     def test_bad_time_grid(self, capsys):
-        code, _, err = run_cli(capsys, "evolve", "gk", "--z", "0.5",
-                               "--lambda", "4", "--times", "a,b")
-        assert code == EXIT_DOMAIN
+        # rejected before the state is built: z = 1e200 grows to the level
+        # cap, which would print a tail warning first
+        unparsed, non_finite = "cannot parse time grid", "time grid must be finite"
+        for times, message in (("a,b", unparsed), ("1,2,,3", unparsed), ("0,1,", unparsed),
+                               ("inf", non_finite), ("0,nan", non_finite),
+                               ("-inf,1", non_finite), ("1e400", non_finite)):
+            code, out, err = run_cli(capsys, "evolve", "gk", "--z", "1e200",
+                                     "--lambda", "4", f"--times={times}")
+            assert code == EXIT_DOMAIN
+            assert out == ""
+            assert err == f"domain error: {message}: {times!r}\n"
 
 
 class TestMomentsCommand:
@@ -489,11 +520,13 @@ class TestMomentsCommand:
         assert "--n-max" in err
 
     def test_text_format(self, capsys):
-        code, out, _ = run_cli(capsys, "moments", "--check", "gk-diag",
-                               "--lambda", "4", "--k", "1", "--n-max", "5",
-                               "--format", "text")
-        assert code == EXIT_OK
-        assert "verdict" in out
+        for argv, errata in ((("--check", "gk-diag", "--k", "1", "--n-max", "5"), 0),
+                             (("--check", "all", "--k", "2", "--paper-literal"), 2)):
+            code, out, _ = run_cli(capsys, "moments", *argv, "--lambda", "4",
+                                   "--format", "text")
+            assert code == EXIT_OK
+            assert "verdict" in out
+            assert sum(line.startswith("errata: ") for line in out.splitlines()) == errata
 
 
 class TestPTCommand:
@@ -519,6 +552,7 @@ class TestPTCommand:
         (("pt", "--u-block", "6", "6"), 7),
         (("pt", "--u-block", "24", "24", "--kappa", "2", "--kappa-prime", "2"), 119),
         (("moments", "--check", "all", "--lambda", "4", "--k", "2"), 3),
+        (("pt", "--u-block", "24", "24", "--kappa", "1.2", "--kappa-prime", "3.4"), 6),
     ])
     def test_json_has_no_bare_infinity(self, capsys, argv, nulls):
         # RFC 8259 has no Infinity or NaN: a non-finite number prints as null
@@ -542,6 +576,7 @@ class TestPTCommand:
         (("pt", "--u-block", "2", "2"), "json"),
         (("pt", "--eigenfunction", "2", "--points", "5"), "csv"),
         (("pt", "--partner", "1", "--points", "5"), "csv"),
+        (("pt", "--eigenfunction", "3", "--points", "5"), "csv"),
     ])
     def test_each_action_has_its_own_default(self, capsys, argv, default):
         _, implicit, _ = run_cli(capsys, *argv)
@@ -556,7 +591,7 @@ class TestPTCommand:
         assert "json" in err
 
     def test_text_is_refused(self, capsys):
-        for action in (("--u-block", "2", "2"), ("--eigenfunction", "1")):
+        for action in ((), ("--u-block", "2", "2"), ("--eigenfunction", "1")):
             with pytest.raises(SystemExit) as exc:
                 main(["pt", *action, "--format", "text"])
             assert exc.value.code == EXIT_DOMAIN
@@ -587,7 +622,13 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         doc = json.loads(out)
         assert doc["passed"] is True
-        assert doc["suites"][0]["errata"]
+        errata = doc["suites"][0]["errata"]
+        assert errata
+        code, out, _ = run_cli(capsys, "verify", "--suite", "measures")
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        start = lines.index("  errata:") + 1
+        assert lines[start:start + len(errata)] == [f"    - {e}" for e in errata]
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         import solvstate.verify as verify_mod
@@ -678,6 +719,13 @@ def test_csv_refused_where_no_csv_is_rendered(capsys, argv):
     (("overlap", "gk", "--z1", "0.5"), "gk overlap needs --z1 and --z2"),
     (("overlap", "kp", "--xi1", "0.3"), "kp overlap needs --xi1 and --xi2"),
     (("evolve", "gk", "--z", "0.5", "--times", ","), "empty time grid"),
+    (("pt", "--eigenfunction", "1", "--points", "100001"),
+     "--points must be between 1 and 100000, got 100001"),
+    # the three-term recurrence's coefficients grow like kappa^3
+    (("pt", "--kappa", "1e150", "--eigenfunction", "2"),
+     "the Jacobi recurrence overflows at kappa = 1e+150, kappa' = 2"),
+    (("pt", "--kappa", "1e150", "--partner", "2"),
+     "the Jacobi recurrence overflows at kappa = 1e+150, kappa' = 3"),
 ])
 def test_bad_input_is_a_domain_error(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -706,6 +754,7 @@ def test_a_state_over_its_tail_budget_warns_once(capsys, command):
     assert code == EXIT_OK
     assert err.count("\n") == 1
     assert err.startswith("warning: tail_bound 3.23e-10 exceeds --tail-eps 1e-12")
+    assert err.endswith(" with 2048 coefficients\n")
     code, _, err = run_cli(capsys, *argv, "--tail-eps", "1e-9")
     assert (code, err) == (EXIT_OK, "")
 
@@ -761,23 +810,28 @@ def test_library_never_loads_scipy():
 
 
 def test_reader_closing_the_pipe_exits_quietly():
-    # `solvstate ... | head -2`: the payload (about 4 MB) outgrows any pipe
-    # buffer, so the write fails once the reader has gone
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "solvstate.cli", "pt", "--eigenfunction", "3",
-         "--points", "100000"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
-    assert proc.stdout.readline() == b"x,value\n"
-    proc.stdout.readline()
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait(timeout=120) == EXIT_OK
-    assert err == b""
+    # `solvstate ... | head -2`: each payload (about 4 MB for the pt dump,
+    # 100 kB for the disk-edge state) outgrows a 64 kB pipe buffer, so the
+    # write fails once the reader has gone
+    for argv, header in (
+            (("pt", "--eigenfunction", "3", "--points", "100000"), b"x,value\n"),
+            (("state", "kp", "--xi", "0.99", "--lambda", "4", "--format", "csv"),
+             b"n,level,re,im,probability\n")):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "solvstate.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
+        assert proc.stdout.readline() == header
+        proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == EXIT_OK
+        assert err == b""
 
 
 # ---------------------------------------------------------------------------
-# argv property: extreme labels exit 0, 2 or 3, and exit 0 means sound JSON
+# argv property: extreme labels, time grids and wells exit 0, 2 or 3, and exit
+# 0 means a sound payload of finite numbers
 # ---------------------------------------------------------------------------
 
 _REALS = hs.one_of(hs.floats(-1.5, 1.5),
@@ -785,6 +839,18 @@ _REALS = hs.one_of(hs.floats(-1.5, 1.5),
 _LABELS = hs.builds(lambda v, imag: f"{v!r}i" if imag else repr(v), _REALS, hs.booleans())
 _KS = hs.sampled_from(["0", "1", "3", "400", "1000"])
 _ALPHAS = hs.floats(-10.0, 10.0).map(repr)
+# finite times lie in [-10, 10], like the alphas: near |t| = 1e308 the phase
+# t E_n itself overflows, which CHANGES.md records as found, not mended
+_TIMES = hs.lists(hs.one_of(_ALPHAS, hs.sampled_from(["nan", "inf", "-inf", "1e400", "",
+                                                      " ", "x", "1..2"])),
+                  min_size=1, max_size=3).map(",".join)
+_KAPPAS = hs.one_of(hs.floats(0.25, 20.0), hs.sampled_from([1e4, 1e8, 1e150, 1e300]))
+# pt levels stay small because the table holds every row up to the level;
+# the point counts run past the cap, and the cap itself, about 0.3 s to
+# render, is an explicit example
+_PT_LEVELS = hs.sampled_from(["0", "1", "3", "40"])
+_POINTS = hs.sampled_from(["-1", "0", "1", "2", "3", "5", "9", "17", "33", "65", "200",
+                           "1000", "100000", "100001"])
 
 
 def _strict_json(out):
@@ -793,30 +859,51 @@ def _strict_json(out):
     return json.loads(out, parse_constant=reject)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@given(family=hs.sampled_from(["gk", "kp"]), chart=hs.sampled_from(["--xi", "--Z"]),
+@given(command=hs.sampled_from(["state", "overlap", "evolve", "pt"]),
+       family=hs.sampled_from(["gk", "kp"]), chart=hs.sampled_from(["--xi", "--Z"]),
        labels=hs.tuples(_LABELS, _LABELS), k=_KS, alphas=hs.tuples(_ALPHAS, _ALPHAS),
-       overlap=hs.booleans())
-@settings(derandomize=True, deadline=None, max_examples=150)
-def test_extreme_argv_exits_0_2_or_3_with_sound_json(family, chart, labels, k, alphas,
-                                                      overlap):
+       times=_TIMES, kappas=hs.tuples(_KAPPAS, _KAPPAS), level=_PT_LEVELS,
+       points=_POINTS, partner=hs.booleans())
+@example(command="pt", family="gk", chart="--xi", labels=("0.5", "0.5"), k="0",
+         alphas=("0.0", "0.0"), times="0", kappas=(1e8, 2.0), level="40",
+         points="100000", partner=True)
+@settings(derandomize=True, deadline=None, max_examples=200)
+def test_extreme_argv_exits_0_2_or_3_with_sound_json(command, family, chart, labels, k,
+                                                      alphas, times, kappas, level, points,
+                                                      partner):
     # name=value, so that argparse takes a negative value for a value
-    if overlap:
+    if command == "pt":
+        argv = ["pt", f"--kappa={kappas[0]!r}", f"--kappa-prime={kappas[1]!r}",
+                "--partner" if partner else "--eigenfunction", level, f"--points={points}"]
+    elif command == "overlap":
         names = ("--z1", "--z2") if family == "gk" else ("--xi1", "--xi2")
         argv = ["overlap", family, f"{names[0]}={labels[0]}", f"{names[1]}={labels[1]}",
-                f"--alpha1={alphas[0]}", f"--alpha2={alphas[1]}"]
+                f"--alpha1={alphas[0]}", f"--alpha2={alphas[1]}", "--k", k, "--lambda", "4"]
     else:
         label = "--z" if family == "gk" else chart
-        argv = ["state", family, f"{label}={labels[0]}", f"--alpha={alphas[0]}"]
+        argv = [command, family, f"{label}={labels[0]}", f"--alpha={alphas[0]}",
+                "--k", k, "--lambda", "4"]
+        if command == "evolve":
+            argv += [f"--times={times}", "--format", "json"]
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv + ["--k", k, "--lambda", "4"])
+        code = main(argv)
     assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_CONVERGENCE), argv
     if code != EXIT_OK:
         return
+    if command == "pt":
+        rows = [line.split(",") for line in out.getvalue().split()[1:]]
+        assert len(rows) == int(points), argv
+        assert all(math.isfinite(float(v)) for row in rows for v in row), argv
+        return
     doc = _strict_json(out.getvalue())
-    if overlap:
+    if command == "overlap":
         assert doc["series"]["abs"] <= 1.0 + 1e-12, argv
+    elif command == "evolve":
+        assert len(doc["rows"]) == len(times.split(",")), argv
+        for row in doc["rows"]:
+            assert None not in row.values(), argv  # null stands for a non-finite float
+            assert abs(row["norm"] - 1.0) <= 1e-12, argv
     else:
         c = np.array(doc["state"]["coefficients"])
         assert abs(math.sqrt(float(np.sum(c ** 2))) - 1.0) <= 1e-12, argv
