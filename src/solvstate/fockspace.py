@@ -7,10 +7,10 @@ The raising/lowering operators of a solvable spectrum act on eigenstates as
 
 so a+ a- = diag(E_n) and [a-, a+] acts as E_{n+1} - E_n. Both ladders are
 bidiagonal, carried by the one diagonal m_n = sqrt(E_n) e^{i alpha (E_n -
-E_{n-1})} of a-; this is the only place the ladder signs and phases are
-written, for every spectrum, Poschl-Teller included. `build_ladder` spreads
-it into dense a- and a+ for the identity checks (`apply` is a plain matvec
-on those); the displacement oracle never forms a matrix. Its generator G =
+E_{n-1})} of a- (`_lowering_diagonal`, for every spectrum), and every level
+phase e^{-i alpha E_n} is formed by `_energy_phases`. The identity checks
+read m_n itself; `build_ladder` is its dense view, and the displacement
+oracle never forms a matrix. Its generator G =
 Z a+ - conj(Z) a- is tridiagonal with Z conj(m_n) below and -conj(Z) m_n
 above the diagonal, and G = D R D^-1 for the real antisymmetric R with
 |Z m_n| below and -|Z m_n| above and the unit phases D = diag(d), d_0 = 1,
@@ -138,28 +138,36 @@ class FockState:
                    float(obj["tail_bound"]))
 
 
+def _energy_phases(alpha: float, energies: np.ndarray) -> np.ndarray:
+    """e^{-i alpha E_n}, alpha a label's or a time t: the one place it is formed."""
+    return np.exp(-1j * alpha * _phase_guard(alpha, energies))
+
+
+def _phase_guard(alpha: float, energies: np.ndarray) -> np.ndarray:
+    """energies, once alpha times the last, the largest of ascending levels, is finite."""
+    if energies.size and not math.isfinite(abs(alpha) * energies.item(-1)):
+        raise DomainError(f"phase angle overflows at |alpha| or |t| = {abs(alpha):.6g}")
+    return energies
+
+
 def _lowering_diagonal(energies: np.ndarray, alpha: float) -> np.ndarray:
     """m_n = sqrt(E_n) e^{i alpha (E_n - E_{n-1})} for n = 1..len(energies)-1.
 
     m_n is the entry a-[n-1, n]; a+ carries conj(m_n) at [n, n-1]. Every
-    ladder representation reads its signs and phases from here.
+    ladder representation reads its signs and phases from here. Each gap is
+    at most the top level, whose guard covers the gaps' phase angles.
     """
-    return np.sqrt(energies[1:]) * np.exp(1j * alpha * np.diff(energies))
+    gaps = np.diff(_phase_guard(alpha, energies))
+    return np.sqrt(energies[1:]) * _energy_phases(-alpha, gaps)
 
 
 def build_ladder(spec: Spectrum, alpha: float, N: int) -> LadderRep:
-    """Ladder matrices on levels 0..N; requires N >= 2.
-
-    a+ is constructed as the exact conjugate transpose of a-, so adjointness
-    holds to the bit. The last row/column carries the unavoidable truncation
-    edge; identities should be checked on the leading block only.
-    """
+    """Dense view of the ladder on levels 0..N, N >= 2: a- = np.diag(m, 1) of
+    `_lowering_diagonal` and a+ its exact conjugate transpose. The last
+    row/column carries the truncation edge."""
     if N < 2:
         raise DomainError(f"build_ladder needs N >= 2, got {N}")
-    dim = N + 1
-    a_minus = np.zeros((dim, dim), dtype=complex)
-    n = np.arange(1, dim)
-    a_minus[n - 1, n] = _lowering_diagonal(spec.levels(0, dim)[0], alpha)
+    a_minus = np.diag(_lowering_diagonal(spec.levels(0, N + 1)[0], alpha), 1)
     return LadderRep(N, float(alpha), a_minus, a_minus.conj().T.copy())
 
 

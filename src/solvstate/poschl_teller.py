@@ -12,11 +12,11 @@ The well is shape-invariant: the partner Hamiltonian A- A+ = -d^2/dx^2 +
 W^2 + W' is the same well with kappa+1 and kappa'+1, shifted up by E_1.
 `PTParams.partner` is the one place that convention is written down; the
 partner eigenfunctions and norm constants are those of the partner well.
-The ladder phases of the spectrum n(n+lam) come from the generic
-`fockspace.build_ladder`, like those of any other spectrum.
+The ladder of the spectrum n(n+lam) is the generic `fockspace` diagonal:
+checks read it, and `fockspace.build_ladder` is its dense view.
 
 `eigenfunctions` gives levels 0..n_max as rows of one Jacobi recurrence;
-`eigenfunction` is one row of it. `lowered_eigenfunctions` gives A- psi_n
+`eigenfunction` is row n, two rows held. `lowered_eigenfunctions` gives A- psi_n
 for n = 0..n_max the same way, from that table and one table of the
 shifted family P^{(k+1/2, k'+1/2)} that carries the derivatives.
 `gauss_jacobi_integral` integrates products of these tables exactly, with
@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import DomainError, require_finite
 from .spectrum import PoschlTellerSpectrum
-from .specfun import _row_log_sum_exp, _signed_pair, jacobi_table, log_gamma
+from .specfun import _row_log_sum_exp, _signed_pair, jacobi_poly, jacobi_table, log_gamma
 
 __all__ = [
     "PTParams",
@@ -139,10 +139,10 @@ def _check_level(n: int) -> None:
         raise DomainError(f"level index must be nonnegative, got {n}")
 
 
-def _prefactors(p: PTParams, n_max: int, ndim: int) -> np.ndarray:
-    """c_n^{-1/2} for n = 0..n_max, a column against ndim position axes."""
+def _prefactors(p: PTParams, levels, ndim: int) -> np.ndarray:
+    """c_n^{-1/2} for n in levels, a column against ndim position axes."""
     try:
-        pref = [math.exp(-0.5 * norm_constant_log(p, n)) for n in range(n_max + 1)]
+        pref = [math.exp(-0.5 * norm_constant_log(p, n)) for n in levels]
     except OverflowError:
         raise DomainError(f"c_n^(-1/2) overflows at kappa = {p.kappa:.6g}, "
                           f"kappa' = {p.kappa_prime:.6g}") from None
@@ -161,24 +161,29 @@ def eigenfunctions(p: PTParams, n_max: int, x) -> np.ndarray:
     n = 0..n_max of one Jacobi recurrence; shape (n_max+1,) + shape of x.
     A recurrence that overflows (from kappa or kappa' near 1e77 at level 2)
     is a DomainError."""
-    _check_level(n_max)
-    x = np.asarray(x, dtype=float)
-    if not np.all((x >= 0.0) & (x <= p.box)):
-        raise DomainError(f"x must lie in [0, {p.box:.6g}]")
-    pref = _prefactors(p, n_max, x.ndim)
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            return _normalized_rows(p, x, pref, jacobi_table(
-                n_max, p.kappa - 0.5, p.kappa_prime - 0.5, np.cos(x / p.a)))
-    except FloatingPointError:
-        raise DomainError(f"the Jacobi recurrence overflows at kappa = "
-                          f"{p.kappa:.6g}, kappa' = {p.kappa_prime:.6g}") from None
+    return _lower_rows(p, 0, n_max, x, jacobi_table)
 
 
 def eigenfunction(p: PTParams, n: int, x):
-    """Normalized lower-partner eigenfunction, row n of `eigenfunctions`."""
-    val = eigenfunctions(p, n, x)[n]
+    """Row n of `eigenfunctions`, from the two rows `jacobi_poly` holds."""
+    val = _lower_rows(p, n, n, x, jacobi_poly)[0]
     return val if np.ndim(val) else float(val)
+
+
+def _lower_rows(p: PTParams, lo: int, n: int, x, jacobi) -> np.ndarray:
+    """Rows lo..n of `eigenfunctions`, their P from jacobi(n, k - 1/2, k' - 1/2, y)."""
+    _check_level(n)
+    x = np.asarray(x, dtype=float)
+    if not np.all((x >= 0.0) & (x <= p.box)):
+        raise DomainError(f"x must lie in [0, {p.box:.6g}]")
+    pref = _prefactors(p, range(lo, n + 1), x.ndim)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _normalized_rows(p, x, pref, jacobi(
+                n, p.kappa - 0.5, p.kappa_prime - 0.5, np.cos(x / p.a)))
+    except FloatingPointError:
+        raise DomainError(f"the Jacobi recurrence overflows at kappa = "
+                          f"{p.kappa:.6g}, kappa' = {p.kappa_prime:.6g}") from None
 
 
 def partner_eigenfunction(p: PTParams, n: int, x):
@@ -203,7 +208,7 @@ def lowered_eigenfunctions(p: PTParams, n_max: int, x) -> np.ndarray:
         dpolys[1:] = coef.reshape((-1,) + (1,) * x.ndim) * jacobi_table(
             n_max - 1, alpha + 1.0, beta_ + 1.0, y)
     u = x / (2.0 * p.a)
-    pref = _prefactors(p, n_max, x.ndim)
+    pref = _prefactors(p, range(n_max + 1), x.ndim)
     envelope = np.cos(u) ** p.kappa_prime * np.sin(u) ** p.kappa
     w = superpotential(p, x)
     deriv = pref * envelope * (-w * polys - np.sin(x / p.a) / p.a * dpolys)

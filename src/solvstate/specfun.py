@@ -342,29 +342,33 @@ def hyper_pfq(a_params, b_params, x, max_terms: int = 5000,
 # Jacobi polynomials
 # ---------------------------------------------------------------------------
 
-def jacobi_table(n: int, alpha: float, beta_: float, x) -> np.ndarray:
-    """P_0..P_n^(alpha,beta)(x) as rows of one three-term recurrence that
-    keeps every degree; shape (n+1,) + shape of x."""
+def _jacobi_rows(n: int, alpha: float, beta_: float, x):
+    """P_0..P_n^(alpha,beta)(x) one degree at a time from a three-term recurrence."""
     if n < 0:
         raise DomainError(f"jacobi_poly requires n >= 0, got {n}")
     x = np.asarray(x, dtype=float)
-    rows = [np.ones_like(x)]
+    prev = row = np.ones_like(x)
+    yield row
     if n > 0:
-        rows.append((alpha + 1.0) + (alpha + beta_ + 2.0) * (x - 1.0) / 2.0)
+        row = (alpha + 1.0) + (alpha + beta_ + 2.0) * (x - 1.0) / 2.0
+        yield row
     for m in range(2, n + 1):
-        c1 = 2.0 * m * (m + alpha + beta_) * (2.0 * m + alpha + beta_ - 2.0)
-        c2 = (2.0 * m + alpha + beta_ - 1.0) * (
-            (2.0 * m + alpha + beta_) * (2.0 * m + alpha + beta_ - 2.0) * x
-            + alpha * alpha - beta_ * beta_
-        )
-        c3 = 2.0 * (m + alpha - 1.0) * (m + beta_ - 1.0) * (2.0 * m + alpha + beta_)
-        rows.append((c2 * rows[-1] - c3 * rows[-2]) / c1)
-    return np.stack(rows)
+        s = 2.0 * m + alpha + beta_
+        c1 = 2.0 * m * (m + alpha + beta_) * (s - 2.0)
+        c2 = (s - 1.0) * (s * (s - 2.0) * x + alpha * alpha - beta_ * beta_)
+        c3 = 2.0 * (m + alpha - 1.0) * (m + beta_ - 1.0) * s
+        prev, row = row, (c2 * row - c3 * prev) / c1
+        yield row
+
+
+def jacobi_table(n: int, alpha: float, beta_: float, x) -> np.ndarray:
+    """P_0..P_n^(alpha,beta)(x), every row of `_jacobi_rows`; shape (n+1,) + x's."""
+    return np.stack(list(_jacobi_rows(n, alpha, beta_, x)))
 
 
 def jacobi_poly(n: int, alpha: float, beta_: float, x):
-    """P_n^(alpha,beta)(x), the last row of `jacobi_table`; x may be an ndarray."""
-    p = jacobi_table(n, alpha, beta_, x)[-1]
+    """P_n^(alpha,beta)(x), the last of `_jacobi_rows`; x may be an ndarray."""
+    p = functools.reduce(lambda _, row: row, _jacobi_rows(n, alpha, beta_, x))
     return p if p.ndim else float(p)
 
 

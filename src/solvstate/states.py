@@ -63,7 +63,7 @@ import numpy as np
 
 from .errors import (ConvergenceError, DomainError, require_finite, require_lam,
                      require_photon_number)
-from .fockspace import _MAX_N, FockState, _truncation
+from .fockspace import _MAX_N, FockState, _energy_phases, _phase_guard, _truncation
 from .spectrum import PoschlTellerSpectrum, Spectrum
 from .specfun import (
     block_end,
@@ -221,7 +221,7 @@ def _state(fam: _Family, x: complex, alpha: float, tail_eps: float,
     profile = _held_profile if cap <= _MAX_N else _profile
     mags, energies, tail = profile(fam, abs(x), tail_eps, cap)
     c = mags * (np.exp(1j * np.arange(len(mags)) * np.angle(x))
-                * np.exp(-1j * alpha * energies))
+                * _energy_phases(alpha, energies))
     c /= np.linalg.norm(c)
     return FockState(fam.k, c, alpha, tail)
 
@@ -282,7 +282,8 @@ def _sum(fam: _Family, xs: list, d_alphas: list):
 
     def block(lo, hi):
         log_w, e = fam.terms(lo, hi)
-        return log_w, None, -e if any(d_alphas) else None
+        rate = max(map(abs, d_alphas))  # the largest |d_alpha|: one guard per block
+        return log_w, None, -_phase_guard(rate, e) if rate else None
 
     s = series_sum(block, xs, _SERIES_REL_TOL, _SERIES_MAX_TERMS, fam.last, d_alphas)
     return (*s.polar()[1:], s.stopped | s.exact)
@@ -661,7 +662,7 @@ def _nested_state(spec: Spectrum, Z: complex, alpha: float, k: int,
     log_c = log_unit + log_b
     shift = log_c.max()
     mags = np.exp(log_c - shift) * sign_b
-    phases = np.exp(1j * n_arr * np.angle(Z)) * np.exp(-1j * alpha * energies)
+    phases = np.exp(1j * n_arr * np.angle(Z)) * _energy_phases(alpha, energies)
     c = mags * phases
     nrm = np.linalg.norm(c)
     c /= nrm
@@ -683,7 +684,7 @@ def evolve(state: FockState, spec: Spectrum, t: float) -> FockState:
     alpha is advanced accordingly so the identity is visible on the result.
     """
     k = state.offset
-    phases = np.exp(-1j * t * spec.levels(k, k + state.size)[0])
+    phases = _energy_phases(t, spec.levels(k, k + state.size)[0])
     return FockState(k, state.coefficients * phases, state.alpha + t,
                      state.tail_bound)
 

@@ -838,16 +838,15 @@ _REALS = hs.one_of(hs.floats(-1.5, 1.5),
                    hs.sampled_from([0.0, 1e-200, 1e154, 1e200, 1e308, -1e200, -1e308]))
 _LABELS = hs.builds(lambda v, imag: f"{v!r}i" if imag else repr(v), _REALS, hs.booleans())
 _KS = hs.sampled_from(["0", "1", "3", "400", "1000"])
-_ALPHAS = hs.floats(-10.0, 10.0).map(repr)
-# finite times lie in [-10, 10], like the alphas: near |t| = 1e308 the phase
-# t E_n itself overflows, which CHANGES.md records as found, not mended
+_ALPHAS = hs.one_of(hs.floats(-10.0, 10.0),
+                    hs.sampled_from([1e300, -1e300, 1e308, -1e308])).map(repr)
 _TIMES = hs.lists(hs.one_of(_ALPHAS, hs.sampled_from(["nan", "inf", "-inf", "1e400", "",
                                                       " ", "x", "1..2"])),
                   min_size=1, max_size=3).map(",".join)
 _KAPPAS = hs.one_of(hs.floats(0.25, 20.0), hs.sampled_from([1e4, 1e8, 1e150, 1e300]))
-# pt levels stay small because the table holds every row up to the level;
-# the point counts run past the cap, and the cap itself, about 0.3 s to
-# render, is an explicit example
+# pt levels stay small because each level costs one recurrence pass over
+# every point; the point counts run past the cap, and the cap itself, about
+# 0.3 s to render, is an explicit example
 _PT_LEVELS = hs.sampled_from(["0", "1", "3", "40"])
 _POINTS = hs.sampled_from(["-1", "0", "1", "2", "3", "5", "9", "17", "33", "65", "200",
                            "1000", "100000", "100001"])
@@ -954,6 +953,15 @@ def test_extreme_parameters_exit_0_2_3_or_4_without_a_traceback(command, lam, k)
      "lam must be positive and finite"),
     (("moments", "--check", "kp-weights", "--k", "1000", "--paper-literal"),
      "a_b_lam2k expansion overflows"),
+    # a phase angle alpha E_n or t E_n that overflows: the state, the time
+    # grid, the overlap kernel, the nested sums and the displacement oracle
+    (("state", "gk", "--z", "0.5", "--alpha", "1e308"), "phase angle"),
+    (("evolve", "gk", "--z", "0.5", "--times", "1e308", "--format", "text"),
+     "phase angle"),
+    (("overlap", "gk", "--z1", "0.5", "--z2", "0.5", "--alpha2=1e308"), "phase angle"),
+    (("state", "kp", "--Z", "0.3", "--alpha", "1e308", "--nested"), "phase angle"),
+    (("state", "kp", "--Z", "0.3", "--alpha", "1e308", "--spectrum",
+      '{"kind":"custom","energies":[0,1,3,6]}'), "phase angle"),
 ])
 def test_inputs_that_raised_now_exit_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

@@ -64,6 +64,8 @@ COMMANDS = [
     ["state", "gk", "--z", "0.5", "--format", "text"],
     ["overlap", "gk", "--z1", "0.5", "--z2", "0.8i", "--format", "text"],
     ["evolve", "gk", "--z", "0.5", "--format", "text"],
+    ["verify", "--suite", "ladder", "--format", "json"],
+    ["verify", "--suite", "pt", "--format", "json"],
 ]
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")

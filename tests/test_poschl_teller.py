@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -200,6 +201,19 @@ class TestEigenfunctionTable:
             assert np.array_equal(jacobi_poly(n, alpha, beta_, np.cos(x / p.a)),
                                   polys[n])
         assert eigenfunction(p, 5, 0.7) == eigenfunctions(p, 5, 0.7)[5]
+
+    def test_single_level_holds_two_rows_of_the_recurrence(self):
+        # the whole table at level 400 over 1e4 points is 32 MB; one level
+        # holds a few rows of 80 kB whatever the level
+        x = np.linspace(0.0, P_SYM.box, 10_000)
+        tracemalloc.start()
+        try:
+            row = eigenfunction(P_SYM, 400, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+        assert np.array_equal(row, eigenfunctions(P_SYM, 400, x)[400])
 
     @given(kappa=hs.floats(0.6, 5.0), kappa_prime=hs.floats(0.6, 5.0))
     @settings(derandomize=True, deadline=None, max_examples=40)
