@@ -47,6 +47,12 @@ per-point result depends on the batch, so every coefficient, tail bound,
 norm and kernel is bit-identical whatever was built before, and an
 unconverged norm raises the same error on a hit.
 
+The nested sums of kp_state_general depend only on the spectrum: a third
+cache of 8 slots keeps one read-only table per spectrum object, replaced
+whole when a build needs more rows or levels. A running sum's prefix does
+not depend on where it stops, so its floats are the same whatever size or
+thread built it.
+
 States are always normalized by the directly summed coefficient series; the
 hypergeometric closed forms are treated as cross-checks, never as the source
 of truth (they differ from the direct series by a benign n-independent
@@ -245,13 +251,14 @@ def _profile(fam: _Family, r: float, tail_eps: float, cap: int) -> tuple:
         ln = logs[n]
         if ln > shift:
             total = total * math.exp(2.0 * (shift - ln)) + 1.0
-            shift = ln
+            shift, term = ln, 1.0
         else:
-            total += math.exp(2.0 * (ln - shift))
+            term = math.exp(2.0 * (ln - shift))  # |c_n|^2 scaled like total
+            total += term
         if n >= 4 and ln < logs[n - 1]:  # a growing term would overflow exp
             ratio = math.exp(2.0 * (ln - logs[n - 1]))
             if ratio < 1.0:  # geometric bound on the rest
-                tail_rel = math.exp(2.0 * (ln - shift)) * ratio / (1.0 - ratio) / total
+                tail_rel = term * ratio / (1.0 - ratio) / total
                 if tail_rel <= tail_eps:
                     break
         if n >= fam.last:
@@ -529,6 +536,10 @@ _NESTED_J_MAX = 120
 _NESTED_REL_TOL = 1e-12
 # a j-term below 2^-54 of its level's largest term is under half an ulp of it
 _LOG_NEGLIGIBLE = -54.0 * math.log(2.0)
+# rows of the nested sums a stopped series reads first (J <= 32)
+_NESTED_STOP_ROWS = 33
+_NESTED_SIGNS = np.where(np.arange(_NESTED_J_MAX + 1) % 2 == 0, 1.0, -1.0)  # (-1)^j
+_NESTED_SIGNS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -546,52 +557,72 @@ class KPGeneralResult:
     j_terms: int
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _held_sums(spec: Spectrum) -> list:
+    """The spectrum's nested-sum slot: [] or [its log g table], replaced whole."""
+    return []
+
+
+def _nested_sums(spec: Spectrum, n_max: int, rows: int) -> np.ndarray:
+    """log g_j(m) at [j, m] for j < rows and m <= n_max + 1 (at least): the
+    spectrum's read-only table, rebuilt whole, deeper or wider, when short.
+
+    g_0(m) = 1 and g_j(m) = sum_{i=1..m} E_i g_{j-1}(i+1). A table of R rows
+    built for n_max spans m <= n_max + R, and row j runs to m = n_max + R - j,
+    the last index later rows read: 33 rows at n_max = 48 take 21 KB, and
+    a table is rebuilt at 121 rows only when a series needs them. Every
+    build asks for levels up to
+    n_max + 120, the last a full scan reads, so a finite table refuses the
+    same n_max on a hit as on a cold build."""
+    slot = _held_sums(spec)
+    held = slot[0] if slot else np.zeros((0, 0))
+    held_rows, held_n = held.shape[0], held.shape[1] - 1 - held.shape[0]
+    if held_rows >= rows and held_n >= n_max:
+        return held
+    rows, n_max = max(rows, held_rows), max(n_max, held_n)
+    log_e = np.log(spec.levels(1, n_max + _NESTED_J_MAX + 1)[0])  # log_e[i-1] = log E_i
+    g = np.zeros((rows, n_max + rows + 1))
+    for j in range(1, rows):
+        scan = g[j, 1:n_max + rows - j + 1]
+        np.add(log_e[:len(scan)], g[j - 1, 2:len(scan) + 2], out=scan)  # log E_i g_{j-1}(i+1)
+        np.logaddexp.accumulate(scan, out=scan)
+    g.flags.writeable = False
+    slot[:] = [g]
+    return g
+
+
 def _nested_log_terms(spec: Spectrum, n_max: int, log_u: float,
                       stop: bool = True) -> np.ndarray:
     """log |t_j(n)| = j log u + log S_j(n) - log (n+2j)! for j = 0..120 and
-    n = 0..n_max, with u = |Z|^2; rows past the last scanned one are -inf.
+    n = 0..n_max, with u = |Z|^2; rows past the stop row are -inf.
 
-    S_0 = 1 and S_j(n) = g_j(n+1) where g_j(m) = sum_{i=1..m} E_i g_{j-1}(i+1).
-    Each level reads one index of g_{j-1} past the last it writes, so level
-    j scans m = 1..n_max+121-j only, in place in one of two swapping
-    buffers. A running sum's prefix does not depend on where it stops, so
-    these are the floats of a scan over every m.
+    S_0 = 1 and S_j(n) = g_j(n+1), sliced from the spectrum's table of
+    `_nested_sums`, whose floats do not depend on the size it was built at:
+    its first 33 rows, or all 121 without `stop` or when the stop is not
+    met within them, every row's terms formed in one broadcast.
 
-    Each row's terms are formed as its level is scanned. With `stop`, the
-    scan ends at the first J >= 2 where, on rows J-2, J-1 and J, every
-    level's term is below 2^-54 of that level's largest term up to its row,
-    and every level's term ratios t_{J-1}/t_{J-2} and t_J/t_{J-1} are below
-    1 and not rising. The ratio behaves like u E_{n+j} / (n+2j)^2, so it
-    keeps falling on spectra that grow at most quadratically; on
-    faster-growing ones it rises, the terms may climb back after a dip, and
-    the scan runs to j = 120.
+    With `stop`, the series ends at the first J >= 2 where, on rows J-2,
+    J-1 and J, every level's term is below 2^-54 of that level's largest
+    term up to its row, and every level's term ratios t_{J-1}/t_{J-2} and
+    t_J/t_{J-1} are below 1 and not rising. The ratio behaves like u
+    E_{n+j} / (n+2j)^2, so it keeps falling on spectra that grow at most
+    quadratically; on faster-growing ones it rises, the terms may climb
+    back after a dip, and the series runs to j = 120.
     """
-    width = n_max + 1 + _NESTED_J_MAX  # g_0(m) = 1 is read for m <= width
-    # E_1..E_{width-1} are read, so a finite table must hold levels to n_max + 120
-    log_e = np.log(spec.levels(1, width)[0])  # log_e[i-1] = log E_i
     lg = _rows(_log_gamma_row, 0.0, 0, n_max + 2 * _NESTED_J_MAX + 1)  # lg[m] = log m!
-    terms = np.full((_NESTED_J_MAX + 1, n_max + 1), -math.inf)
-    g, spare = np.zeros(width + 1), np.empty(width + 1)  # g_j(m) at index m
-    top = np.full(n_max + 1, -math.inf)  # each level's largest j-term so far
-    small = 0  # negligible rows in a row, ending at j
-    for j in range(_NESTED_J_MAX + 1):
-        if j:
-            w = width - j
-            scan = spare[1:w + 1]
-            np.add(log_e[:w], g[2:w + 2], out=scan)  # log E_i g_{j-1}(i+1)
-            np.logaddexp.accumulate(scan, out=scan)
-            g, spare = spare, g
-        row = terms[j]
-        np.subtract(j * log_u + g[1:n_max + 2], lg[2 * j:n_max + 1 + 2 * j], out=row)
-        if not stop:
-            continue
-        np.maximum(top, row, out=top)
-        small = small + 1 if np.all(row < top + _LOG_NEGLIGIBLE) else 0
-        if small >= 3:
-            before, last = terms[j - 1] - terms[j - 2], row - terms[j - 1]
-            if np.all((last <= before) & (before < 0.0)):
-                break
-    return terms
+    for rows in (_NESTED_STOP_ROWS, _NESTED_J_MAX + 1)[not stop:]:
+        j = np.arange(rows)[:, None]
+        g = _nested_sums(spec, n_max, rows)[:rows, 1:n_max + 2]
+        terms = j * log_u + g - lg[2 * j + np.arange(n_max + 1)]
+        top = np.maximum.accumulate(terms, axis=0)
+        small = np.all(terms < top + _LOG_NEGLIGIBLE, axis=1)
+        step = np.diff(terms, axis=0)  # step[j-1] = log t_j/t_{j-1}
+        falling = np.all((step[1:] <= step[:-1]) & (step[:-1] < 0.0), axis=1)
+        runs = np.flatnonzero(small[:-2] & small[1:-1] & small[2:] & falling)
+        if stop and len(runs):
+            terms[runs[0] + 3:] = -math.inf
+            break
+    return np.concatenate([terms, np.full((_NESTED_J_MAX + 1 - rows, n_max + 1), -math.inf)])
 
 
 def kp_state_general(spec: Spectrum, Z: complex, alpha: float = 0.0,
@@ -601,14 +632,11 @@ def kp_state_general(spec: Spectrum, Z: complex, alpha: float = 0.0,
     The coefficient of level n+k is Z^n sqrt(E_0(n+k)) b_n (times the energy
     phases), with b_n = sum_j (-1)^j |Z|^{2j} S_j(n) / (n+2j)! and S_j the
     nested energy sums of `_nested_log_terms`. The alternating series over j
-    stops at the first run of three negligible j-terms: the first J >= 2
-    where every level's terms at J-2, J-1 and J lie below 2^-54 of its
-    largest term so far, with term ratios below 1 and not rising over the
-    run, tested as each row is scanned, with J = 120 as the cap. All levels'
-    series are one stacked `signed_log_sum` call over the 121 rows, those
-    past J as -inf; the result is byte-identical to summing each level
-    alone. The worst ratio is the largest term at J in
-    coefficient units, |Z|^n sqrt(E_0(n+k)) |t_J(n)|, over the state's norm,
+    stops at its first run of three negligible j-terms (`_nested_log_terms`),
+    with J = 120 as the cap. All levels' series are one stacked
+    `signed_log_sum` call over the 121 rows, those past J as -inf; the
+    result is byte-identical to summing each level alone. The worst ratio
+    is the largest term at J in coefficient units, |Z|^n sqrt(E_0(n+k)) |t_J(n)|, over the state's norm,
     and j_converged is False when it exceeds 1e-12 (small |Z| keeps this
     well behaved, large |Z| may not converge at all depending on the
     spectrum). A series stopped early that misses 1e-12 is summed again to
@@ -649,8 +677,7 @@ def _kp_general(spec: Spectrum, Z: complex, alpha: float, k: int,
 def _nested_state(spec: Spectrum, Z: complex, alpha: float, k: int,
                   log_terms: np.ndarray) -> KPGeneralResult:
     """The state whose b_n sum the finite rows of log_terms[j, n]."""
-    signs = np.where(np.arange(len(log_terms)) % 2 == 0, 1.0, -1.0)
-    log_b, sign_b = signed_log_sum(log_terms.T, signs)  # one row per level
+    log_b, sign_b = signed_log_sum(log_terms.T, _NESTED_SIGNS)  # one row per level
     sign_b[sign_b == 0.0] = 1.0
     # the term of level 0 is finite on every scanned row
     j_last = int(np.count_nonzero(log_terms[:, 0] > -math.inf)) - 1

@@ -906,6 +906,8 @@ def test_extreme_argv_exits_0_2_or_3_with_sound_json(command, family, chart, lab
     else:
         c = np.array(doc["state"]["coefficients"])
         assert abs(math.sqrt(float(np.sum(c ** 2))) - 1.0) <= 1e-12, argv
+        head = doc["summary"]["distribution_head"]
+        assert head and all(0.0 <= row["probability"] <= 1.0 for row in head), argv
 
 
 # parameters for moments and verify: tiny, huge, zero, negative and non-finite

@@ -1022,6 +1022,110 @@ class TestNestedAgainstReference:
             assert (repr(signed_log_sum(log_mags, signs))
                     == repr(tuple(map(float, _reference_signed_log_sum(log_mags, signs)))))
 
+    @pytest.mark.parametrize("name", ["_nested_log_terms", "signed_log_sum"])
+    def test_the_reference_swap_reaches_the_build(self, name):
+        # _reference_outcome swaps these two names; a build that stopped
+        # calling them would compare the new code with itself
+        class Sentinel(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise Sentinel
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(states, name, refuse)
+            with pytest.raises(Sentinel):
+                kp_state_general(PoschlTellerSpectrum(2.0, 2.0), 0.27, 0.1, 2)
+
+
+# the builds whose bytes must not depend on how the spectrum's nested-sum
+# table was grown: each spectrum at two moduli, one stopping early and one
+# summed to J = 120, over the self-sizing loop and two fixed grids
+_TABLE_BUILDS = [(spec, cmath.rect(modulus, 0.9 + k), 0.1 * k, k, n_max)
+                 for spec in NESTED_SPECTRA.values()
+                 for k, modulus in enumerate((0.25, 1.2))
+                 for n_max in (None, 24, 97)]
+
+
+def _table_outcomes() -> list:
+    return [_nested_outcome(*args) for args in _TABLE_BUILDS]
+
+
+class TestNestedTable:
+    def setup_method(self):
+        states._held_sums.cache_clear()
+        self.cold = _table_outcomes()
+
+    def test_a_cold_table_gives_the_same_bytes(self):
+        warm = _table_outcomes()
+        states._held_sums.cache_clear()
+        assert _table_outcomes() == warm == self.cold
+
+    @pytest.mark.parametrize("grow", ["n_max_384", "full_scan"])
+    def test_a_grown_table_gives_the_same_bytes(self, grow):
+        states._held_sums.cache_clear()
+        for spec in NESTED_SPECTRA.values():
+            if grow == "n_max_384":
+                states._kp_general(spec, 0.2, 0.0, 1, 384)
+            else:
+                states._nested_log_terms(spec, 30, math.log(0.09), stop=False)
+            rows, width = states._held_sums(spec)[0].shape  # m = 0..n_max+rows
+            assert width - 1 - rows == (384 if grow == "n_max_384" else 30)
+            assert rows == 121 or grow == "n_max_384"
+        assert _table_outcomes() == self.cold
+
+    def test_a_table_built_in_another_thread_gives_the_same_bytes(self):
+        states._held_sums.cache_clear()
+        done = threading.Event()
+
+        def grow():
+            for n_max in (48, 96, 192, 384):
+                for spec in NESTED_SPECTRA.values():
+                    states._nested_log_terms(spec, n_max, math.log(0.09), stop=n_max < 192)
+            done.set()
+
+        builder = threading.Thread(target=grow)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            builder.start()
+            read = _table_outcomes()
+            builder.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert done.is_set()
+        assert read == self.cold
+
+    def test_a_repeat_build_runs_no_new_scan(self):
+        spec = PoschlTellerSpectrum(2.0, 2.0)
+        first = _nested_outcome(spec, 0.27, 0.1, 2, None)
+        table = states._held_sums(spec)[0]
+        assert not table.flags.writeable
+        builds = states._held_sums.cache_info().misses
+        assert _nested_outcome(spec, 0.27, 0.1, 2, None) == first
+        assert _nested_outcome(spec, 0.21j, 0.4, 0, None) == \
+            _nested_outcome(PoschlTellerSpectrum(2.0, 2.0), 0.21j, 0.4, 0, None)
+        assert states._held_sums(spec)[0] is table  # one table, no rescan
+        # the other spectrum object of the same well has its own table
+        assert states._held_sums.cache_info().misses == builds + 1
+
+    def test_the_kept_tables_are_bounded(self):
+        for i in range(states._MEMO_SIZE + 3):
+            kp_state_general(PoschlTellerSpectrum(1.0 + 0.25 * i, 1.0), 0.25, 0.0, 1)
+        assert states._held_sums.cache_info().currsize == states._MEMO_SIZE
+
+    def test_a_finite_table_refuses_on_a_hit(self):
+        # levels to n_max + 120 are asked at every build: after the 29-level
+        # grid is held, n_max = 30 is refused as on a cold table
+        table = CustomSpectrum(energies=[n * (n + 1.5) for n in range(150)])
+        assert not isinstance(_nested_outcome(table, 0.2, 0.0, 1, 29), str)
+        held = states._held_sums(table)[0]
+        for _ in range(2):
+            assert _nested_outcome(table, 0.2, 0.0, 1, 30) == \
+                "custom spectrum table has 150 levels, level 150 requested"
+            assert not isinstance(_nested_outcome(table, 0.2, 0.0, 1, 22), str)
+            assert states._held_sums(table)[0] is held
+
 
 @settings(derandomize=True, deadline=None, max_examples=80)
 @given(hs.one_of(hs.sampled_from(sorted(NESTED_SPECTRA)), hs.floats(0.3, 8.0)),
