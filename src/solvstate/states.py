@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -540,6 +541,7 @@ _LOG_NEGLIGIBLE = -54.0 * math.log(2.0)
 _NESTED_STOP_ROWS = 33
 _NESTED_SIGNS = np.where(np.arange(_NESTED_J_MAX + 1) % 2 == 0, 1.0, -1.0)  # (-1)^j
 _NESTED_SIGNS.flags.writeable = False
+_NESTED_LOCK = threading.Lock()  # one nested-sum table build at a time
 
 
 @dataclass(frozen=True)
@@ -570,24 +572,26 @@ def _nested_sums(spec: Spectrum, n_max: int, rows: int) -> np.ndarray:
     g_0(m) = 1 and g_j(m) = sum_{i=1..m} E_i g_{j-1}(i+1). A table of R rows
     built for n_max spans m <= n_max + R, and row j runs to m = n_max + R - j,
     the last index later rows read: 33 rows at n_max = 48 take 21 KB, and
-    a table is rebuilt at 121 rows only when a series needs them. Every
-    build asks for levels up to
-    n_max + 120, the last a full scan reads, so a finite table refuses the
-    same n_max on a hit as on a cold build."""
+    a table is rebuilt at 121 rows only when a series needs them. Builds run
+    in turn, each covering the table held when it starts, so a held table
+    only grows. Every build asks for levels up to n_max + 120, the last a
+    full scan reads, so a finite table refuses the same n_max on a hit as on
+    a cold build."""
     slot = _held_sums(spec)
     held = slot[0] if slot else np.zeros((0, 0))
-    held_rows, held_n = held.shape[0], held.shape[1] - 1 - held.shape[0]
-    if held_rows >= rows and held_n >= n_max:
+    if held.shape[0] >= rows and held.shape[1] - 1 - held.shape[0] >= n_max:
         return held
-    rows, n_max = max(rows, held_rows), max(n_max, held_n)
-    log_e = np.log(spec.levels(1, n_max + _NESTED_J_MAX + 1)[0])  # log_e[i-1] = log E_i
-    g = np.zeros((rows, n_max + rows + 1))
-    for j in range(1, rows):
-        scan = g[j, 1:n_max + rows - j + 1]
-        np.add(log_e[:len(scan)], g[j - 1, 2:len(scan) + 2], out=scan)  # log E_i g_{j-1}(i+1)
-        np.logaddexp.accumulate(scan, out=scan)
-    g.flags.writeable = False
-    slot[:] = [g]
+    with _NESTED_LOCK:
+        held = slot[0] if slot else held
+        rows, n_max = max(rows, held.shape[0]), max(n_max, held.shape[1] - 1 - held.shape[0])
+        log_e = np.log(spec.levels(1, n_max + _NESTED_J_MAX + 1)[0])  # log_e[i-1] = log E_i
+        g = np.zeros((rows, n_max + rows + 1))
+        for j in range(1, rows):
+            scan = g[j, 1:n_max + rows - j + 1]
+            np.add(log_e[:len(scan)], g[j - 1, 2:len(scan) + 2], out=scan)  # log E_i g_{j-1}(i+1)
+            np.logaddexp.accumulate(scan, out=scan)
+        g.flags.writeable = False
+        slot[:] = [g]
     return g
 
 
@@ -614,12 +618,14 @@ def _nested_log_terms(spec: Spectrum, n_max: int, log_u: float,
         j = np.arange(rows)[:, None]
         g = _nested_sums(spec, n_max, rows)[:rows, 1:n_max + 2]
         terms = j * log_u + g - lg[2 * j + np.arange(n_max + 1)]
+        if not stop:
+            break
         top = np.maximum.accumulate(terms, axis=0)
         small = np.all(terms < top + _LOG_NEGLIGIBLE, axis=1)
         step = np.diff(terms, axis=0)  # step[j-1] = log t_j/t_{j-1}
         falling = np.all((step[1:] <= step[:-1]) & (step[:-1] < 0.0), axis=1)
         runs = np.flatnonzero(small[:-2] & small[1:-1] & small[2:] & falling)
-        if stop and len(runs):
+        if len(runs):
             terms[runs[0] + 3:] = -math.inf
             break
     return np.concatenate([terms, np.full((_NESTED_J_MAX + 1 - rows, n_max + 1), -math.inf)])

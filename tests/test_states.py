@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import mpmath as mp
@@ -1095,6 +1096,32 @@ class TestNestedTable:
             sys.setswitchinterval(interval)
         assert done.is_set()
         assert read == self.cold
+
+    def test_tables_built_at_once_only_grow(self):
+        # one thread asks for all rows, the other for more levels (its stop
+        # is met within 33 rows at u = 0.04), both inside a build at once
+        # unless builds run in turn: the later build covers both
+        class SlowLevels(PoschlTellerSpectrum):
+            def levels(self, lo, hi):
+                time.sleep(0.02)
+                return super().levels(lo, hi)
+
+        spec = SlowLevels(2.0, 2.0)
+        for _ in range(3):
+            states._held_sums.cache_clear()
+            start = threading.Barrier(2)
+
+            def build(n_max, stop):
+                start.wait()
+                states._nested_log_terms(spec, n_max, math.log(0.04), stop=stop)
+
+            pair = [threading.Thread(target=build, args=args)
+                    for args in ((48, False), (96, True))]
+            for t in pair:
+                t.start()
+            for t in pair:
+                t.join(timeout=60)
+            assert states._held_sums(spec)[0].shape == (121, 96 + 121 + 1)
 
     def test_a_repeat_build_runs_no_new_scan(self):
         spec = PoschlTellerSpectrum(2.0, 2.0)
