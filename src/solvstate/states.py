@@ -49,9 +49,9 @@ unconverged norm raises the same error on a hit.
 
 The nested sums of kp_state_general depend only on the spectrum: a third
 cache of 8 slots keeps one read-only table per spectrum object, replaced
-whole when a build needs more rows or levels. A running sum's prefix does
-not depend on where it stops, so its floats are the same whatever size or
-thread built it.
+whole by a larger one when a build needs more rows or levels. A running
+sum's prefix does not depend on where it stops, so its floats are the same
+whatever size or thread built it.
 
 States are always normalized by the directly summed coefficient series; the
 hypergeometric closed forms are treated as cross-checks, never as the source
@@ -542,6 +542,8 @@ _NESTED_STOP_ROWS = 33
 _NESTED_SIGNS = np.where(np.arange(_NESTED_J_MAX + 1) % 2 == 0, 1.0, -1.0)  # (-1)^j
 _NESTED_SIGNS.flags.writeable = False
 _NESTED_LOCK = threading.Lock()  # one nested-sum table build at a time
+# a spectrum's slot: [] or [its log g table], replaced whole
+_held_sums = functools.lru_cache(maxsize=_MEMO_SIZE)(lambda spec: [])
 
 
 @dataclass(frozen=True)
@@ -559,24 +561,14 @@ class KPGeneralResult:
     j_terms: int
 
 
-@functools.lru_cache(maxsize=_MEMO_SIZE)
-def _held_sums(spec: Spectrum) -> list:
-    """The spectrum's nested-sum slot: [] or [its log g table], replaced whole."""
-    return []
-
-
 def _nested_sums(spec: Spectrum, n_max: int, rows: int) -> np.ndarray:
-    """log g_j(m) at [j, m] for j < rows and m <= n_max + 1 (at least): the
-    spectrum's read-only table, rebuilt whole, deeper or wider, when short.
-
-    g_0(m) = 1 and g_j(m) = sum_{i=1..m} E_i g_{j-1}(i+1). A table of R rows
-    built for n_max spans m <= n_max + R, and row j runs to m = n_max + R - j,
-    the last index later rows read: 33 rows at n_max = 48 take 21 KB, and
-    a table is rebuilt at 121 rows only when a series needs them. Builds run
-    in turn, each covering the table held when it starts, so a held table
-    only grows. Every build asks for levels up to n_max + 120, the last a
-    full scan reads, so a finite table refuses the same n_max on a hit as on
-    a cold build."""
+    """log g_j(m) at [j, m] for j < rows and m <= n_max + 1 (at least), from
+    the spectrum's read-only table; g_0(m) = 1, g_j(m) = sum_{i=1..m} E_i
+    g_{j-1}(i+1). A table of R rows for n_max spans m <= n_max + R, row j to
+    m = n_max + R - j, the last index later rows read. A short table is
+    rebuilt whole, one build at a time, covering the held one, so tables
+    only grow; a build asks for levels to n_max + 120, the last a full scan
+    reads, so a finite table refuses the same n_max on a hit as cold."""
     slot = _held_sums(spec)
     held = slot[0] if slot else np.zeros((0, 0))
     if held.shape[0] >= rows and held.shape[1] - 1 - held.shape[0] >= n_max:
@@ -600,10 +592,9 @@ def _nested_log_terms(spec: Spectrum, n_max: int, log_u: float,
     """log |t_j(n)| = j log u + log S_j(n) - log (n+2j)! for j = 0..120 and
     n = 0..n_max, with u = |Z|^2; rows past the stop row are -inf.
 
-    S_0 = 1 and S_j(n) = g_j(n+1), sliced from the spectrum's table of
-    `_nested_sums`, whose floats do not depend on the size it was built at:
-    its first 33 rows, or all 121 without `stop` or when the stop is not
-    met within them, every row's terms formed in one broadcast.
+    S_0 = 1 and S_j(n) = g_j(n+1), sliced from `_nested_sums`: the first 33
+    rows, or all 121 without `stop` or when the stop is not met within them,
+    every row's terms formed in one broadcast.
 
     With `stop`, the series ends at the first J >= 2 where, on rows J-2,
     J-1 and J, every level's term is below 2^-54 of that level's largest
@@ -642,14 +633,15 @@ def kp_state_general(spec: Spectrum, Z: complex, alpha: float = 0.0,
     with J = 120 as the cap. All levels' series are one stacked
     `signed_log_sum` call over the 121 rows, those past J as -inf; the
     result is byte-identical to summing each level alone. The worst ratio
-    is the largest term at J in coefficient units, |Z|^n sqrt(E_0(n+k)) |t_J(n)|, over the state's norm,
-    and j_converged is False when it exceeds 1e-12 (small |Z| keeps this
-    well behaved, large |Z| may not converge at all depending on the
-    spectrum). A series stopped early that misses 1e-12 is summed again to
-    J = 120, so a verdict of not converged is always the full series'. A
-    level whose series cancels to 0.0 is judged by its terms against the
-    state, not against its own sum. The level count doubles from 48 until the
-    top four levels hold below 1e-14 of the norm, or reaches 384.
+    is the largest term at J in coefficient units, |Z|^n sqrt(E_0(n+k))
+    |t_J(n)|, over the state's norm, and j_converged is False when it
+    exceeds 1e-12 (small |Z| keeps this well behaved, large |Z| may not
+    converge at all depending on the spectrum). A series stopped early that
+    misses 1e-12 is summed again to J = 120, so a verdict of not converged
+    is always the full series'. A level whose series cancels to 0.0 is
+    judged by its terms against the state, not against its own sum. The
+    level count doubles from 48 until the top four levels hold below 1e-14
+    of the norm, or reaches 384.
     """
     require_photon_number(k)
     Z = complex(Z)
