@@ -276,7 +276,8 @@ class UMatrixEntry:
     """One overlap <psi_n^- | psi_m^+> from the closed-form double sum.
 
     condition estimates the cancellation (largest term over the result);
-    flagged entries lost essentially all significant digits and should be
+    flagged entries lost essentially all significant digits, or came out
+    above 1 in magnitude although u overlaps two unit vectors, and should be
     cross-checked by quadrature instead of trusted.
     """
 
@@ -288,9 +289,10 @@ class UMatrixEntry:
 
 
 # an entry is flagged when its sum is below this fraction of its largest
-# term; indices above the cap are refused (the alternating sum has lost too
-# many digits there)
+# term or its magnitude exceeds the bound; indices above the cap are refused
+# (the alternating sum has lost too many digits there)
 _U_THRESHOLD = 1e-10
+_U_BOUND = 1.0 + 1e-12
 _U_INDEX_CAP = 24
 
 
@@ -361,10 +363,10 @@ def _u_block(p: PTParams, ns, ms) -> list:
                 row.append(UMatrixEntry(n, m, 0.0, math.inf, True))
                 continue
             max_term = max_terms[i][k]
-            log_pref = log_a - 0.5 * (norm_n + norms_m[k])
-            row.append(UMatrixEntry(n, m, sign * math.exp(log_pref + log_sum),
-                                    math.exp(max_term - log_sum),
-                                    math.exp(log_sum - max_term) < _U_THRESHOLD))
+            value = sign * math.exp(log_a - 0.5 * (norm_n + norms_m[k]) + log_sum)
+            row.append(UMatrixEntry(n, m, value, math.exp(max_term - log_sum),
+                                    math.exp(log_sum - max_term) < _U_THRESHOLD
+                                    or abs(value) > _U_BOUND))
         block.append(row)
     return block
 
@@ -387,7 +389,8 @@ def u_matrix_element(p: PTParams, n: int, m: int) -> UMatrixEntry:
     summed in log-magnitude + sign form. The alternating terms grow with
     n+m and eventually eat all significant digits, so indices above 24 raise
     DomainError; each entry carries a condition estimate and is flagged
-    when the sum falls below 1e-10 of its largest term. This is the entry of
+    when the sum falls below 1e-10 of its largest term or |u| exceeds
+    1 + 1e-12. This is the entry of
     the 1x1 block (rows [n], columns [m]) of `u_matrix`'s broadcast, so it
     equals the block's entry to the bit.
     """

@@ -47,11 +47,12 @@ per-point result depends on the batch, so every coefficient, tail bound,
 norm and kernel is bit-identical whatever was built before, and an
 unconverged norm raises the same error on a hit.
 
-The nested sums of kp_state_general depend only on the spectrum: a third
-cache of 8 slots keeps one read-only table per spectrum object, replaced
-whole by a larger one when a build needs more rows or levels. A running
-sum's prefix does not depend on where it stops, so its floats are the same
-whatever size or thread built it.
+The nested sums of kp_state_general depend only on the spectrum, the level
+count and the rows scanned: a third functools.lru_cache of 8 entries keeps
+one read-only table per (spectrum object, n_max, rows), a pure function of
+its key, so no table depends on call history or on the thread that built
+it. A sweep asks for few keys: its nested builds all stop within 33 rows at
+n_max = 48.
 
 States are always normalized by the directly summed coefficient series; the
 hypergeometric closed forms are treated as cross-checks, never as the source
@@ -63,7 +64,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -541,9 +541,6 @@ _LOG_NEGLIGIBLE = -54.0 * math.log(2.0)
 _NESTED_STOP_ROWS = 33
 _NESTED_SIGNS = np.where(np.arange(_NESTED_J_MAX + 1) % 2 == 0, 1.0, -1.0)  # (-1)^j
 _NESTED_SIGNS.flags.writeable = False
-_NESTED_LOCK = threading.Lock()  # one nested-sum table build at a time
-# a spectrum's slot: [] or [its log g table], replaced whole
-_held_sums = functools.lru_cache(maxsize=_MEMO_SIZE)(lambda spec: [])
 
 
 @dataclass(frozen=True)
@@ -561,30 +558,23 @@ class KPGeneralResult:
     j_terms: int
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def _nested_sums(spec: Spectrum, n_max: int, rows: int) -> np.ndarray:
-    """log g_j(m) at [j, m] for j < rows and m <= n_max + 1 (at least), from
-    the spectrum's read-only table; g_0(m) = 1, g_j(m) = sum_{i=1..m} E_i
-    g_{j-1}(i+1). A table of R rows for n_max spans m <= n_max + R, row j to
-    m = n_max + R - j, the last index later rows read. A short table is
-    rebuilt whole, one build at a time, covering the held one, so tables
-    only grow; a build asks for levels to n_max + 120, the last a full scan
-    reads, so a finite table refuses the same n_max on a hit as cold."""
-    slot = _held_sums(spec)
-    held = slot[0] if slot else np.zeros((0, 0))
-    if held.shape[0] >= rows and held.shape[1] - 1 - held.shape[0] >= n_max:
-        return held
-    with _NESTED_LOCK:
-        held = slot[0] if slot else held
-        rows, n_max = max(rows, held.shape[0]), max(n_max, held.shape[1] - 1 - held.shape[0])
-        log_e = np.log(spec.levels(1, n_max + _NESTED_J_MAX + 1)[0])  # log_e[i-1] = log E_i
-        g = np.zeros((rows, n_max + rows + 1))
-        for j in range(1, rows):
-            scan = g[j, 1:n_max + rows - j + 1]
-            np.add(log_e[:len(scan)], g[j - 1, 2:len(scan) + 2], out=scan)  # log E_i g_{j-1}(i+1)
-            np.logaddexp.accumulate(scan, out=scan)
-        g.flags.writeable = False
-        slot[:] = [g]
-    return g
+    """log S_j(n) = log g_j(n+1) at [j, n] for j < rows and n <= n_max, read
+    only; g_0(m) = 1, g_j(m) = sum_{i=1..m} E_i g_{j-1}(i+1), so row j scans
+    m <= n_max + rows - j. A running sum's prefix does not depend on where
+    it stops, so the table is the same slice of any larger one. Levels to
+    n_max + 120, the last a full scan reads, are asked at every size, so a
+    finite spectrum refuses an n_max whatever rows are asked."""
+    log_e = np.log(spec.levels(1, n_max + _NESTED_J_MAX + 1)[0])  # log_e[i-1] = log E_i
+    g = np.zeros((rows, n_max + rows + 1))
+    for j in range(1, rows):
+        scan = g[j, 1:n_max + rows - j + 1]
+        np.add(log_e[:len(scan)], g[j - 1, 2:len(scan) + 2], out=scan)  # log E_i g_{j-1}(i+1)
+        np.logaddexp.accumulate(scan, out=scan)
+    table = g[:, 1:n_max + 2].copy()
+    table.flags.writeable = False
+    return table
 
 
 def _nested_log_terms(spec: Spectrum, n_max: int, log_u: float,
@@ -592,9 +582,11 @@ def _nested_log_terms(spec: Spectrum, n_max: int, log_u: float,
     """log |t_j(n)| = j log u + log S_j(n) - log (n+2j)! for j = 0..120 and
     n = 0..n_max, with u = |Z|^2; rows past the stop row are -inf.
 
-    S_0 = 1 and S_j(n) = g_j(n+1), sliced from `_nested_sums`: the first 33
-    rows, or all 121 without `stop` or when the stop is not met within them,
-    every row's terms formed in one broadcast.
+    S_0 = 1 and S_j(n) = g_j(n+1) from `_nested_sums`: the first 33 rows,
+    or all 121 without `stop` or when the stop is not met within them, every
+    row's terms formed in one broadcast. Stopped series, the common case,
+    meet the stop within 33 rows, and a 33-row table builds in about a
+    fifth of the time of all 121 rows.
 
     With `stop`, the series ends at the first J >= 2 where, on rows J-2,
     J-1 and J, every level's term is below 2^-54 of that level's largest
@@ -607,7 +599,7 @@ def _nested_log_terms(spec: Spectrum, n_max: int, log_u: float,
     lg = _rows(_log_gamma_row, 0.0, 0, n_max + 2 * _NESTED_J_MAX + 1)  # lg[m] = log m!
     for rows in (_NESTED_STOP_ROWS, _NESTED_J_MAX + 1)[not stop:]:
         j = np.arange(rows)[:, None]
-        g = _nested_sums(spec, n_max, rows)[:rows, 1:n_max + 2]
+        g = _nested_sums(spec, n_max, rows)
         terms = j * log_u + g - lg[2 * j + np.arange(n_max + 1)]
         if not stop:
             break

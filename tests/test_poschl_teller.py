@@ -374,6 +374,15 @@ class TestUMatrix:
         assert entry.flagged
         assert abs(entry.value) < 1e-10
 
+    @pytest.mark.parametrize("kappa", [300.0, 1e4, 1e10])
+    def test_an_entry_above_one_is_flagged(self, kappa):
+        # u overlaps two unit vectors; at large kappa the double sum's
+        # cancellation leaves entries far above 1 (up to 2e218 at 1e10)
+        block = u_matrix(PTParams(kappa, kappa), 24, 24)
+        above = [e for row in block for e in row if abs(e.value) > 1.0 + 1e-12]
+        assert above
+        assert all(e.flagged for e in above)
+
     def test_column_norms_increase_toward_one(self):
         p = P_ASYM
         for m in range(4):
@@ -484,8 +493,9 @@ def _reference_u_entry(p, n, m, tables):
     if log_sum == -math.inf:
         return 0.0, math.inf, True
     max_term = float(np.max(log_mags))
-    return (sign * math.exp(math.log(p.a) - 0.5 * (norm_n + norm_m) + log_sum),
-            math.exp(max_term - log_sum), math.exp(log_sum - max_term) < 1e-10)
+    value = sign * math.exp(math.log(p.a) - 0.5 * (norm_n + norm_m) + log_sum)
+    return (value, math.exp(max_term - log_sum),
+            math.exp(log_sum - max_term) < 1e-10 or abs(value) > 1.0 + 1e-12)
 
 
 def _reference_deriv(p, n, x):

@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import threading
-import time
 from pathlib import Path
 
 import mpmath as mp
@@ -1039,9 +1038,9 @@ class TestNestedAgainstReference:
                 kp_state_general(PoschlTellerSpectrum(2.0, 2.0), 0.27, 0.1, 2)
 
 
-# the builds whose bytes must not depend on how the spectrum's nested-sum
-# table was grown: each spectrum at two moduli, one stopping early and one
-# summed to J = 120, over the self-sizing loop and two fixed grids
+# the builds whose bytes must not depend on which nested-sum tables are
+# held: each spectrum at two moduli, one stopping early and one summed to
+# J = 120, over the self-sizing loop and two fixed grids
 _TABLE_BUILDS = [(spec, cmath.rect(modulus, 0.9 + k), 0.1 * k, k, n_max)
                  for spec in NESTED_SPECTRA.values()
                  for k, modulus in enumerate((0.25, 1.2))
@@ -1054,38 +1053,38 @@ def _table_outcomes() -> list:
 
 class TestNestedTable:
     def setup_method(self):
-        states._held_sums.cache_clear()
+        states._nested_sums.cache_clear()
         self.cold = _table_outcomes()
 
     def test_a_cold_table_gives_the_same_bytes(self):
         warm = _table_outcomes()
-        states._held_sums.cache_clear()
+        states._nested_sums.cache_clear()
         assert _table_outcomes() == warm == self.cold
 
-    @pytest.mark.parametrize("grow", ["n_max_384", "full_scan"])
-    def test_a_grown_table_gives_the_same_bytes(self, grow):
-        states._held_sums.cache_clear()
-        for spec in NESTED_SPECTRA.values():
-            if grow == "n_max_384":
-                states._kp_general(spec, 0.2, 0.0, 1, 384)
-            else:
-                states._nested_log_terms(spec, 30, math.log(0.09), stop=False)
-            rows, width = states._held_sums(spec)[0].shape  # m = 0..n_max+rows
-            assert width - 1 - rows == (384 if grow == "n_max_384" else 30)
-            assert rows == 121 or grow == "n_max_384"
-        assert _table_outcomes() == self.cold
+    @pytest.mark.parametrize("spec", [PoschlTellerSpectrum(2.0, 2.0), HarmonicSpectrum(),
+                                      CustomSpectrum(rule=lambda n: n ** 3 + n)],
+                             ids=["pt-4", "harmonic", "cubic"])
+    def test_a_table_is_the_same_slice_of_a_larger_one(self, spec):
+        # a running sum's prefix does not depend on where it stops, which is
+        # what lets each (n_max, rows) key build its own table
+        large = states._nested_sums(spec, 384, 121)
+        assert large.shape == (121, 385) and np.all(np.isfinite(large))
+        for n_max, rows in ((48, 33), (96, 33), (30, 121), (24, 121)):
+            table = states._nested_sums(spec, n_max, rows)
+            assert table.shape == (rows, n_max + 1)
+            assert table.tobytes() == large[:rows, :n_max + 1].tobytes(), (n_max, rows)
 
     def test_a_table_built_in_another_thread_gives_the_same_bytes(self):
-        states._held_sums.cache_clear()
+        states._nested_sums.cache_clear()
         done = threading.Event()
 
-        def grow():
+        def build():
             for n_max in (48, 96, 192, 384):
                 for spec in NESTED_SPECTRA.values():
                     states._nested_log_terms(spec, n_max, math.log(0.09), stop=n_max < 192)
             done.set()
 
-        builder = threading.Thread(target=grow)
+        builder = threading.Thread(target=build)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -1097,61 +1096,45 @@ class TestNestedTable:
         assert done.is_set()
         assert read == self.cold
 
-    def test_tables_built_at_once_only_grow(self):
-        # one thread asks for all rows, the other for more levels (its stop
-        # is met within 33 rows at u = 0.04), both inside a build at once
-        # unless builds run in turn: the later build covers both
-        class SlowLevels(PoschlTellerSpectrum):
-            def levels(self, lo, hi):
-                time.sleep(0.02)
-                return super().levels(lo, hi)
-
-        spec = SlowLevels(2.0, 2.0)
-        for _ in range(3):
-            states._held_sums.cache_clear()
-            start = threading.Barrier(2)
-
-            def build(n_max, stop):
-                start.wait()
-                states._nested_log_terms(spec, n_max, math.log(0.04), stop=stop)
-
-            pair = [threading.Thread(target=build, args=args)
-                    for args in ((48, False), (96, True))]
-            for t in pair:
-                t.start()
-            for t in pair:
-                t.join(timeout=60)
-            assert states._held_sums(spec)[0].shape == (121, 96 + 121 + 1)
-
     def test_a_repeat_build_runs_no_new_scan(self):
+        states._nested_sums.cache_clear()
         spec = PoschlTellerSpectrum(2.0, 2.0)
+        keys = [(spec, 48, 33), (spec, 96, 33), (spec, 48, 121),
+                (PoschlTellerSpectrum(2.0, 2.0), 48, 33)]
+        for i, key in enumerate(keys):
+            table = states._nested_sums(*key)
+            assert not table.flags.writeable
+            assert states._nested_sums.cache_info().misses == i + 1  # one miss per key
+            assert states._nested_sums(*key) is table
+            assert states._nested_sums.cache_info().misses == i + 1
         first = _nested_outcome(spec, 0.27, 0.1, 2, None)
-        table = states._held_sums(spec)[0]
-        assert not table.flags.writeable
-        builds = states._held_sums.cache_info().misses
+        builds = states._nested_sums.cache_info().misses
         assert _nested_outcome(spec, 0.27, 0.1, 2, None) == first
+        assert states._nested_sums.cache_info().misses == builds
+        # the other spectrum object of the same well has its own tables
         assert _nested_outcome(spec, 0.21j, 0.4, 0, None) == \
             _nested_outcome(PoschlTellerSpectrum(2.0, 2.0), 0.21j, 0.4, 0, None)
-        assert states._held_sums(spec)[0] is table  # one table, no rescan
-        # the other spectrum object of the same well has its own table
-        assert states._held_sums.cache_info().misses == builds + 1
+        assert states._nested_sums.cache_info().misses == builds + 1
 
     def test_the_kept_tables_are_bounded(self):
         for i in range(states._MEMO_SIZE + 3):
             kp_state_general(PoschlTellerSpectrum(1.0 + 0.25 * i, 1.0), 0.25, 0.0, 1)
-        assert states._held_sums.cache_info().currsize == states._MEMO_SIZE
+        assert states._nested_sums.cache_info().currsize == states._MEMO_SIZE
 
     def test_a_finite_table_refuses_on_a_hit(self):
-        # levels to n_max + 120 are asked at every build: after the 29-level
-        # grid is held, n_max = 30 is refused as on a cold table
+        # levels to n_max + 120 are asked at every build: with the 29-level
+        # grid's tables held, n_max = 30 is refused on every call
         table = CustomSpectrum(energies=[n * (n + 1.5) for n in range(150)])
         assert not isinstance(_nested_outcome(table, 0.2, 0.0, 1, 29), str)
-        held = states._held_sums(table)[0]
+        states._nested_sums(table, 29, 121)
         for _ in range(2):
             assert _nested_outcome(table, 0.2, 0.0, 1, 30) == \
                 "custom spectrum table has 150 levels, level 150 requested"
+            for rows in (33, 121):
+                with pytest.raises(DomainError, match="level 150 requested"):
+                    states._nested_sums(table, 30, rows)
             assert not isinstance(_nested_outcome(table, 0.2, 0.0, 1, 22), str)
-            assert states._held_sums(table)[0] is held
+            assert not isinstance(_nested_outcome(table, 0.2, 0.0, 1, 29), str)
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)
