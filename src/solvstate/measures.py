@@ -187,7 +187,9 @@ def kp_weight_unit_disk(lam: float, k: int, reading: str = "a_b_b") -> WeightCan
             # useless there: r >= 0.25 is one hyper_pfq call on the batch,
             # r < 0.25 the connection expansion in powers of r (DLMF 15.8.10),
             # each point stopping after the term whose successor, times
-            # (|ln r| + 10), is below 1e-16 of the partial sum.
+            # (|ln r| + 10), is below 1e-16 of the partial sum. Its terms rise
+            # to one peak and then fall, so a point whose terms or partial sums
+            # overflow (lam >= 1e8) has met no stop before and is NaN too.
             out, far = np.ones_like(r), r >= 0.25
             if k == 0:
                 return out
@@ -197,12 +199,13 @@ def kp_weight_unit_disk(lam: float, k: int, reading: str = "a_b_b") -> WeightCan
                 out[far] = res.value.real if res.converged else np.nan
             if not far.all():
                 near = r[~far, None]
-                term = np.cumprod(np.hstack([np.ones_like(near), ratio * near]), axis=1)
-                partial = np.cumsum(term[:, :-1] * (psi - np.log(near)), axis=1)
-                small = (np.abs(term[:, 1:]) * (np.abs(np.log(near)) + 10.0)
-                         < 1e-16 * np.abs(partial))
+                with np.errstate(over="ignore", invalid="ignore"):  # NaN below
+                    term = np.cumprod(np.hstack([np.ones_like(near), ratio * near]), axis=1)
+                    partial = np.cumsum(term[:, :-1] * (psi - np.log(near)), axis=1)
+                    small = (np.abs(term[:, 1:]) * (np.abs(np.log(near)) + 10.0)
+                             < 1e-16 * np.abs(partial))
                 end = partial[np.arange(near.size), small.argmax(axis=1)]
-                out[~far] = pref * np.where(small.any(axis=1), end, np.nan)
+                out[~far] = pref * np.where(small.any(axis=1) & np.isfinite(end), end, np.nan)
             return out
 
         def h(r):

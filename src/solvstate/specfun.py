@@ -119,10 +119,11 @@ def _signed_pair(lp: float, ln: float) -> tuple[float, float]:
 _SMALL_RUN = 3
 
 
-def block_end(lo: int, limit: int, last: float = math.inf) -> int:
-    """End of the series block from lo: blocks double from 32, stop at
-    `limit` terms and at the last index of a finite table."""
-    return int(max(lo + 1, min(2 * lo or 32, limit, last + 1)))
+def block_end(lo: int, limit: int, last: float = math.inf, first: int = 32) -> int:
+    """End of the series block from lo: the first block holds `first` terms,
+    each later one doubles the length; blocks stop at `limit` terms and at
+    the last index of a finite table."""
+    return int(max(lo + 1, min(2 * lo or first, limit, last + 1)))
 
 
 @dataclass
@@ -153,23 +154,26 @@ class SeriesSum:
 
 
 def series_sum(block, x, rel_tol: float, limit: int,
-               last: float = math.inf, t=None) -> SeriesSum:
+               last: float = math.inf, t=None, first: int = 32) -> SeriesSum:
     """S = sum_n x^n w(n) e^{i t theta(n)} at every (x, t) of the sequences
     x and t (default t = 1).
 
     block(lo, hi) gives log|w(n)|, the sign of w(n) (None if all positive)
     and theta(n) (or None) for n = lo..hi-1, for all points at once, in
-    blocks that double from 32. Each block re-sums a point's terms from n = 0
-    as exp(log|term| - top), top the largest. A point stops at the end of its
-    first run of _SMALL_RUN terms below rel_tol times the larger of |partial
-    sum| and the largest term, or after `limit` terms, and leaves the batch;
-    x = 0 (the n = 0 term) and a table with last index `last` are summed
-    exactly. Each result depends only on its own (x, t).
+    blocks of `first` terms, then doubling (`block_end`). Each block re-sums
+    a point's terms from n = 0 as exp(log|term| - top), top the largest. A
+    point stops at the end of its first run of _SMALL_RUN terms below
+    rel_tol times the larger of |partial sum| and the largest term, or after
+    `limit` terms, and leaves the batch; x = 0 (the n = 0 term) and a table
+    with last index `last` are summed exactly. Each result depends only on
+    its own (x, t), and on `first` only if a |term| past the stop exceeds
+    every term before it: a series whose |terms| rise to one peak and then
+    fall, as every KP series does, gives the same bytes from any first block.
     """
     pts = x.tolist() if isinstance(x, np.ndarray) else list(x)
     t = [1.0] * len(pts) if t is None else t
     live = [i for i, v in enumerate(pts) if v]
-    w, sign, theta = block(0, block_end(0, limit, last) if live else 1)
+    w, sign, theta = block(0, block_end(0, limit, last, first) if live else 1)
     real = theta is None and not any(v.imag for v in pts)
     run, parts = _SMALL_RUN, []  # (points, *SeriesSum fields)
     if len(live) < len(pts):
@@ -267,15 +271,26 @@ def _is_nonpositive_integer(x: float) -> bool:
 
 def _pfq_block(a: list, b: list):
     """log|w(n)| and sign of w(n) = prod (a_i)_n / (prod (b_j)_n n!), from
-    the exact term ratio w(n+1)/w(n)."""
+    the exact term ratio w(n+1)/w(n). Where the products of the parameters
+    overflow or underflow (lam near 1e154 and up), that ratio is taken from
+    sums of logs of its factors instead."""
     upper, lower = np.array(a)[:, None], np.array([1.0] + b)[:, None]
     negative = min(a + b, default=0.0) < 0.0
 
     def block(lo, hi):
         m = np.arange(hi - 1, dtype=float)
-        ratio = np.multiply.reduce(upper + m) / np.multiply.reduce(lower + m)
+        num, den = upper + m, lower + m
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            ratio = np.multiply.reduce(num) / np.multiply.reduce(den)
+            log_ratio = np.log(np.abs(ratio))
+        bad = ~np.isfinite(log_ratio)  # a product out of range: logs of the factors
+        if bad.any():
+            num, den = num[:, bad], den[:, bad]
+            log_ratio[bad] = (np.add.reduce(np.log(np.abs(num)))
+                              - np.add.reduce(np.log(np.abs(den))))
+            ratio[bad] = np.multiply.reduce(np.sign(num)) * np.multiply.reduce(np.sign(den))
         log_w = np.zeros(hi)
-        np.add.accumulate(np.log(np.abs(ratio)), out=log_w[1:])
+        np.add.accumulate(log_ratio, out=log_w[1:])
         if not negative:
             return log_w[lo:], None, None
         sign = np.ones(hi)

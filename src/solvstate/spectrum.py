@@ -51,13 +51,16 @@ class Spectrum:
 
     Instances are immutable from the outside. The internal cache of energies
     and cumulative log-products grows monotonically under a lock, so sharing
-    one instance across threads is safe.
+    one instance across threads is safe. `levels` serves slices of a
+    read-only array copy of each list, rebuilt under the lock whenever a
+    call reaches past it, so each copy only grows and is published whole.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._energies = [0.0]
         self._log_e0 = [0.0]  # log E_0(n), n = 0, 1, ...
+        self._arrays = ()  # read-only arrays of both lists, for `levels`
 
     def _energy(self, n: int) -> float:
         raise NotImplementedError
@@ -89,13 +92,23 @@ class Spectrum:
         return self._energies[n]
 
     def levels(self, lo: int, hi: int):
-        """(E_n, log E_0(n)) for n = lo..hi-1 as two float arrays."""
-        import numpy as np  # local, so this module's imports stay stdlib-only
-
+        """(E_n, log E_0(n)) for n = lo..hi-1 as two read-only float arrays,
+        slices of the held arrays: the levels are checked by `_ensure` as
+        by every other accessor, then the arrays are rebuilt from the lists
+        only if they end before hi."""
         if lo < 0:
             raise DomainError(f"level index must be nonnegative, got {lo}")
         self._ensure(hi - 1)
-        return np.array(self._energies[lo:hi]), np.array(self._log_e0[lo:hi])
+        arrays = self._arrays
+        if not arrays or len(arrays[0]) < hi:
+            import numpy as np  # local, so this module's imports stay stdlib-only
+
+            with self._lock:
+                arrays = tuple(np.array(v) for v in (self._energies, self._log_e0))
+                for a in arrays:
+                    a.flags.writeable = False
+                self._arrays = arrays
+        return arrays[0][lo:hi], arrays[1][lo:hi]
 
     def log_e0(self, n: int) -> float:
         """log of E_0(n) = E_n E_{n-1} ... E_1, with E_0(0) = 1."""

@@ -32,6 +32,13 @@ and blocks past that are computed on each call. Entries are the same
 math.lgamma values, so no result depends on call history or on which
 thread built a row.
 
+Every series is read in blocks that double in length. A KP block is only
+row slices, so its first holds 128 terms, which end every norm, kernel and
+profile of the label sweep; a GK block asks the spectrum for its levels,
+so its first stays at 32 and a rule spectrum is asked for no level more
+than that schedule reads. KP terms rise to one peak and then fall, so a
+KP result does not depend on where its blocks end.
+
 A state's magnitudes depend only on its family, |x|, tail_eps and cap; arg
 x and alpha only turn phases (the temporal stability of Gazeau and Klauder,
 J. Phys. A 32, 123, 1999). So a build is a magnitude profile and a phase
@@ -151,20 +158,24 @@ class KPLabel:
 @dataclass(frozen=True)
 class _Family:
     """terms(lo, hi) gives (log w(n), E_{n+k}) for n = lo..hi-1; last is the
-    last index n of a finite table (else +inf). key, ("gk", spec, k) or
-    ("kp", lam, k, lam_w), names the series: families compare and hash by it
-    alone, so two builds of one series are the same cache key."""
+    last index n of a finite table (else +inf); first is the length of the
+    first block of terms, after which blocks double (`block_end`). key,
+    ("gk", spec, k) or ("kp", lam, k, lam_w), names the series: families
+    compare and hash by it alone, so two builds of one series are the same
+    cache key."""
 
     key: tuple
     k: int = field(compare=False)
     terms: callable = field(compare=False)
     last: float = field(compare=False)
+    first: int = field(default=32, compare=False)
 
 
 # entries m = 0.._TABLE_LEN-1 of a row are kept (a default-cap state at k < 64
 # stays inside); past them each block is computed on every call
 _TABLE_LEN = _MAX_N + 64
 _ROWS_KEPT = 32  # rows kept, least recently used dropped
+_KP_FIRST = 128  # terms in a KP series' first block (module docstring)
 
 
 def _log_gamma_row(m: np.ndarray, b: float) -> np.ndarray:
@@ -212,7 +223,7 @@ def _kp_family(lam: float, k: int, lam_w: float) -> _Family:
                  - 2.0 * log_fact[:hi - lo] - log_norm)
         return log_w, _rows(_energy_row, lam, lo + k, hi + k)
 
-    return _Family(("kp", lam, k, lam_w), k, terms, math.inf)
+    return _Family(("kp", lam, k, lam_w), k, terms, math.inf, _KP_FIRST)
 
 
 _MEMO_SIZE = 8  # entries kept by each cache (module docstring)
@@ -245,7 +256,7 @@ def _profile(fam: _Family, r: float, tail_eps: float, cap: int) -> tuple:
     n = 0
     while True:
         if n == len(logs):
-            hi = block_end(n, cap, fam.last)
+            hi = block_end(n, cap, fam.last, fam.first)
             log_w, e = fam.terms(n, hi)
             logs += (np.arange(n, hi) * log_r + 0.5 * log_w).tolist()
             energies.append(e)
@@ -293,7 +304,8 @@ def _sum(fam: _Family, xs: list, d_alphas: list):
         rate = max(map(abs, d_alphas))  # the largest |d_alpha|: one guard per block
         return log_w, None, -_phase_guard(rate, e) if rate else None
 
-    s = series_sum(block, xs, _SERIES_REL_TOL, _SERIES_MAX_TERMS, fam.last, d_alphas)
+    s = series_sum(block, xs, _SERIES_REL_TOL, _SERIES_MAX_TERMS, fam.last, d_alphas,
+                   fam.first)
     return (*s.polar()[1:], s.stopped | s.exact)
 
 

@@ -1,5 +1,8 @@
 import json
 import math
+import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -146,6 +149,66 @@ def test_levels_validation():
         HarmonicSpectrum().levels(-1, 3)
     with pytest.raises(DomainError):
         CustomSpectrum(energies=[0.0, 1.0, 2.5]).levels(0, 4)
+
+
+@pytest.mark.parametrize("make", [lambda: PoschlTellerSpectrum(0.6, 1.7), HarmonicSpectrum,
+                                  lambda: CustomSpectrum(rule=lambda n: n ** 3 + n)])
+def test_levels_are_the_bytes_of_the_list_slices(make):
+    # random windows, many of them past the levels held so far, so the held
+    # arrays are rebuilt between calls
+    spec, rng = make(), random.Random(5)
+    for _ in range(200):
+        lo = rng.randrange(0, 400)
+        hi = lo + rng.randrange(0, 80)
+        energies, log_e0 = spec.levels(lo, hi)
+        assert energies.tobytes() == np.array(spec._energies[lo:hi], dtype=float).tobytes()
+        assert log_e0.tobytes() == np.array(spec._log_e0[lo:hi], dtype=float).tobytes()
+        assert energies.dtype == log_e0.dtype == np.float64
+
+
+def test_levels_are_read_only():
+    spec = HarmonicSpectrum()
+    energies, log_e0 = spec.levels(0, 10)
+    for a in (energies, log_e0):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    spec.levels(0, 50)  # grows the held arrays; the old slices are unchanged
+    assert energies.tolist() == [float(n) for n in range(10)]
+
+
+def test_threads_growing_one_spectrum_read_the_same_bytes():
+    spec, serial = PoschlTellerSpectrum(1.25, 0.5), PoschlTellerSpectrum(1.25, 0.5)
+    windows = [(lo, lo + 37) for lo in range(0, 600, 7)]
+    want = [b"".join(a.tobytes() for a in serial.levels(lo, hi)) for lo, hi in windows]
+    barrier = threading.Barrier(2)
+    results = [None, None]
+
+    def run(i):
+        barrier.wait()
+        order = windows if i == 0 else windows[::-1]
+        got = {w: b"".join(a.tobytes() for a in spec.levels(*w)) for w in order}
+        results[i] = [got[w] for w in windows]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results[0] == results[1] == want
+
+
+def test_a_finite_table_refuses_levels_past_its_end():
+    spec = CustomSpectrum(energies=[n * (n + 1.0) for n in range(150)])
+    assert spec.levels(0, 150)[0][-1] == 149.0 * 150.0
+    for _ in range(2):
+        with pytest.raises(DomainError, match="level 150 requested"):
+            spec.levels(140, 151)
+    assert spec.levels(149, 150)[0].tolist() == [149.0 * 150.0]
 
 
 def test_custom_needs_exactly_one_source():

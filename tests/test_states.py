@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import functools
 import math
 import os
@@ -41,6 +42,7 @@ from solvstate import states
 from solvstate.fockspace import apply
 from solvstate.specfun import block_end, signed_log_sum
 from solvstate.states import (
+    _KP_FIRST,
     _ROWS_KEPT,
     _TABLE_LEN,
     _energy_row,
@@ -49,8 +51,10 @@ from solvstate.states import (
     _held_profile,
     _kp_family,
     _log_gamma_row,
+    _profile,
     _row,
     _rows,
+    _sum,
 )
 from solvstate.verify import coeff_distance, eigen_residual
 
@@ -168,11 +172,36 @@ class TestGKState:
         assert tight.tail_bound < loose.tail_bound <= 1e-6
 
     def test_radius_validation_on_bounded_spectrum(self):
+        # E_55 rounds to 1.0 = E_54, so a GK block reaching level 55 fails
         bounded = CustomSpectrum(rule=lambda n: 1.0 - 2.0 ** (-n))
         state = gk_state(bounded, GKLabel(0.5, 0.0, 0))
         assert state.norm() == pytest.approx(1.0)
+        assert math.isfinite(gk_norm_constant(bounded, 0.25, 0))
+        assert abs(gk_overlap(bounded, GKLabel(0.5, 0.0, 0), GKLabel(0.5j, 0.3, 0))) < 1.0
         with pytest.raises(DomainError):
             gk_state(bounded, GKLabel(1.01, 0.0, 0))
+
+    @pytest.mark.parametrize("z, k, highest", [
+        # (state, norm, kernel): GK blocks of 32, 64, 128 levels from level k
+        (0.5, 0, (31, 31, 31)), (0.5, 2, (33, 33, 33)),
+        (12.0, 0, (31, 63, 63)), (12.0, 2, (65, 65, 65)),
+        (40.0, 1, (128, 128, 128)),
+    ])
+    def test_gk_series_ask_for_the_levels_of_their_block_schedule(self, z, k, highest):
+        asked = []
+
+        class Recording(PoschlTellerSpectrum):
+            def _energy(self, n):
+                asked.append(n)
+                return super()._energy(n)
+
+        builds = (lambda s: gk_state(s, GKLabel(z, 0.3, k)),
+                  lambda s: gk_norm_constant(s, z * z, k),
+                  lambda s: gk_overlap(s, GKLabel(z, 0.0, k), GKLabel(0.6j * z, 0.4, k)))
+        for build, want in zip(builds, highest):
+            asked.clear()
+            build(Recording(1.0, 1.5))
+            assert max(asked) == want
 
 
 class TestGKNormConstant:
@@ -614,6 +643,35 @@ class TestKPTables:
             assert _rows(_log_gamma_row, 0.0, m, m + 1)[0] == math.lgamma(m + 1.0)
             assert _rows(_log_gamma_row, lam_w, m, m + 1)[0] == math.lgamma(m + lam_w + 1.0)
             assert _rows(_energy_row, lam, m, m + 1)[0] == m * (m + lam)
+
+    @pytest.mark.parametrize("lam", [1e-3, 1.0, 7.0, 1e4])
+    @pytest.mark.parametrize("exponent", ["lambda", "two_lambda"])
+    def test_results_do_not_depend_on_the_first_block(self, lam, exponent):
+        # KP terms rise to one peak and fall, so a first block of 32 or of 128
+        # terms gives the same bytes, also where the peak lies past 128 terms
+        # (u = 0.999) and where the cap cuts the profile short
+        lam_w = lam if exponent == "lambda" else 2.0 * lam
+        rng = np.random.default_rng(int(lam * 1000) + len(exponent))
+        us = [0.999, 0.9, *rng.uniform(0.0, 0.999, 3)]
+        for k in (0, 1, 3, 10):
+            fam = _kp_family(lam, k, lam_w)
+            assert fam.first == _KP_FIRST == 128
+            old = dataclasses.replace(fam, first=32)
+            for u in us:
+                x1 = cmath.rect(math.sqrt(u), rng.uniform(-math.pi, math.pi))
+                x2 = cmath.rect(math.sqrt(rng.uniform(0.0, 0.999)), 0.4)
+                # a kernel batch: the kernel point and both norms
+                points = [np.conj(x1) * x2, abs(x1) ** 2, abs(x2) ** 2]
+                for d_alpha in (0.0, 0.3):
+                    d_alphas = [d_alpha, 0.0, 0.0]
+                    for a, b in zip(_sum(fam, points, d_alphas), _sum(old, points, d_alphas)):
+                        assert a.tobytes() == b.tobytes()
+                for cap in (5, 50, 2048):
+                    for tail_eps in (1e-24, 1e-12):
+                        new_p = _profile(fam, math.sqrt(u), tail_eps, cap)
+                        old_p = _profile(old, math.sqrt(u), tail_eps, cap)
+                        for a, b in zip(new_p, old_p):  # magnitudes, energies, tail
+                            assert np.array(a).tobytes() == np.array(b).tobytes()
 
     def test_rows_are_built_on_first_use(self):
         # importing the package and the CLI builds no row
